@@ -6,7 +6,6 @@ from __future__ import annotations
 import csv
 import io
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import median
@@ -108,7 +107,10 @@ def synthesize(spec: SyntheticLogSpec, seed: int) -> tuple[EventLog, GenerationS
     for idx, variant_idx in enumerate(assignment):
         sequence = variants[variant_idx]
         case_id = f"c{idx:05d}"
-        start_ns = idx * 10_000 * hour_ns
+        # One case starts per day, which keeps about 100,000 cases inside
+        # int64 nanoseconds. Cases may overlap in time; a DFG only sees the
+        # gaps within a case.
+        start_ns = idx * NS_PER_UNIT["d"]
         events = [Event(case_id, sequence[0], start_ns)]
         now = start_ns
         for prev, cur in zip(sequence, sequence[1:]):
@@ -241,26 +243,17 @@ def _se(values: list[float]) -> float:
 
 def _run_cell(dfg: Dfg, cell: _Cell, spec: SweepSpec) -> list[str]:
     started = time.perf_counter()
-    if cell.mode is Mode.P1:
-        request = DisclosureRequest(
-            mode=Mode.P1,
-            aggregation=cell.aggregation,
-            risk=RiskParams(cell.param, spec.precision),
-            precision=spec.precision,
-            seed=spec.seed,
-            runs=spec.runs,
-            include_boundary_time=spec.include_boundary_time,
-        )
-    else:
-        request = DisclosureRequest(
-            mode=Mode.P2,
-            aggregation=cell.aggregation,
-            utility=UtilityParams(cell.param, spec.beta),
-            precision=spec.precision,
-            seed=spec.seed,
-            runs=spec.runs,
-            include_boundary_time=spec.include_boundary_time,
-        )
+    p1 = cell.mode is Mode.P1
+    request = DisclosureRequest(
+        mode=cell.mode,
+        aggregation=cell.aggregation,
+        risk=RiskParams(cell.param, spec.precision) if p1 else None,
+        utility=None if p1 else UtilityParams(cell.param, spec.beta),
+        precision=spec.precision,
+        seed=spec.seed,
+        runs=spec.runs,
+        include_boundary_time=spec.include_boundary_time,
+    )
     _, report = disclose(dfg, request)
     wall_ms = (time.perf_counter() - started) * 1e3
     med_eps = report.median_epsilon
@@ -296,6 +289,9 @@ def _error_row(cell: _Cell, message: str) -> list[str]:
 def run_sweep(spec: SweepSpec, threads: int = 1) -> str:
     """Run the full grid and render it as CSV: one row per
     (log, aggregation, parameter value), in specification order.
+
+    ``threads`` is accepted for compatibility and ignored: cells are
+    evaluated serially.
     """
     dfgs: dict[str, Dfg | Exception] = {}
     for source in spec.logs:
@@ -321,11 +317,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> str:
         except Exception as exc:
             return _error_row(cell, str(exc))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(evaluate, cells))
-    else:
-        rows = [evaluate(cell) for cell in cells]
+    rows = [evaluate(cell) for cell in cells]
 
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")

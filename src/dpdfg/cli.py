@@ -83,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="keep virtual start/end edges in time-annotated output")
     anon.add_argument("--time-unit", choices=sorted(NS_PER_UNIT), default=None,
                       help="bypass time-unit auto-scaling")
-    anon.add_argument("--threads", type=int, default=1)
+    anon.add_argument("--threads", type=int, default=1,
+                      help="accepted for compatibility; evaluation is serial")
     anon.add_argument("--annotate-debug", action="store_true",
                       help="add epsilon/APE labels to DOT output")
     anon.add_argument("--format", choices=["json", "csv", "dot"], default="json")
@@ -92,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run a parameter sweep from a config file")
     sweep.add_argument("--config", required=True, help="sweep configuration (JSON)")
     sweep.add_argument("--out", default=None, help="grid CSV path (default: stdout)")
-    sweep.add_argument("--threads", type=int, default=1)
+    sweep.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; evaluation is serial")
 
     inspect = sub.add_parser("inspect", help="summarize a log and its DFG")
     _add_input_flags(inspect)
@@ -106,31 +108,21 @@ def _run_anonymize(args, parser) -> int:
     try:
         kind = AggregationKind.parse(args.agg)
         seed = _resolve_seed(args.seed)
-        if args.delta is not None:
-            request = DisclosureRequest(
-                mode=Mode.P1,
-                aggregation=kind,
-                risk=RiskParams(args.delta, args.precision),
-                precision=args.precision,
-                seed=seed,
-                runs=args.runs,
-                include_boundary_time=args.include_boundary_time,
-                time_unit=args.time_unit,
-            )
-        else:
-            request = DisclosureRequest(
-                mode=Mode.P2,
-                aggregation=kind,
-                utility=UtilityParams(args.mape, args.beta),
-                precision=args.precision,
-                seed=seed,
-                runs=args.runs,
-                include_boundary_time=args.include_boundary_time,
-                time_unit=args.time_unit,
-            )
+        p1 = args.delta is not None
+        request = DisclosureRequest(
+            mode=Mode.P1 if p1 else Mode.P2,
+            aggregation=kind,
+            risk=RiskParams(args.delta, args.precision) if p1 else None,
+            utility=None if p1 else UtilityParams(args.mape, args.beta),
+            precision=args.precision,
+            seed=seed,
+            runs=args.runs,
+            include_boundary_time=args.include_boundary_time,
+            time_unit=args.time_unit,
+        )
         log = _load_log(args.input, args.input_format, args)
         dfg = build_dfg(log)
-        annotated, report = disclose(dfg, request, threads=args.threads)
+        annotated, report = disclose(dfg, request)
     except (IngestError, ValueError, OSError) as exc:
         print(f"dpdfg: error: {exc}", file=sys.stderr)
         return DATA_ERROR
@@ -164,7 +156,7 @@ def _run_sweep(args) -> int:
     try:
         config = json.loads(Path(args.config).read_text(encoding="utf-8"))
         spec = SweepSpec.from_dict(config)
-        grid_csv = run_sweep(spec, threads=args.threads)
+        grid_csv = run_sweep(spec)
     except (IngestError, ValueError, OSError, KeyError) as exc:
         print(f"dpdfg: error: {exc}", file=sys.stderr)
         return DATA_ERROR

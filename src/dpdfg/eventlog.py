@@ -27,6 +27,7 @@ NS_PER_UNIT = {
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _FRACTION_RE = re.compile(r"(\.\d{6})\d+")
+_INTEGER_RE = re.compile(r"[+-]?\d+")
 
 
 class IngestError(Exception):
@@ -102,7 +103,10 @@ def parse_timestamp_ns(text: str, fmt: str = "auto", number_unit: str = "h") -> 
             if not math.isfinite(value):
                 raise IngestError(f"non-finite timestamp {text!r}")
             scaled = value * NS_PER_UNIT[number_unit]
-            if not math.isfinite(scaled) or not -(2**63) <= scaled < 2**63:
+            if abs(scaled) >= 2**53 and _INTEGER_RE.fullmatch(text):
+                # Past 2**53 a float drops bits; integer strings scale exactly.
+                scaled = int(text) * NS_PER_UNIT[number_unit]
+            if not -(2**63) <= scaled < 2**63:
                 raise IngestError(f"timestamp {text!r} out of range")
             return round(scaled)
     try:

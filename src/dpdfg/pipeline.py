@@ -2,7 +2,8 @@
 
 P1: tolerated guessing advantage -> per-edge epsilon -> noisy DFG -> error
 report. P2: tolerated percentage error -> per-edge epsilon -> noisy DFG ->
-risk report. Emitters for DOT, JSON and CSV.
+risk report. Both go through one calibration; only the source of epsilon
+differs. Emitters for DOT, JSON and CSV.
 """
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ import io
 import json
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .dfg import (
@@ -29,16 +29,17 @@ from .dfg import (
 )
 from .noise import DEFAULT_SEED, NoiseStream, post_process, sample_laplace, sensitivity
 from .risk import (
+    DEFAULT_PRECISION,
     UNBOUNDED,
     RiskParams,
     delta_from_epsilon_freq,
     delta_from_epsilon_time,
     edge_epsilon_time,
-    empirical_prior,
+    edge_priors,
     epsilon_freq,
     worst_case_delta_time,
 )
-from .utility import UtilityParams, alpha_per_edge, ape, epsilon_from_alpha
+from .utility import UtilityParams, alpha_per_edge, ape, epsilon_from_alpha, smape
 
 SCHEMA_VERSION = 1
 
@@ -50,11 +51,17 @@ class Mode(enum.Enum):
 
 @dataclass(frozen=True)
 class DisclosureRequest:
+    """One disclosure. ``precision`` is the guess window of the empirical
+    priors. In P1 it belongs to ``risk``: left unset it takes
+    ``risk.precision``, and a different value is rejected. In P2 it
+    defaults to ``DEFAULT_PRECISION``.
+    """
+
     mode: Mode
     aggregation: AggregationKind
     risk: RiskParams | None = None
     utility: UtilityParams | None = None
-    precision: float = 0.5
+    precision: float | None = None
     seed: int = DEFAULT_SEED
     runs: int = 1
     include_boundary_time: bool = False
@@ -67,6 +74,13 @@ class DisclosureRequest:
             raise ValueError("P2 requires utility parameters and no risk parameters")
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
+        if self.risk is not None and self.precision not in (None, self.risk.precision):
+            raise ValueError(
+                f"precision {self.precision} disagrees with risk.precision {self.risk.precision}"
+            )
+        if self.precision is None:
+            precision = self.risk.precision if self.risk is not None else DEFAULT_PRECISION
+            object.__setattr__(self, "precision", precision)
         if not 0.0 <= self.precision <= 1.0:
             raise ValueError(f"precision must be in [0,1], got {self.precision}")
 
@@ -108,75 +122,77 @@ class DisclosureReport:
         return [e.epsilon for e in self.edges]
 
 
-def _effective_range(edge: DfgEdge, kind: AggregationKind) -> float:
-    r = edge_range(edge, kind)
-    return r if r > 0.0 else 1.0
-
-
-def _is_constant_boundary(edge: DfgEdge, kind: AggregationKind) -> bool:
-    # Virtual-edge time annotations are 0 by construction: data-independent,
-    # released exactly.
-    return kind.is_time and edge.is_boundary
-
-
 @dataclass(frozen=True)
 class _Calibration:
     epsilon: float
     noise_scale: float
     edge_delta: float
-    degenerate: bool
-    boundary_constant: bool
+    degenerate: bool = False
+    boundary_constant: bool = False
 
 
-def _calibrate_p1(edge: DfgEdge, kind: AggregationKind, risk: RiskParams) -> _Calibration:
-    if _is_constant_boundary(edge, kind):
-        return _Calibration(UNBOUNDED, 0.0, 0.0, False, True)
-    if kind is AggregationKind.FREQUENCY:
-        eps = epsilon_freq(risk.delta)
-        return _Calibration(eps, sensitivity(kind, edge.frequency) / eps, delta_from_epsilon_freq(eps), False, False)
-    result = edge_epsilon_time(edge, risk, kind)
-    r = _effective_range(edge, kind)
-    edge_delta = max(
-        delta_from_epsilon_time(prior, result.epsilon, r) if prior < 1.0 else 0.0
-        for prior in result.priors
-    )
-    scale = 0.0 if result.epsilon == UNBOUNDED else sensitivity(kind, edge.frequency) / result.epsilon
-    return _Calibration(result.epsilon, scale, edge_delta, result.degenerate, False)
-
-
-def _calibrate_p2(edge: DfgEdge, kind: AggregationKind, utility: UtilityParams, precision: float) -> _Calibration:
-    if _is_constant_boundary(edge, kind):
-        return _Calibration(UNBOUNDED, 0.0, 0.0, False, True)
-    true_value = aggregate(edge, kind)
-    alpha = alpha_per_edge(true_value, utility.mape_target)
+def _calibrate(edge: DfgEdge, kind: AggregationKind, request: DisclosureRequest) -> _Calibration:
+    """Epsilon, noise scale and guessing advantage of one edge. P1 derives
+    epsilon from the advantage target, P2 from the error target; the rest is
+    shared.
+    """
+    if kind.is_time and edge.is_boundary:
+        # Virtual-edge time annotations are 0 by construction: data-independent,
+        # released exactly.
+        return _Calibration(UNBOUNDED, 0.0, 0.0, boundary_constant=True)
     sens = sensitivity(kind, edge.frequency)
-    eps = epsilon_from_alpha(sens, alpha, utility.beta)
+    if request.mode is Mode.P2:
+        utility = request.utility
+        eps = epsilon_from_alpha(sens, alpha_per_edge(aggregate(edge, kind), utility.mape_target), utility.beta)
+    elif kind is AggregationKind.FREQUENCY:
+        eps = epsilon_freq(request.risk.delta)
+    else:
+        result = edge_epsilon_time(edge, request.risk, kind)
+        eps = result.epsilon
     if kind is AggregationKind.FREQUENCY:
-        return _Calibration(eps, sens / eps, delta_from_epsilon_freq(eps), False, False)
-    r = _effective_range(edge, kind)
-    if edge.frequency == 1 or edge_range(edge, kind) <= 0.0:
-        return _Calibration(eps, sens / eps, worst_case_delta_time(eps, r), True, False)
-    edge_delta = 0.0
-    for t in edge.durations:
-        prior = empirical_prior(edge.durations, t, precision, edge_range(edge, kind))
-        if prior < 1.0:
-            edge_delta = max(edge_delta, delta_from_epsilon_time(prior, eps, r))
-    return _Calibration(eps, sens / eps, edge_delta, False, False)
+        return _Calibration(eps, sens / eps, delta_from_epsilon_freq(eps))
+
+    r = edge_range(edge, kind)
+    if request.mode is Mode.P1:
+        priors, degenerate = result.priors, result.degenerate
+    else:
+        degenerate = edge.frequency == 1 or r <= 0.0
+        priors = None if degenerate else edge_priors(edge.durations, request.precision, r)
+    r = r if r > 0.0 else 1.0
+    if priors is None:
+        # P2 on a degenerate edge has no empirical prior: take the advantage
+        # maximized over all priors. P1 carries the worst-case prior from
+        # edge_epsilon_time instead; the two forms agree only up to the last
+        # bits, so each mode keeps its own.
+        edge_delta = worst_case_delta_time(eps, r)
+    else:
+        # Occurrences every guess hits (prior 1) carry no advantage.
+        edge_delta = max([0.0, *(delta_from_epsilon_time(p, eps, r) for p in priors if p < 1.0)])
+    scale = 0.0 if eps == UNBOUNDED else sens / eps
+    return _Calibration(eps, scale, edge_delta, degenerate)
 
 
-def _disclose_edge(edge: DfgEdge, kind: AggregationKind, cal: _Calibration, request: DisclosureRequest):
+@dataclass(frozen=True)
+class _EdgeRuns:
+    """One edge's disclosure plus, per run, its released value and APE
+    (None for boundary-constant edges)."""
+
+    disclosure: EdgeDisclosure
+    released: list[float]
+    apes: list[float | None]
+
+
+def _disclose_edge(edge: DfgEdge, kind: AggregationKind, cal: _Calibration, request: DisclosureRequest) -> _EdgeRuns:
     true_value = aggregate(edge, kind)
     noisy_values = []
     for run in range(request.runs):
         stream = NoiseStream(request.seed, edge.source, edge.target, run)
         noisy_values.append(true_value + sample_laplace(cal.noise_scale, stream))
-    released = [post_process(v, kind) if not cal.boundary_constant else true_value for v in noisy_values]
     if cal.boundary_constant:
-        apes = [None] * request.runs
-        released_apes = [None] * request.runs
+        released, apes = [true_value] * request.runs, [None] * request.runs
     else:
+        released = [post_process(v, kind) for v in noisy_values]
         apes = [ape(true_value, v) for v in noisy_values]
-        released_apes = [ape(true_value, v) for v in released]
     disclosure = EdgeDisclosure(
         source=edge.source,
         target=edge.target,
@@ -186,15 +202,22 @@ def _disclose_edge(edge: DfgEdge, kind: AggregationKind, cal: _Calibration, requ
         noisy_value=noisy_values[0],
         released_value=released[0],
         ape=apes[0],
-        released_ape=released_apes[0],
+        released_ape=None if cal.boundary_constant else ape(true_value, released[0]),
         edge_delta=cal.edge_delta,
         degenerate=cal.degenerate,
         boundary_constant=cal.boundary_constant,
     )
-    return disclosure, noisy_values, released, apes
+    return _EdgeRuns(disclosure, released, apes)
 
 
-def _disclose(dfg: Dfg, request: DisclosureRequest, threads: int = 1) -> tuple[AnnotatedDfg, DisclosureReport]:
+def disclose(dfg: Dfg, request: DisclosureRequest, threads: int = 1) -> tuple[AnnotatedDfg, DisclosureReport]:
+    """Calibrate, noise and report every edge of ``dfg`` as ``request``
+    asks, in sorted edge order.
+
+    ``threads`` is accepted for compatibility and ignored: evaluation is
+    serial, and the output would not depend on it anyway, because every
+    edge and run draws from its own keyed noise stream.
+    """
     started = time.perf_counter()
     working = filter_for_disclosure(dfg, request.aggregation, request.include_boundary_time)
     if not working.edges:
@@ -206,34 +229,15 @@ def _disclose(dfg: Dfg, request: DisclosureRequest, threads: int = 1) -> tuple[A
         unit = None
 
     kind = request.aggregation
-    edges = working.sorted_edges()
-
-    def per_edge(edge: DfgEdge):
-        if request.mode is Mode.P1:
-            cal = _calibrate_p1(edge, kind, request.risk)
-        else:
-            cal = _calibrate_p2(edge, kind, request.utility, request.precision)
-        return _disclose_edge(edge, kind, cal, request)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(per_edge, edges))
-    else:
-        results = [per_edge(e) for e in edges]
-
-    disclosures = [r[0] for r in results]
+    results = [_disclose_edge(e, kind, _calibrate(e, kind, request), request) for e in working.sorted_edges()]
+    disclosures = [r.disclosure for r in results]
+    noised = [r for r in results if not r.disclosure.boundary_constant]
+    true_values = [r.disclosure.true_value for r in noised]
     run_mapes, run_smapes = [], []
     for run in range(request.runs):
-        ape_values = [apes[run] for _, _, _, apes in results if apes[run] is not None]
+        ape_values = [r.apes[run] for r in noised]
         run_mapes.append(sum(ape_values) / len(ape_values) if ape_values else 0.0)
-        pairs = [
-            (d.true_value, rel[run])
-            for d, _, rel, _ in results
-            if not d.boundary_constant
-        ]
-        run_smapes.append(
-            sum(abs(a - f) / abs(a + f) for a, f in pairs) / len(pairs) if pairs else 0.0
-        )
+        run_smapes.append(smape(true_values, [r.released[run] for r in noised]) if noised else 0.0)
 
     weights = {(d.source, d.target): d.released_value for d in disclosures}
     annotated = AnnotatedDfg(
@@ -266,7 +270,6 @@ def _echo_parameters(request: DisclosureRequest) -> dict:
     }
     if request.risk is not None:
         params["delta"] = request.risk.delta
-        params["precision"] = request.risk.precision
     if request.utility is not None:
         params["mape_target"] = request.utility.mape_target
         params["beta"] = request.utility.beta
@@ -275,26 +278,20 @@ def _echo_parameters(request: DisclosureRequest) -> dict:
 
 def disclose_p1(dfg: Dfg, request: DisclosureRequest, threads: int = 1) -> tuple[AnnotatedDfg, DisclosureReport]:
     """Risk-first disclosure: calibrate epsilon from the guessing-advantage
-    target, then report the realized utility loss.
+    target, then report the realized utility loss. ``threads`` is ignored.
     """
     if request.mode is not Mode.P1:
         raise ValueError("request mode must be P1")
-    return _disclose(dfg, request, threads)
+    return disclose(dfg, request)
 
 
 def disclose_p2(dfg: Dfg, request: DisclosureRequest, threads: int = 1) -> tuple[AnnotatedDfg, DisclosureReport]:
     """Utility-first disclosure: calibrate epsilon from the error target,
-    then report the incurred guessing advantage.
+    then report the incurred guessing advantage. ``threads`` is ignored.
     """
     if request.mode is not Mode.P2:
         raise ValueError("request mode must be P2")
-    return _disclose(dfg, request, threads)
-
-
-def disclose(dfg: Dfg, request: DisclosureRequest, threads: int = 1) -> tuple[AnnotatedDfg, DisclosureReport]:
-    if request.mode is Mode.P1:
-        return disclose_p1(dfg, request, threads)
-    return disclose_p2(dfg, request, threads)
+    return disclose(dfg, request)
 
 
 def _num(value: float):

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .dfg import AggregationKind, DfgEdge, edge_range
 
 UNBOUNDED = math.inf
+DEFAULT_PRECISION = 0.5
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,7 @@ class RiskParams:
     """
 
     delta: float
-    precision: float = 0.5
+    precision: float = DEFAULT_PRECISION
 
     def __post_init__(self) -> None:
         if not 0.0 < self.delta < 1.0:
@@ -79,6 +80,13 @@ def epsilon_from_delta(prior: float, delta: float, r: float) -> float:
     return -math.log((prior / (1.0 - prior)) * (1.0 / (delta + prior) - 1.0)) / r
 
 
+def edge_priors(durations: Sequence[float], precision: float, r: float) -> tuple[float, ...]:
+    """The empirical prior of every occurrence of an edge with range r, in
+    occurrence order. The one per-occurrence prior loop of both P1 and P2.
+    """
+    return tuple(empirical_prior(durations, t, precision, r) for t in durations)
+
+
 def edge_epsilon_time(edge: DfgEdge, params: RiskParams, kind: AggregationKind = AggregationKind.MAX) -> EdgeEpsilon:
     """Per-occurrence epsilons for a time-annotated edge; the edge epsilon is
     their minimum (maximum noise protects every occurrence).
@@ -96,16 +104,12 @@ def edge_epsilon_time(edge: DfgEdge, params: RiskParams, kind: AggregationKind =
         n = len(durations)
         return EdgeEpsilon(eps, (eps,) * n, (prior,) * n, degenerate=True)
 
-    per: list[float] = []
-    priors: list[float] = []
-    for t in durations:
-        prior = empirical_prior(durations, t, params.precision, r)
-        priors.append(prior)
-        if params.delta + prior >= 1.0:
-            per.append(UNBOUNDED)
-        else:
-            per.append(epsilon_from_delta(prior, params.delta, r))
-    return EdgeEpsilon(min(per), tuple(per), tuple(priors))
+    priors = edge_priors(durations, params.precision, r)
+    per = tuple(
+        UNBOUNDED if params.delta + prior >= 1.0 else epsilon_from_delta(prior, params.delta, r)
+        for prior in priors
+    )
+    return EdgeEpsilon(min(per), per, priors)
 
 
 def epsilon_freq(delta: float) -> float:

@@ -16,6 +16,7 @@ from dpdfg.bench import (
     synthesize,
 )
 from dpdfg.dfg import aggregate, convert_unit
+from dpdfg.eventlog import CANONICAL_MAPPING, parse_csv, to_canonical_csv
 
 
 def rows_of(grid_csv: str) -> list[dict]:
@@ -73,6 +74,13 @@ def test_unique_profile_has_many_variants():
     spec = profile_spec("unique", 40)
     _, stats = synthesize(spec, seed=2)
     assert len(set(stats.variant_of_trace)) == 40
+
+
+def test_generated_log_canonical_round_trip_at_2000_traces():
+    # Start times must stay inside int64 nanoseconds for the canonical CSV
+    # of a log this size to re-parse.
+    log = generate_log(profile_spec("skewed", 2000), 1)
+    assert parse_csv(to_canonical_csv(log), CANONICAL_MAPPING) == log
 
 
 def test_profile_spec_unknown_name():

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dpdfg
 from dpdfg.cli import main
 
 from conftest import clinic_csv_text
@@ -170,10 +173,18 @@ def test_cli_module_entry_point(clinic_path, tmp_path):
         [sys.executable, "-m", "dpdfg",
          "anonymize", "--input", str(clinic_path),
          "--agg", "frequency", "--delta", "0.4", "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_env_importing_dpdfg(),
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text(encoding="utf-8"))["mode"] == "P1"
+
+
+def _env_importing_dpdfg() -> dict:
+    """The environment plus a PYTHONPATH under which a child interpreter
+    imports the same dpdfg as this test, with or without PYTHONPATH set."""
+    package_root = str(Path(dpdfg.__file__).resolve().parent.parent)
+    paths = [package_root, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
 def test_cli_xes_input(tmp_path):

@@ -96,6 +96,16 @@ def test_parse_csv_rejects_nonfinite_and_overflowing_timestamps():
         parse_csv("case,activity,timestamp\nP1,A,1e300\n")
 
 
+def test_parse_timestamp_integer_epoch_ns_is_exact():
+    # 2020-05-10T10:00:00.123457Z; float() would give ...024
+    assert parse_timestamp_ns("1589104800123457000", "number", "ns") == 1589104800123457000
+    assert parse_timestamp_ns("-9223372036854775808", "number", "ns") == -(2**63)
+    with pytest.raises(IngestError, match="out of range"):
+        parse_timestamp_ns("9223372036854775808", "number", "ns")
+    with pytest.raises(IngestError, match="out of range"):
+        parse_timestamp_ns("2562048", "number", "h")
+
+
 def test_parse_timestamp_trims_subnanosecond_fractions():
     a = parse_timestamp_ns("2021-03-01T10:00:00.1234567891Z", fmt="iso")
     b = parse_timestamp_ns("2021-03-01T10:00:00.123456Z", fmt="iso")

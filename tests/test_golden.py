@@ -24,10 +24,7 @@ from dpdfg import AggregationKind, Mode, RiskParams, UtilityParams, build_dfg, p
 from dpdfg.bench import GRID_HEADER, LogSource, SweepSpec, generate_log, profile_spec, run_sweep
 from dpdfg.pipeline import DisclosureRequest, disclose, emit_csv, emit_dot, emit_json
 
-try:
-    from conftest import clinic_csv_text
-except ImportError:  # run as a script from the repository root
-    from tests.conftest import clinic_csv_text
+from conftest import clinic_csv_text
 
 PRECISION = 0.1
 GEN_SEED = 2020

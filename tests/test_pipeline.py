@@ -185,6 +185,25 @@ def test_determinism_same_seed_and_threads(clinic_dfg):
     assert emit_json(a) == emit_json(b) == emit_json(c)
 
 
+def test_precision_has_one_value_in_p1(clinic_dfg):
+    # A request precision that disagrees with risk.precision is rejected,
+    # not silently replaced by it.
+    with pytest.raises(ValueError, match=r"precision 0\.1 .*risk\.precision 0\.5"):
+        DisclosureRequest(mode=Mode.P1, aggregation=MAX, risk=RiskParams(0.4, 0.5), precision=0.1)
+    unset = DisclosureRequest(mode=Mode.P1, aggregation=MAX, risk=RiskParams(0.4, 0.1))
+    assert unset.precision == 0.1
+    _, report = disclose_p1(clinic_dfg, unset)
+    assert report.parameters["precision"] == 0.1
+    assert report.median_epsilon == pytest.approx(EPS_TIME_AC, rel=1e-12)
+    _, matching = disclose_p1(clinic_dfg, p1(MAX, 0.4, precision=0.1))
+    assert emit_json(matching) == emit_json(report)
+
+
+def test_precision_defaults_in_p2():
+    request = DisclosureRequest(mode=Mode.P2, aggregation=MAX, utility=UtilityParams(0.3))
+    assert request.precision == 0.5
+
+
 def test_different_seeds_differ(clinic_dfg):
     _, a = disclose_p1(clinic_dfg, p1(FREQ, 0.4, seed=1))
     _, b = disclose_p1(clinic_dfg, p1(FREQ, 0.4, seed=2))

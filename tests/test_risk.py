@@ -11,6 +11,7 @@ from dpdfg.risk import (
     delta_from_epsilon_time,
     dfg_delta,
     edge_epsilon_time,
+    edge_priors,
     empirical_prior,
     epsilon_freq,
     epsilon_from_delta,
@@ -51,6 +52,14 @@ def test_empirical_prior_window_counts():
 def test_empirical_prior_full_precision_covers_all():
     for t in (1.0, 6.0, 15.0):
         assert empirical_prior([1, 6, 15], t, 1.0, 15) == 1.0
+
+
+def test_edge_priors_hand_counted():
+    cd = (0.2, 0.25, 0.4, 1.5, 2.6, 3.65, 4.7, 6.0)
+    # window +-0.6: the three short durations see each other, the rest only themselves
+    assert edge_priors(cd, 0.1, 6.0) == (3 / 8,) * 3 + (1 / 8,) * 5
+    assert edge_priors(cd, 0.1, 6.0) == tuple(empirical_prior(cd, t, 0.1, 6.0) for t in cd)
+    assert edge_epsilon_time(DfgEdge("C", "D", cd), RiskParams(0.4, 0.1)).priors == edge_priors(cd, 0.1, 6.0)
 
 
 def test_empirical_prior_degenerate_range():

@@ -27,7 +27,9 @@ NS_PER_UNIT = {
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _FRACTION_RE = re.compile(r"(\.\d{6})\d+")
-_INTEGER_RE = re.compile(r"[+-]?\d+")
+# Sign and at most 19 significant digits: a longer integer is out of int64
+# range in any unit, and int() refuses strings of over 4300 digits.
+_INTEGER_RE = re.compile(r"([+-]?)0*(\d{1,19})")
 
 
 class IngestError(Exception):
@@ -103,9 +105,10 @@ def parse_timestamp_ns(text: str, fmt: str = "auto", number_unit: str = "h") -> 
             if not math.isfinite(value):
                 raise IngestError(f"non-finite timestamp {text!r}")
             scaled = value * NS_PER_UNIT[number_unit]
-            if abs(scaled) >= 2**53 and _INTEGER_RE.fullmatch(text):
+            integer = _INTEGER_RE.fullmatch(text) if abs(scaled) >= 2**53 else None
+            if integer:
                 # Past 2**53 a float drops bits; integer strings scale exactly.
-                scaled = int(text) * NS_PER_UNIT[number_unit]
+                scaled = int(integer[1] + integer[2]) * NS_PER_UNIT[number_unit]
             if not -(2**63) <= scaled < 2**63:
                 raise IngestError(f"timestamp {text!r} out of range")
             return round(scaled)

@@ -104,6 +104,10 @@ def test_parse_timestamp_integer_epoch_ns_is_exact():
         parse_timestamp_ns("9223372036854775808", "number", "ns")
     with pytest.raises(IngestError, match="out of range"):
         parse_timestamp_ns("2562048", "number", "h")
+    # zero padding past int()'s 4300-digit limit
+    assert parse_timestamp_ns("0" * 5000 + "1589104800123457000", "number", "ns") == 1589104800123457000
+    with pytest.raises(IngestError, match="out of range"):
+        parse_csv("case,activity,timestamp\nP1,A," + "0" * 5000 + "9" * 20 + "\n")
 
 
 def test_parse_timestamp_trims_subnanosecond_fractions():

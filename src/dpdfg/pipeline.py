@@ -152,10 +152,10 @@ def _calibrate(edge: DfgEdge, kind: AggregationKind, request: DisclosureRequest)
     if kind is AggregationKind.FREQUENCY:
         return _Calibration(eps, sens / eps, delta_from_epsilon_freq(eps))
 
-    r = edge_range(edge, kind)
     if request.mode is Mode.P1:
-        priors, degenerate = result.priors, result.degenerate
+        r, priors, degenerate = result.r, result.priors, result.degenerate
     else:
+        r = edge_range(edge, kind)
         degenerate = edge.frequency == 1 or r <= 0.0
         priors = None if degenerate else edge_priors(edge.durations, request.precision, r)
     r = r if r > 0.0 else 1.0
@@ -166,8 +166,9 @@ def _calibrate(edge: DfgEdge, kind: AggregationKind, request: DisclosureRequest)
         # bits, so each mode keeps its own.
         edge_delta = worst_case_delta_time(eps, r)
     else:
-        # Occurrences every guess hits (prior 1) carry no advantage.
-        edge_delta = max([0.0, *(delta_from_epsilon_time(p, eps, r) for p in priors if p < 1.0)])
+        # Occurrences every guess hits (prior 1) carry no advantage. The
+        # advantage depends on the occurrence only through its prior.
+        edge_delta = max([0.0, *(delta_from_epsilon_time(p, eps, r) for p in set(priors) if p < 1.0)])
     scale = 0.0 if eps == UNBOUNDED else sens / eps
     return _Calibration(eps, scale, edge_delta, degenerate)
 

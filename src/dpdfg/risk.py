@@ -37,9 +37,14 @@ class RiskParams:
 
 @dataclass(frozen=True)
 class EdgeEpsilon:
+    """``r`` is the edge's range (``edge_range``) as computed, 0 included;
+    degenerate edges are calibrated with range 1 where it is not positive.
+    """
+
     epsilon: float
     per_occurrence: tuple[float, ...]
     priors: tuple[float, ...]
+    r: float
     degenerate: bool = False
 
 
@@ -82,9 +87,37 @@ def epsilon_from_delta(prior: float, delta: float, r: float) -> float:
 
 def edge_priors(durations: Sequence[float], precision: float, r: float) -> tuple[float, ...]:
     """The empirical prior of every occurrence of an edge with range r, in
-    occurrence order. The one per-occurrence prior loop of both P1 and P2.
+    occurrence order: ``empirical_prior(durations, t, precision, r)`` for
+    each t, computed in O(n log n).
+
+    The durations are sorted once and two pointers sweep the window of each
+    distinct value t; both only move forward as t grows. For v below t the
+    pointer test ``t - v > window`` is ``empirical_prior``'s
+    ``abs(v - t) > window`` bit for bit (float subtraction is symmetric in
+    sign), and likewise ``v - t <= window`` above t. Each is monotone in v,
+    so the hits form one run [lo, hi) of the sorted list and the counts are
+    exact, ties on the window boundary included. With precision in [0,1]
+    the window is non-negative, so neither test stops at the other side
+    of t.
     """
-    return tuple(empirical_prior(durations, t, precision, r) for t in durations)
+    if r <= 0.0:
+        raise ValueError("degenerate edge: duration range is zero")
+    window = precision * r
+    ordered = sorted(durations)
+    n = len(ordered)
+    prior_of: dict[float, float] = {}
+    lo = hi = 0
+    previous = None
+    for t in ordered:
+        if t == previous:
+            continue
+        previous = t
+        while t - ordered[lo] > window:
+            lo += 1
+        while hi < n and ordered[hi] - t <= window:
+            hi += 1
+        prior_of[t] = (hi - lo) / n
+    return tuple(map(prior_of.__getitem__, durations))
 
 
 def edge_epsilon_time(edge: DfgEdge, params: RiskParams, kind: AggregationKind = AggregationKind.MAX) -> EdgeEpsilon:
@@ -102,14 +135,15 @@ def edge_epsilon_time(edge: DfgEdge, params: RiskParams, kind: AggregationKind =
         prior = worst_case_prior(params.delta)
         eps = epsilon_from_delta(prior, params.delta, r if r > 0.0 else 1.0)
         n = len(durations)
-        return EdgeEpsilon(eps, (eps,) * n, (prior,) * n, degenerate=True)
+        return EdgeEpsilon(eps, (eps,) * n, (prior,) * n, r, degenerate=True)
 
     priors = edge_priors(durations, params.precision, r)
-    per = tuple(
-        UNBOUNDED if params.delta + prior >= 1.0 else epsilon_from_delta(prior, params.delta, r)
-        for prior in priors
-    )
-    return EdgeEpsilon(min(per), per, priors)
+    eps_of = {
+        prior: UNBOUNDED if params.delta + prior >= 1.0 else epsilon_from_delta(prior, params.delta, r)
+        for prior in set(priors)
+    }
+    per = tuple(map(eps_of.__getitem__, priors))
+    return EdgeEpsilon(min(eps_of.values()), per, priors, r)
 
 
 def epsilon_freq(delta: float) -> float:

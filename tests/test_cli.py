@@ -179,6 +179,16 @@ def test_cli_module_entry_point(clinic_path, tmp_path):
     assert json.loads(out.read_text(encoding="utf-8"))["mode"] == "P1"
 
 
+def test_import_dpdfg_does_not_load_numpy():
+    # Only dpdfg.bench needs numpy; keeping it out of `import dpdfg` keeps
+    # the library's import time and resident memory down.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import dpdfg, sys; assert 'numpy' not in sys.modules"],
+        capture_output=True, text=True, env=_env_importing_dpdfg(),
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def _env_importing_dpdfg() -> dict:
     """The environment plus a PYTHONPATH under which a child interpreter
     imports the same dpdfg as this test, with or without PYTHONPATH set."""

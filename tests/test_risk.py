@@ -1,7 +1,8 @@
 import math
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dpdfg import AggregationKind, DfgEdge, RiskParams
@@ -65,6 +66,49 @@ def test_edge_priors_hand_counted():
 def test_empirical_prior_degenerate_range():
     with pytest.raises(ValueError, match="degenerate"):
         empirical_prior([0.0, 0.0], 0.0, 0.1, 0.0)
+    for r in (0.0, -1.0):
+        with pytest.raises(ValueError, match="degenerate"):
+            edge_priors([0.0, 0.0], 0.1, r)
+
+
+# Durations that tie, and that land on window boundaries once rounded: one
+# edge draws from a 0.1 grid, or from the multiples of one of 0.1/0.3/0.7
+# (k*0.3 is rarely the decimal it looks like), or from arbitrary floats.
+# The grids hold a few dozen values, so repeats are common.
+TIED_DURATIONS = st.one_of(
+    st.lists(st.integers(0, 40).map(lambda k: k / 10), min_size=1, max_size=40),
+    st.sampled_from([0.1, 0.3, 0.7]).flatmap(
+        lambda step: st.lists(st.integers(0, 30).map(lambda k: k * step), min_size=1, max_size=40)
+    ),
+    st.lists(st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+)
+PRECISION = st.one_of(st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@given(durations=TIED_DURATIONS, precision=PRECISION)
+@settings(max_examples=500)
+def test_edge_priors_equal_the_oracle(durations, precision):
+    r = max(durations)
+    assume(r > 0.0)
+    expected = tuple(empirical_prior(durations, t, precision, r) for t in durations)
+    assert edge_priors(durations, precision, r) == expected
+
+
+def test_edge_priors_at_ten_thousand_occurrences():
+    rng = random.Random(20200510)
+    # Skewed durations on a 0.1 h grid, capped at r = 100 so the window is
+    # 10: 659 distinct values, 485 pairs of them 10 apart, where abs(v - t)
+    # rounds to 10 or above it. Bisecting on t +- 10 miscounts 1,525 of the
+    # 10,000 occurrences.
+    durations = tuple(round(min(rng.lognormvariate(2.0, 1.0), 100.0), 1) for _ in range(10_000))
+    r = max(durations)
+    priors = edge_priors(durations, 0.1, r)
+    for i in rng.sample(range(len(durations)), 50):
+        assert priors[i] == empirical_prior(durations, durations[i], 0.1, r)
+    result = edge_epsilon_time(DfgEdge("A", "B", durations), RiskParams(0.4, 0.1))
+    assert result.priors == priors
+    assert result.epsilon == min(result.per_occurrence)
+    assert result.r == r
 
 
 def test_epsilon_from_delta_paper_values():

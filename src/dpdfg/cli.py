@@ -10,7 +10,6 @@ import random
 import sys
 from pathlib import Path
 
-from .bench import SweepSpec, run_sweep
 from .dfg import AggregationKind, aggregate, build_dfg, choose_time_unit, convert_unit
 from .eventlog import NS_PER_UNIT, ColumnMapping, IngestError, parse_csv, parse_xes
 from .noise import DEFAULT_SEED, SEED_ENV_VAR
@@ -153,6 +152,9 @@ def _write_output(payload: str, out: str | None) -> bool:
 
 
 def _run_sweep(args) -> int:
+    # dpdfg.bench imports numpy, which only the sweep needs.
+    from .bench import SweepSpec, run_sweep
+
     try:
         config = json.loads(Path(args.config).read_text(encoding="utf-8"))
         spec = SweepSpec.from_dict(config)

@@ -82,22 +82,26 @@ def build_dfg(log: EventLog) -> Dfg:
     """
     activities: set[str] = set()
     occurrences: dict[tuple[str, str], list[float]] = {}
-
-    def add(src: str, dst: str, duration: float) -> None:
-        occurrences.setdefault((src, dst), []).append(duration)
-
-    for case_id in sorted(log.traces):
-        trace = log.traces[case_id]
-        if not trace.events:
+    lookup = occurrences.get
+    traces = log.traces
+    for case_id in sorted(traces):
+        events = traces[case_id].events
+        if not events:
             continue
-        add(START_END, trace.events[0].activity, 0.0)
-        for prev, cur in zip(trace.events, trace.events[1:]):
-            gap = cur.timestamp_ns - prev.timestamp_ns
-            if gap < 0:
+        # The first event pairs with the virtual start at a zero gap.
+        prev_activity, prev_ts = START_END, events[0].timestamp_ns
+        for ev in events:
+            activity, ts = ev.activity, ev.timestamp_ns
+            if ts < prev_ts:
                 raise ValueError(f"trace {case_id!r}: events not sorted by timestamp")
-            add(prev.activity, cur.activity, float(gap))
-        add(trace.events[-1].activity, START_END, 0.0)
-        activities.update(e.activity for e in trace.events)
+            durations = lookup((prev_activity, activity))
+            if durations is None:
+                occurrences[prev_activity, activity] = [float(ts - prev_ts)]
+            else:
+                durations.append(float(ts - prev_ts))
+            activities.add(activity)
+            prev_activity, prev_ts = activity, ts
+        occurrences.setdefault((prev_activity, START_END), []).append(0.0)
 
     edges = {key: DfgEdge(key[0], key[1], tuple(vals)) for key, vals in occurrences.items()}
     return Dfg(frozenset(activities), edges, time_unit="ns")

@@ -8,10 +8,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 START_END = "--"
 
@@ -26,10 +27,15 @@ NS_PER_UNIT = {
 }
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_NAIVE_EPOCH = datetime(1970, 1, 1)
+_ONE_US = timedelta(microseconds=1)
 _FRACTION_RE = re.compile(r"(\.\d{6})\d+")
-# Sign and at most 19 significant digits: a longer integer is out of int64
-# range in any unit, and int() refuses strings of over 4300 digits.
-_INTEGER_RE = re.compile(r"([+-]?)0*(\d{1,19})")
+_KEEP_SIX = operator.itemgetter(1)
+# A plain decimal: sign, integer digits past leading zeros, optional fraction.
+# More than 19 integer digits is out of int64 range in any unit, and int()
+# refuses strings of over 4300 digits.
+_DECIMAL_RE = re.compile(r"([+-]?)0*(\d*)(?:\.(\d*))?")
+_BY_TIME = operator.attrgetter("timestamp_ns")
 
 
 class IngestError(Exception):
@@ -78,19 +84,55 @@ class ColumnMapping:
 
 def _parse_iso_ns(text: str) -> int:
     cleaned = text.strip().replace("Z", "+00:00")
-    cleaned = _FRACTION_RE.sub(r"\1", cleaned)
+    if "." in cleaned and _FRACTION_RE.search(cleaned):
+        # Before Python 3.11, fromisoformat takes at most 6 fraction digits.
+        cleaned = _FRACTION_RE.sub(_KEEP_SIX, cleaned)
     dt = datetime.fromisoformat(cleaned)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    delta = dt - _EPOCH
-    return (delta.days * 86_400 + delta.seconds) * 1_000_000_000 + delta.microseconds * 1_000
+    # Naive timestamps are taken as UTC.
+    return (dt - (_NAIVE_EPOCH if dt.tzinfo is None else _EPOCH)) // _ONE_US * 1_000
+
+
+def _scale_number(text: str, value: float, factor: int) -> int:
+    """``text``, which ``float()`` read as ``value``, times ``factor`` ns,
+    rounded half to even. Plain decimals scale exactly in integers; other
+    forms (exponents, underscores) scale through the float.
+    """
+    if not math.isfinite(value):
+        raise IngestError(f"non-finite timestamp {text!r}")
+    decimal = _DECIMAL_RE.fullmatch(text)
+    if decimal is None:
+        scaled = value * factor
+        if not -(2**63) <= scaled < 2**63:
+            raise IngestError(f"timestamp {text!r} out of range")
+        return round(scaled)
+    sign, whole, fraction = decimal.groups()
+    if len(whole) > 19:
+        raise IngestError(f"timestamp {text!r} out of range")
+    ns = int(whole) * factor if whole else 0
+    if fraction:
+        # Long multiplication of 0.fraction by 2 * factor, 18 digits at a
+        # time from the right: ``carry`` ends as its integer part and
+        # ``inexact`` says whether anything is left below it.
+        fraction += "0" * (-len(fraction) % 18)
+        carry = inexact = 0
+        for end in range(len(fraction), 0, -18):
+            carry, low = divmod(int(fraction[end - 18:end]) * 2 * factor + carry, 10**18)
+            inexact = inexact or low
+        ns += carry >> 1
+        if carry & 1 and (inexact or ns & 1):
+            ns += 1
+    if sign == "-":
+        ns = -ns
+    if not -(2**63) <= ns < 2**63:
+        raise IngestError(f"timestamp {text!r} out of range")
+    return ns
 
 
 def parse_timestamp_ns(text: str, fmt: str = "auto", number_unit: str = "h") -> int:
     """Parse a timestamp string to nanoseconds since the epoch.
 
-    Numeric values (e.g. fractional hours) are scaled by ``number_unit``;
-    ISO-8601 values are resolved to UTC.
+    Numeric values (e.g. fractional hours) are scaled by ``number_unit``,
+    exactly for plain decimals; ISO-8601 values are resolved to UTC.
     """
     if number_unit not in NS_PER_UNIT:
         raise IngestError(f"unknown time unit {number_unit!r}")
@@ -102,20 +144,42 @@ def parse_timestamp_ns(text: str, fmt: str = "auto", number_unit: str = "h") -> 
             if fmt == "number":
                 raise IngestError(f"unparseable numeric timestamp {text!r}") from None
         else:
-            if not math.isfinite(value):
-                raise IngestError(f"non-finite timestamp {text!r}")
-            scaled = value * NS_PER_UNIT[number_unit]
-            integer = _INTEGER_RE.fullmatch(text) if abs(scaled) >= 2**53 else None
-            if integer:
-                # Past 2**53 a float drops bits; integer strings scale exactly.
-                scaled = int(integer[1] + integer[2]) * NS_PER_UNIT[number_unit]
-            if not -(2**63) <= scaled < 2**63:
-                raise IngestError(f"timestamp {text!r} out of range")
-            return round(scaled)
+            return _scale_number(text, value, NS_PER_UNIT[number_unit])
     try:
         return _parse_iso_ns(text)
     except ValueError:
         raise IngestError(f"unparseable timestamp {text!r}") from None
+
+
+def _timestamp_parser(fmt: str, number_unit: str):
+    """``parse_timestamp_ns`` for stripped text, with ``fmt`` and
+    ``number_unit`` looked at once. An unknown unit still fails at the
+    first timestamp parsed, as it does there.
+    """
+    factor = NS_PER_UNIT.get(number_unit)
+    numeric = fmt in ("auto", "number")
+    iso = fmt != "number"
+
+    def parse(text: str) -> int:
+        if factor is None:
+            raise IngestError(f"unknown time unit {number_unit!r}")
+        # float() accepts no ':' and every ISO time has one, so such text
+        # skips a float() that could only fail.
+        if numeric and ":" not in text:
+            try:
+                value = float(text)
+            except ValueError:
+                pass
+            else:
+                return _scale_number(text, value, factor)
+        if not iso:
+            raise IngestError(f"unparseable numeric timestamp {text!r}")
+        try:
+            return _parse_iso_ns(text)
+        except ValueError:
+            raise IngestError(f"unparseable timestamp {text!r}") from None
+
+    return parse
 
 
 def _validate_activity(activity: str, where: str) -> str:
@@ -129,9 +193,14 @@ def _validate_activity(activity: str, where: str) -> str:
 def _assemble(rows: list[Event]) -> EventLog:
     by_case: dict[str, list[Event]] = {}
     for ev in rows:
-        by_case.setdefault(ev.case_id, []).append(ev)
+        events = by_case.get(ev.case_id)
+        if events is None:
+            by_case[ev.case_id] = [ev]
+        else:
+            events.append(ev)
+    # sorted() is stable: equal timestamps keep their input order.
     traces = {
-        case_id: Trace(case_id, tuple(sorted(events, key=lambda e: e.timestamp_ns)))
+        case_id: Trace(case_id, tuple(sorted(events, key=_BY_TIME)))
         for case_id, events in by_case.items()
     }
     return EventLog(traces)
@@ -153,6 +222,56 @@ def parse_csv(source, mapping: ColumnMapping | None = None) -> EventLog:
 
     The first row is the header; unknown columns are preserved per event in
     ``extra_attrs``. Empty cells of unknown columns are treated as absent.
+    Blank lines are skipped and not counted in the ``row N`` of an error,
+    missing cells of a short row read as empty, and a repeated header name
+    reads its last column. :func:`parse_csv_reference` is the oracle.
+    """
+    mapping = mapping or ColumnMapping()
+    rows = csv.reader(_as_text(source))
+    header = next(rows, None)
+    if header is None:
+        return EventLog({})
+    mapped = (mapping.case_col, mapping.activity_col, mapping.timestamp_col)
+    for col in mapped:
+        if col not in header:
+            raise IngestError(f"row 1: missing mapped column {col!r}")
+    column = {name: i for i, name in enumerate(header)}
+    case_i, activity_i, ts_i = (column[col] for col in mapped)
+    extra_cols = [(name, column[name]) for name in dict.fromkeys(header) if name not in mapped]
+    width = len(header)
+    parse_ts = _timestamp_parser(mapping.timestamp_format, mapping.number_unit)
+
+    events: list[Event] = []
+    append = events.append
+    row_no = 1
+    for row in rows:
+        if not row:
+            continue
+        row_no += 1
+        if len(row) < width:
+            row += [""] * (width - len(row))
+        case_id = row[case_i].strip()
+        if not case_id:
+            raise IngestError(f"row {row_no}: empty case id")
+        activity = row[activity_i].strip()
+        if not activity or activity == START_END:
+            _validate_activity(activity, f"row {row_no}")
+        ts_text = row[ts_i].strip()
+        if not ts_text:
+            raise IngestError(f"row {row_no}: missing timestamp")
+        try:
+            ts = parse_ts(ts_text)
+        except IngestError as exc:
+            raise IngestError(f"row {row_no}: {exc}") from None
+        extras = {name: row[i] for name, i in extra_cols if row[i]} if extra_cols else {}
+        append(Event(case_id, activity, ts, extras))
+    return _assemble(events)
+
+
+def parse_csv_reference(source, mapping: ColumnMapping | None = None) -> EventLog:
+    """:func:`parse_csv` through ``csv.DictReader`` and
+    :func:`parse_timestamp_ns`, one dict and one full timestamp check per
+    row: the plain implementation, kept as the oracle of its tests.
     """
     mapping = mapping or ColumnMapping()
     reader = csv.DictReader(_as_text(source))

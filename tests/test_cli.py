@@ -189,6 +189,15 @@ def test_import_dpdfg_does_not_load_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_dpdfg_cli_does_not_load_numpy():
+    # `anonymize` and `inspect` start without numpy; `sweep` imports it.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import dpdfg.cli, sys; assert 'numpy' not in sys.modules"],
+        capture_output=True, text=True, env=_env_importing_dpdfg(),
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def _env_importing_dpdfg() -> dict:
     """The environment plus a PYTHONPATH under which a child interpreter
     imports the same dpdfg as this test, with or without PYTHONPATH set."""

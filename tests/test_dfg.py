@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpdfg import START_END, AggregationKind, build_dfg, parse_csv
 from dpdfg.dfg import aggregate, choose_time_unit, convert_unit, edge_range, filter_for_disclosure
@@ -33,6 +35,53 @@ def test_build_dfg_rejects_unsorted_trace():
     trace = Trace("bad", (Event("bad", "A", 100), Event("bad", "B", 50)))
     with pytest.raises(ValueError, match="bad"):
         build_dfg(EventLog({"bad": trace}))
+
+
+def _dfg_by_definition(log: EventLog):
+    """build_dfg as its docstring states it: (start, first), each
+    consecutive pair, (last, end), over the traces in case order."""
+    occurrences = {}
+    for case_id in sorted(log.traces):
+        events = log.traces[case_id].events
+        if not events:
+            continue
+        pairs = [(START_END, events[0].activity, 0.0)]
+        for prev, cur in zip(events, events[1:]):
+            if cur.timestamp_ns < prev.timestamp_ns:
+                return f"ValueError: trace {case_id!r}: events not sorted by timestamp"
+            pairs.append((prev.activity, cur.activity, float(cur.timestamp_ns - prev.timestamp_ns)))
+        pairs.append((events[-1].activity, START_END, 0.0))
+        for src, dst, gap in pairs:
+            occurrences.setdefault((src, dst), []).append(gap)
+    activities = frozenset(e.activity for t in log.traces.values() for e in t.events)
+    return activities, {key: tuple(gaps) for key, gaps in occurrences.items()}
+
+
+EVENTS = st.lists(
+    st.tuples(st.sampled_from("ABC"), st.integers(0, 5) | st.integers(-(2**63), 2**63 - 1)), max_size=6
+)
+
+
+@given(st.dictionaries(st.sampled_from(["t1", "t2", "t3", "t4", "t5"]), st.tuples(st.booleans(), EVENTS)))
+@settings(max_examples=300)
+def test_build_dfg_equals_definition(cases):
+    # Traces sorted by time (with ties) or in drawn order (maybe unsorted),
+    # some empty.
+    traces = {}
+    for case_id, (keep_order, rows) in cases.items():
+        rows = rows if keep_order else sorted(rows, key=lambda row: row[1])
+        traces[case_id] = Trace(case_id, tuple(Event(case_id, a, ts) for a, ts in rows))
+    log = EventLog(traces)
+    expected = _dfg_by_definition(log)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as exc:
+            build_dfg(log)
+        assert f"ValueError: {exc.value}" == expected
+        return
+    dfg = build_dfg(log)
+    assert (dfg.activities, {key: e.durations for key, e in dfg.edges.items()}) == expected
+    assert list(dfg.edges) == list(expected[1])
+    assert dfg.time_unit == "ns"
 
 
 def test_clinic_ac_durations(clinic_dfg_hours):

@@ -1,6 +1,11 @@
+import csv
+import io
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpdfg import (
     CANONICAL_MAPPING,
@@ -10,7 +15,7 @@ from dpdfg import (
     parse_xes,
     to_canonical_csv,
 )
-from dpdfg.eventlog import NS_PER_UNIT, parse_timestamp_ns
+from dpdfg.eventlog import NS_PER_UNIT, parse_csv_reference, parse_timestamp_ns
 
 HOUR_NS = NS_PER_UNIT["h"]
 
@@ -108,6 +113,71 @@ def test_parse_timestamp_integer_epoch_ns_is_exact():
     assert parse_timestamp_ns("0" * 5000 + "1589104800123457000", "number", "ns") == 1589104800123457000
     with pytest.raises(IngestError, match="out of range"):
         parse_csv("case,activity,timestamp\nP1,A," + "0" * 5000 + "9" * 20 + "\n")
+
+
+def test_parse_timestamp_plain_decimals_are_exact():
+    # float() scaling would give ...457024 and ...400000256
+    assert parse_timestamp_ns("1589104800.123457", "number", "s") == 1589104800123457000
+    assert parse_timestamp_ns("606801.734", "number", "h") == 606801734 * HOUR_NS // 1000
+    assert parse_timestamp_ns("-.5", "number", "us") == -500
+    assert parse_timestamp_ns("+7.", "number", "ns") == 7
+    assert parse_timestamp_ns("0" * 5000 + "1." + "0" * 5000 + "1", "number", "s") == 1_000_000_000
+    with pytest.raises(IngestError, match="out of range"):
+        parse_timestamp_ns("2562047.79", "number", "h")
+    with pytest.raises(IngestError, match="out of range"):
+        parse_timestamp_ns("1" * 20 + ".5", "number", "ns")
+
+
+def test_parse_timestamp_decimals_round_half_to_even():
+    assert [parse_timestamp_ns(t, "number", "ns") for t in ("0.5", "1.5", "2.5", "-2.5", "2.5000001")] == [
+        0, 2, 2, -2, 3,
+    ]
+    # Ties in hours, a unit of 3.6e12 ns
+    assert parse_timestamp_ns("0.00000000000125", "number", "h") == 4  # 4.5 ns
+    assert parse_timestamp_ns("0.00000000000375", "number", "h") == 14  # 13.5 ns
+    assert parse_timestamp_ns("0.000000000000125", "number", "h") == 0  # 0.45 ns
+
+
+def _exact_decimal(ns: int, unit: str, digits: int) -> str:
+    """``ns`` in ``unit`` as a decimal of ``digits`` fraction digits,
+    rounded to nearest."""
+    scaled = Fraction(ns * 10**digits, NS_PER_UNIT[unit])
+    units = round(scaled)
+    return f"{units // 10**digits}.{units % 10**digits:0{digits}d}"
+
+
+EPOCH_2100_NS = 4_102_444_800 * 10**9
+
+
+@given(
+    ns=st.one_of(
+        st.integers(0, EPOCH_2100_NS // 1000).map(lambda us: us * 1000),
+        st.integers(0, EPOCH_2100_NS),
+    ),
+    unit=st.sampled_from(["s", "h"]),
+)
+@settings(max_examples=500)
+def test_decimal_timestamps_round_trip(ns, unit):
+    # 9 digits write a second exactly; 15 digits put an hour within 0.002 ns.
+    text = _exact_decimal(ns, unit, 9 if unit == "s" else 15)
+    assert parse_timestamp_ns(text, "number", unit) == ns
+    assert parse_timestamp_ns(text, "auto", unit) == ns
+
+
+@given(
+    whole=st.integers(0, 10**8),
+    fraction=st.text("0123456789", min_size=1, max_size=30),
+    unit=st.sampled_from(sorted(NS_PER_UNIT)),
+    negative=st.booleans(),
+)
+def test_decimal_timestamps_equal_exact_rounding(whole, fraction, unit, negative):
+    text = f"{'-' if negative else ''}{whole}.{fraction}"
+    exact = round(Fraction(text) * NS_PER_UNIT[unit])  # Fraction rounds half to even
+    if -(2**63) <= exact < 2**63:
+        assert parse_timestamp_ns(text, "number", unit) == exact
+    else:
+        with pytest.raises(IngestError, match="out of range"):
+            parse_timestamp_ns(text, "number", unit)
 
 
 def test_parse_timestamp_trims_subnanosecond_fractions():
@@ -211,3 +281,119 @@ def test_parse_xes_matches_csv_model():
     xes_events = [(e.activity, e.timestamp_ns) for e in log.traces["case1"].events]
     csv_events = [(e.activity, e.timestamp_ns) for e in csv_log.traces["case1"].events]
     assert xes_events == csv_events
+
+
+# Differential test of parse_csv against parse_csv_reference (DictReader and
+# parse_timestamp_ns per row): the same EventLog, or the same IngestError.
+ISO_TIMESTAMPS = st.builds(
+    "{:04d}-{:02d}-{:02d}{}{:02d}:{:02d}:{:02d}{}{}".format,
+    st.integers(1970, 2100),
+    st.integers(1, 12),
+    st.integers(1, 28),
+    st.sampled_from(["T", " "]),
+    st.integers(0, 23),
+    st.integers(0, 59),
+    st.integers(0, 59),
+    st.integers(0, 9).flatmap(lambda k: st.text("0123456789", min_size=k, max_size=k)).map(
+        lambda digits: "." + digits if digits else ""
+    ),
+    st.one_of(
+        st.sampled_from(["", "Z", "+00:00"]),
+        st.builds("{}{:02d}:{:02d}".format, st.sampled_from("+-"), st.integers(0, 14), st.sampled_from([0, 30, 45])),
+    ),
+)
+NUMERIC_TIMESTAMPS = st.one_of(
+    st.integers(-(10**6), 10**6).map(str),
+    st.integers(-(2**63), 2**63).map(str),
+    st.builds("{}{}.{}".format, st.sampled_from(["", "-", "+", "00"]), st.integers(0, 10**7), st.text("0123456789", max_size=12)),
+    st.builds("{}_{:03d}".format, st.integers(1, 999), st.integers(0, 999)),
+    st.sampled_from(["1e3", "2.5E-2", "inf", "-nan", "1e300", ".5", "7.", "0" * 30 + "12"]),
+)
+BAD_TIMESTAMPS = st.sampled_from(["", "  ", "noon", "2021-13-01T00:00:00", "12:00", "1,5"])
+GOOD_TIMESTAMPS = {
+    "auto": st.one_of(ISO_TIMESTAMPS, NUMERIC_TIMESTAMPS),
+    "iso": ISO_TIMESTAMPS,
+    "number": NUMERIC_TIMESTAMPS,
+}
+ANY_TIMESTAMP = st.one_of(ISO_TIMESTAMPS, NUMERIC_TIMESTAMPS, BAD_TIMESTAMPS)
+GOOD_CASES = st.sampled_from(["c1", "c2", "c3", " c2 ", "c,4", "c\n5"])
+ANY_CASE = st.sampled_from(["c1", "c2", "", "  "])
+GOOD_ACTIVITIES = st.sampled_from(["A", "B", "C", " A", 'say "hi"', "x,y", "two\nlines"])
+ANY_ACTIVITY = st.sampled_from(["A", "B", "--", ""])
+EXTRAS = st.sampled_from(["", "S1", "W, 3", "multi\nline", '"quoted"', " "])
+HEADERS = st.lists(
+    st.sampled_from(["case", "activity", "timestamp", "resource", "ward", "note,1"]), min_size=0, max_size=7
+).map(lambda extra: ["case", "activity", "timestamp"] + extra)
+
+
+@st.composite
+def csv_logs(draw):
+    """A CSV log and its mapping. Half the logs draw only cells that parse
+    (out-of-range and non-finite numbers aside), so they reach the end."""
+    fmt = draw(st.sampled_from(["auto", "iso", "number"]))
+    unit = draw(st.sampled_from(sorted(NS_PER_UNIT) + ["fortnight"]))
+    header = draw(st.permutations(draw(HEADERS)))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        header = header[: draw(st.integers(0, len(header)))]  # maybe no mapped column
+    spoil = draw(st.booleans())
+    mixed = st.one_of if spoil else lambda good, _: good
+    # A handful of timestamps per log, so rows tie.
+    stamps = draw(st.lists(mixed(GOOD_TIMESTAMPS[fmt], ANY_TIMESTAMP), min_size=1, max_size=5))
+    cell = {
+        "case": mixed(GOOD_CASES, ANY_CASE),
+        "activity": mixed(GOOD_ACTIVITIES, ANY_ACTIVITY),
+        "timestamp": st.sampled_from(stamps),
+    }
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        shape = draw(st.sampled_from(["full"] * 3 + ["blank", "short", "long"] if spoil else ["full", "blank", "long"]))
+        if shape == "blank":
+            rows.append([])
+            continue
+        row = [draw(cell.get(name, EXTRAS)) for name in header]
+        if shape == "short":
+            row = row[: draw(st.integers(0, len(row)))] or [""]
+        elif shape == "long":
+            row += draw(st.lists(EXTRAS, min_size=1, max_size=3))
+        rows.append(row)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    if draw(st.sampled_from([False] * 19 + [True])):
+        writer.writerow([])  # a blank first line: the header has no columns
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue(), ColumnMapping(timestamp_format=fmt, number_unit=unit)
+
+
+def _outcome(parse, text, mapping):
+    try:
+        return parse(text, mapping)
+    except IngestError as exc:
+        return f"IngestError: {exc}"
+
+
+@given(csv_logs())
+@settings(max_examples=400)
+def test_parse_csv_equals_reference(log_and_mapping):
+    text, mapping = log_and_mapping
+    expected = _outcome(parse_csv_reference, text, mapping)
+    assert _outcome(parse_csv, text, mapping) == expected
+    assert _outcome(parse_csv, text.encode(), mapping) == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "\n",
+        "case,activity,timestamp\n\n\nP1,A,1\n\nP1,,2\n",  # blank lines are not counted in "row N"
+        "case,activity,timestamp\nP1,A\n",  # short row: missing timestamp
+        "case,activity,timestamp,res\nP1,A,1\nP1,B,2,S2,extra,cells\n",
+        "res,case,activity,timestamp,res\nS1,P1,A,1,S2\nS1,P1,B,2\n",  # repeated name: last column
+        "case,activity,timestamp,case\nP1,A,1,P2\nP1,B,2\n",  # short row blanks the repeated case
+        'case,activity,timestamp,note\n"P,1","A\nB",1,"x, ""y"""\n',
+    ],
+)
+def test_parse_csv_edge_cases_equal_reference(text):
+    for mapping in (ColumnMapping(), ColumnMapping(timestamp_format="number", number_unit="ns")):
+        assert _outcome(parse_csv, text, mapping) == _outcome(parse_csv_reference, text, mapping)

@@ -12,7 +12,7 @@ from statistics import median
 
 import numpy as np
 
-from .dfg import AggregationKind, Dfg, build_dfg
+from .dfg import AggregationKind, Dfg, build_dfg, ordered_sum
 from .eventlog import NS_PER_UNIT, Event, EventLog, Trace, parse_csv, parse_xes
 from .noise import DEFAULT_SEED
 from .pipeline import DisclosureRequest, Mode, disclose
@@ -236,8 +236,8 @@ class _Cell:
 def _se(values: list[float]) -> float:
     if len(values) < 2:
         return 0.0
-    mean = sum(values) / len(values)
-    var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
+    mean = ordered_sum(values) / len(values)
+    var = ordered_sum((v - mean) ** 2 for v in values) / (len(values) - 1)
     return (var / len(values)) ** 0.5
 
 

@@ -6,7 +6,10 @@ calibration can inspect the duration distribution, not just the aggregate.
 from __future__ import annotations
 
 import enum
+import functools
+import operator
 from dataclasses import dataclass
+from typing import Iterable
 
 from .eventlog import NS_PER_UNIT, START_END, EventLog
 
@@ -114,12 +117,19 @@ def aggregate(edge: DfgEdge, kind: AggregationKind) -> float:
     if kind is AggregationKind.FREQUENCY:
         return float(edge.frequency)
     if kind is AggregationKind.SUM:
-        return sum(edge.durations)
+        return ordered_sum(edge.durations)
     if kind is AggregationKind.MIN:
         return min(edge.durations)
     if kind is AggregationKind.MAX:
         return max(edge.durations)
-    return sum(edge.durations) / len(edge.durations)
+    return ordered_sum(edge.durations) / len(edge.durations)
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Sum floats left to right. ``sum()`` compensates float error since
+    Python 3.12, which can move the last bit of a seeded output.
+    """
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def edge_range(edge: DfgEdge, kind: AggregationKind) -> float:

@@ -13,6 +13,7 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 
 START_END = "--"
 
@@ -29,12 +30,12 @@ NS_PER_UNIT = {
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _NAIVE_EPOCH = datetime(1970, 1, 1)
 _ONE_US = timedelta(microseconds=1)
-_FRACTION_RE = re.compile(r"(\.\d{6})\d+")
-_KEEP_SIX = operator.itemgetter(1)
-# A plain decimal: sign, integer digits past leading zeros, optional fraction.
-# More than 19 integer digits is out of int64 range in any unit, and int()
-# refuses strings of over 4300 digits.
-_DECIMAL_RE = re.compile(r"([+-]?)0*(\d*)(?:\.(\d*))?")
+# A fraction of other than six digits. Python 3.10's fromisoformat takes
+# only 3 or 6; later versions take any number and truncate to microseconds,
+# as _six_digits does for every version.
+_FRACTION_RE = re.compile(r"\.(?!\d{6}(?!\d))(\d+)")
+# Products of a decimal and a unit are exact at this precision.
+_EXACT = Context(prec=MAX_PREC, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
 _BY_TIME = operator.attrgetter("timestamp_ns")
 
 
@@ -82,57 +83,48 @@ class ColumnMapping:
     number_unit: str = "h"
 
 
-def _parse_iso_ns(text: str) -> int:
-    cleaned = text.strip().replace("Z", "+00:00")
-    if "." in cleaned and _FRACTION_RE.search(cleaned):
-        # Before Python 3.11, fromisoformat takes at most 6 fraction digits.
-        cleaned = _FRACTION_RE.sub(_KEEP_SIX, cleaned)
-    dt = datetime.fromisoformat(cleaned)
-    # Naive timestamps are taken as UTC.
-    return (dt - (_NAIVE_EPOCH if dt.tzinfo is None else _EPOCH)) // _ONE_US * 1_000
-
-
-def _scale_number(text: str, value: float, factor: int) -> int:
-    """``text``, which ``float()`` read as ``value``, times ``factor`` ns,
-    rounded half to even. Plain decimals scale exactly in integers; other
-    forms (exponents, underscores) scale through the float.
-    """
-    if not math.isfinite(value):
-        raise IngestError(f"non-finite timestamp {text!r}")
-    decimal = _DECIMAL_RE.fullmatch(text)
-    if decimal is None:
-        scaled = value * factor
-        if not -(2**63) <= scaled < 2**63:
-            raise IngestError(f"timestamp {text!r} out of range")
-        return round(scaled)
-    sign, whole, fraction = decimal.groups()
-    if len(whole) > 19:
-        raise IngestError(f"timestamp {text!r} out of range")
-    ns = int(whole) * factor if whole else 0
-    if fraction:
-        # Long multiplication of 0.fraction by 2 * factor, 18 digits at a
-        # time from the right: ``carry`` ends as its integer part and
-        # ``inexact`` says whether anything is left below it.
-        fraction += "0" * (-len(fraction) % 18)
-        carry = inexact = 0
-        for end in range(len(fraction), 0, -18):
-            carry, low = divmod(int(fraction[end - 18:end]) * 2 * factor + carry, 10**18)
-            inexact = inexact or low
-        ns += carry >> 1
-        if carry & 1 and (inexact or ns & 1):
-            ns += 1
-    if sign == "-":
-        ns = -ns
+def _in_int64(ns: int, text: str) -> int:
     if not -(2**63) <= ns < 2**63:
         raise IngestError(f"timestamp {text!r} out of range")
     return ns
 
 
+def _six_digits(fraction: re.Match) -> str:
+    return "." + (fraction[1] + "00000")[:6]
+
+
+def _parse_iso_ns(text: str) -> int:
+    cleaned = text.strip().replace("Z", "+00:00")
+    if "." in cleaned and _FRACTION_RE.search(cleaned):
+        cleaned = _FRACTION_RE.sub(_six_digits, cleaned)
+    try:
+        dt = datetime.fromisoformat(cleaned)
+    except ValueError:
+        raise IngestError(f"unparseable timestamp {text!r}") from None
+    # Naive timestamps are taken as UTC.
+    return _in_int64((dt - (_NAIVE_EPOCH if dt.tzinfo is None else _EPOCH)) // _ONE_US * 1_000, text)
+
+
+def _scale_number(text: str, value: float, factor: int) -> int:
+    """``text``, which ``float()`` read as ``value``, times ``factor`` ns,
+    exactly, then rounded half to even.
+    """
+    if not math.isfinite(value):
+        raise IngestError(f"non-finite timestamp {text!r}")
+    if not value:
+        # float() reads 0.0 only below 5e-324, which rounds to 0 ns in any
+        # unit. Decimal refuses exponents past about 10**18; float() reads
+        # those as 0.0 or inf, so they never reach it.
+        return 0
+    return _in_int64(int(_EXACT.to_integral_value(_EXACT.multiply(Decimal(text), factor))), text)
+
+
 def parse_timestamp_ns(text: str, fmt: str = "auto", number_unit: str = "h") -> int:
     """Parse a timestamp string to nanoseconds since the epoch.
 
-    Numeric values (e.g. fractional hours) are scaled by ``number_unit``,
-    exactly for plain decimals; ISO-8601 values are resolved to UTC.
+    Numeric values (e.g. fractional hours) are scaled exactly by
+    ``number_unit``; ISO-8601 values are resolved to UTC and truncated to
+    the microsecond.
     """
     if number_unit not in NS_PER_UNIT:
         raise IngestError(f"unknown time unit {number_unit!r}")
@@ -145,10 +137,7 @@ def parse_timestamp_ns(text: str, fmt: str = "auto", number_unit: str = "h") -> 
                 raise IngestError(f"unparseable numeric timestamp {text!r}") from None
         else:
             return _scale_number(text, value, NS_PER_UNIT[number_unit])
-    try:
-        return _parse_iso_ns(text)
-    except ValueError:
-        raise IngestError(f"unparseable timestamp {text!r}") from None
+    return _parse_iso_ns(text)
 
 
 def _timestamp_parser(fmt: str, number_unit: str):
@@ -174,10 +163,7 @@ def _timestamp_parser(fmt: str, number_unit: str):
                 return _scale_number(text, value, factor)
         if not iso:
             raise IngestError(f"unparseable numeric timestamp {text!r}")
-        try:
-            return _parse_iso_ns(text)
-        except ValueError:
-            raise IngestError(f"unparseable timestamp {text!r}") from None
+        return _parse_iso_ns(text)
 
     return parse
 
@@ -349,8 +335,8 @@ def parse_xes(source) -> EventLog:
                 elif key == "time:timestamp":
                     try:
                         ts = _parse_iso_ns(value)
-                    except ValueError:
-                        raise IngestError(f"{where}: unparseable timestamp {value!r}") from None
+                    except IngestError as exc:
+                        raise IngestError(f"{where}: {exc}") from None
                 else:
                     extras[key] = value
             if activity is None:

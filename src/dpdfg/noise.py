@@ -79,14 +79,14 @@ def sample_laplace(scale: float, stream) -> float:
     return -scale * math.copysign(1.0, u) * math.log(1.0 - 2.0 * abs(u))
 
 
-def post_process(noisy: float, kind: AggregationKind, time_floor: float = TIME_FLOOR) -> float:
+def post_process(noisy: float, kind: AggregationKind) -> float:
     """Make a noisy weight publishable: frequencies become integers >= 1,
     time weights are clamped to a small positive floor. Value-independent,
     so the DP guarantee is preserved.
     """
     if kind is AggregationKind.FREQUENCY:
         return float(max(1, math.floor(noisy + 0.5)))
-    return max(time_floor, noisy)
+    return max(TIME_FLOOR, noisy)
 
 
 def release(true_value: float, kind: AggregationKind, spec: NoiseSpec, stream) -> float:

@@ -26,6 +26,7 @@ from .dfg import (
     convert_unit,
     edge_range,
     filter_for_disclosure,
+    ordered_sum,
 )
 from .noise import DEFAULT_SEED, NoiseStream, post_process, sample_laplace, sensitivity
 from .risk import (
@@ -237,7 +238,7 @@ def disclose(dfg: Dfg, request: DisclosureRequest, threads: int = 1) -> tuple[An
     run_mapes, run_smapes = [], []
     for run in range(request.runs):
         ape_values = [r.apes[run] for r in noised]
-        run_mapes.append(sum(ape_values) / len(ape_values) if ape_values else 0.0)
+        run_mapes.append(ordered_sum(ape_values) / len(ape_values) if ape_values else 0.0)
         run_smapes.append(smape(true_values, [r.released[run] for r in noised]) if noised else 0.0)
 
     weights = {(d.source, d.target): d.released_value for d in disclosures}
@@ -250,8 +251,8 @@ def disclose(dfg: Dfg, request: DisclosureRequest, threads: int = 1) -> tuple[An
         parameters=_echo_parameters(request),
         time_unit=unit,
         edges=disclosures,
-        mape=sum(run_mapes) / len(run_mapes),
-        smape=sum(run_smapes) / len(run_smapes),
+        mape=ordered_sum(run_mapes) / len(run_mapes),
+        smape=ordered_sum(run_smapes) / len(run_smapes),
         median_epsilon=statistics.median(d.epsilon for d in disclosures),
         overall_delta=max(d.edge_delta for d in disclosures),
         seed=request.seed,

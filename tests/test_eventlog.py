@@ -180,6 +180,76 @@ def test_decimal_timestamps_equal_exact_rounding(whole, fraction, unit, negative
             parse_timestamp_ns(text, "number", unit)
 
 
+def test_parse_timestamp_exponent_and_underscore_forms_are_exact():
+    # float() scaling would give ...457024
+    assert parse_timestamp_ns("1589104800123457e-6", "number", "s") == 1589104800123457000
+    assert parse_timestamp_ns("1_589_104_800.123457", "number", "s") == 1589104800123457000
+    assert parse_timestamp_ns("2.5e-9", "number", "s") == 2  # half to even
+    # Exponents past Decimal's range: the value is 0, or not finite.
+    assert parse_timestamp_ns("1e-99999999999999999999", "number", "h") == 0
+    assert parse_timestamp_ns("0e99999999999999999999", "number", "h") == 0
+    with pytest.raises(IngestError, match="non-finite"):
+        parse_timestamp_ns("1e99999999999999999999", "number", "ns")
+    with pytest.raises(IngestError, match="non-finite"):
+        parse_timestamp_ns("9" * 400, "number", "ns")
+
+
+@given(
+    whole=st.text("0123456789", min_size=1, max_size=20),
+    fraction=st.text("0123456789", max_size=12),
+    exponent=st.integers(-30, 5),
+    unit=st.sampled_from(sorted(NS_PER_UNIT)),
+    sign=st.sampled_from(["", "-", "+"]),
+    marker=st.sampled_from("eE"),
+    underscores=st.booleans(),
+)
+def test_exponent_timestamps_equal_exact_rounding(whole, fraction, exponent, unit, sign, marker, underscores):
+    join = "_".join if underscores else "".join
+    mantissa = join(whole) + ("." + join(fraction) if fraction else "")
+    text = f"{sign}{mantissa}{marker}{exponent}"
+    # Fraction takes no underscores before Python 3.11.
+    exact = round(Fraction(text.replace("_", "")) * NS_PER_UNIT[unit])
+    if -(2**63) <= exact < 2**63:
+        assert parse_timestamp_ns(text, "number", unit) == exact
+        assert parse_timestamp_ns(text, "auto", unit) == exact
+    else:
+        with pytest.raises(IngestError, match="out of range"):
+            parse_timestamp_ns(text, "number", unit)
+
+
+def _xes_one_event(timestamp: str) -> str:
+    return f"""<log><trace><string key="concept:name" value="t"/>
+      <event><string key="concept:name" value="A"/>
+      <date key="time:timestamp" value="{timestamp}"/></event>
+    </trace></log>"""
+
+
+@pytest.mark.parametrize(
+    "fraction, ns",
+    [(".2", 200_000_000), (".25", 250_000_000), (".2501", 250_100_000), (".25012", 250_120_000)],
+)
+def test_iso_fractions_of_one_to_five_digits(fraction, ns):
+    base = parse_timestamp_ns("2021-03-01T10:00:00Z", fmt="iso")
+    stamp = f"2021-03-01T10:00:00{fraction}Z"
+    for fmt in ("auto", "iso"):
+        log = parse_csv(f"case,activity,timestamp\nP1,A,{stamp}\n", ColumnMapping(timestamp_format=fmt))
+        assert log.traces["P1"].events[0].timestamp_ns == base + ns
+    assert parse_xes(_xes_one_event(stamp)).traces["t"].events[0].timestamp_ns == base + ns
+
+
+def test_iso_timestamps_outside_int64_ns_are_rejected():
+    latest = "2262-04-11T23:47:16.854775Z"
+    log = parse_csv(f"case,activity,timestamp\nP1,A,1\nP1,B,{latest}\n")
+    assert log.traces["P1"].events[1].timestamp_ns == 2**63 - 808
+    assert parse_csv(to_canonical_csv(log), CANONICAL_MAPPING) == log
+    assert parse_timestamp_ns("1677-09-21T00:12:43.145225Z", fmt="iso") == -(2**63) + 808
+    for outside in ("2262-04-11T23:47:16.854776Z", "2300-01-01T00:00:00Z", "1677-09-21T00:12:43.145224Z"):
+        with pytest.raises(IngestError, match=f"^row 3: timestamp '{outside}' out of range$"):
+            parse_csv(f"case,activity,timestamp\nP1,A,1\nP1,B,{outside}\n")
+        with pytest.raises(IngestError, match=f"^trace 1, event 1: timestamp '{outside}' out of range$"):
+            parse_xes(_xes_one_event(outside))
+
+
 def test_parse_timestamp_trims_subnanosecond_fractions():
     a = parse_timestamp_ns("2021-03-01T10:00:00.1234567891Z", fmt="iso")
     b = parse_timestamp_ns("2021-03-01T10:00:00.123456Z", fmt="iso")

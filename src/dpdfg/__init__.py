@@ -17,7 +17,7 @@ from .eventlog import (
     parse_xes,
     to_canonical_csv,
 )
-from .noise import DEFAULT_SEED, NoiseSpec, NoiseStream, release, sample_laplace, sensitivity
+from .noise import DEFAULT_SEED, NoiseStream, sample_laplace, sensitivity
 from .pipeline import (
     DisclosureReport,
     DisclosureRequest,

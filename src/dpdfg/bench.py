@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import io
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import median
@@ -155,7 +154,7 @@ def profile_spec(name: str, trace_count: int | None = None) -> SyntheticLogSpec:
     if name not in PROFILES:
         raise ValueError(f"unknown profile {name!r}; available: {sorted(PROFILES)}")
     spec = PROFILES[name]
-    return replace(spec, trace_count=trace_count) if trace_count else spec
+    return spec if trace_count is None else replace(spec, trace_count=trace_count)
 
 
 @dataclass(frozen=True)
@@ -195,6 +194,10 @@ class SweepSpec:
             raise ValueError("sweep needs at least one parameter grid")
         if not self.aggregations:
             raise ValueError("sweep needs at least one aggregation")
+        names = [source.name for source in self.logs]
+        duplicates = sorted({name for name in names if names.count(name) > 1})
+        if duplicates:
+            raise ValueError(f"sweep log names must be unique, repeated: {', '.join(duplicates)}")
 
     @classmethod
     def from_dict(cls, config: dict) -> "SweepSpec":
@@ -225,14 +228,6 @@ class SweepSpec:
         return cls(logs=tuple(sources), **kwargs)
 
 
-@dataclass(frozen=True)
-class _Cell:
-    log_name: str
-    aggregation: AggregationKind
-    mode: Mode
-    param: float
-
-
 def _se(values: list[float]) -> float:
     if len(values) < 2:
         return 0.0
@@ -241,86 +236,61 @@ def _se(values: list[float]) -> float:
     return (var / len(values)) ** 0.5
 
 
-def _run_cell(dfg: Dfg, cell: _Cell, spec: SweepSpec) -> list[str]:
-    started = time.perf_counter()
-    p1 = cell.mode is Mode.P1
+def _measure(dfg: Dfg, spec: SweepSpec, aggregation: AggregationKind, mode: Mode, param: float) -> list[str]:
+    """The measured columns of one grid row, from ``median_epsilon`` to an
+    empty ``error``."""
+    p1 = mode is Mode.P1
     request = DisclosureRequest(
-        mode=cell.mode,
-        aggregation=cell.aggregation,
-        risk=RiskParams(cell.param, spec.precision) if p1 else None,
-        utility=None if p1 else UtilityParams(cell.param, spec.beta),
+        mode=mode,
+        aggregation=aggregation,
+        risk=RiskParams(param, spec.precision) if p1 else None,
+        utility=None if p1 else UtilityParams(param, spec.beta),
         precision=spec.precision,
         seed=spec.seed,
         runs=spec.runs,
         include_boundary_time=spec.include_boundary_time,
     )
     _, report = disclose(dfg, request)
-    wall_ms = (time.perf_counter() - started) * 1e3
     med_eps = report.median_epsilon
-    deltas = [e.edge_delta for e in report.edges]
     return [
-        cell.log_name,
-        cell.aggregation.value,
-        cell.mode.value,
-        repr(cell.param),
         "unbounded" if med_eps == UNBOUNDED else repr(med_eps),
         repr(report.mape),
         repr(_se(report.run_mapes)),
         repr(report.smape),
         repr(_se(report.run_smapes)),
-        repr(median(deltas)),
+        repr(median(e.edge_delta for e in report.edges)),
         repr(report.overall_delta),
-        f"{wall_ms:.3f}",
+        f"{report.runtime_ms:.3f}",
         "",
-    ]
-
-
-def _error_row(cell: _Cell, message: str) -> list[str]:
-    return [
-        cell.log_name,
-        cell.aggregation.value,
-        cell.mode.value,
-        repr(cell.param),
-        "", "", "", "", "", "", "", "",
-        f"ERROR: {message}",
     ]
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> str:
     """Run the full grid and render it as CSV: one row per
-    (log, aggregation, parameter value), in specification order.
+    (log, aggregation, parameter value), in specification order. A log
+    that fails to load, or a cell that fails, gives rows whose measured
+    columns are empty and whose ``error`` says why; the sweep goes on.
 
     ``threads`` is accepted for compatibility and ignored: cells are
     evaluated serially.
     """
-    dfgs: dict[str, Dfg | Exception] = {}
-    for source in spec.logs:
-        try:
-            dfgs[source.name] = build_dfg(source.load(spec.seed))
-        except Exception as exc:  # recorded per cell, sweep continues
-            dfgs[source.name] = exc
-
-    cells: list[_Cell] = []
-    for source in spec.logs:
-        for agg in spec.aggregations:
-            for delta in spec.deltas:
-                cells.append(_Cell(source.name, agg, Mode.P1, delta))
-            for target in spec.mapes:
-                cells.append(_Cell(source.name, agg, Mode.P2, target))
-
-    def evaluate(cell: _Cell) -> list[str]:
-        prepared = dfgs[cell.log_name]
-        if isinstance(prepared, Exception):
-            return _error_row(cell, str(prepared))
-        try:
-            return _run_cell(prepared, cell, spec)
-        except Exception as exc:
-            return _error_row(cell, str(exc))
-
-    rows = [evaluate(cell) for cell in cells]
-
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(GRID_HEADER)
-    writer.writerows(rows)
+    params = [(Mode.P1, delta) for delta in spec.deltas] + [(Mode.P2, target) for target in spec.mapes]
+    for source in spec.logs:
+        try:
+            dfg, failure = build_dfg(source.load(spec.seed)), None
+        except Exception as exc:
+            dfg, failure = None, exc
+        for agg in spec.aggregations:
+            for mode, param in params:
+                row = [source.name, agg.value, mode.value, repr(param)]
+                try:
+                    if failure is not None:
+                        raise failure
+                    row += _measure(dfg, spec, agg, mode, param)
+                except Exception as exc:
+                    row += [""] * (len(GRID_HEADER) - len(row) - 1) + [f"ERROR: {exc}"]
+                writer.writerow(row)
     return out.getvalue()

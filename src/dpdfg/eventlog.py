@@ -294,8 +294,10 @@ def _local(tag: str) -> str:
 
 def parse_xes(source) -> EventLog:
     """Parse the IEEE 1849 XES subset: traces with concept:name, events with
-    concept:name and time:timestamp. Other event attributes (lifecycle etc.)
-    are passed through in ``extra_attrs``, never interpreted.
+    concept:name and time:timestamp. Other non-empty event attributes
+    (lifecycle etc.) are passed through in ``extra_attrs``, never
+    interpreted. Case ids and activity labels are stripped, as in
+    :func:`parse_csv`, so the canonical CSV of the log re-parses to it.
     """
     data = source if isinstance(source, (bytes, str)) else source.read()
     try:
@@ -312,7 +314,7 @@ def parse_xes(source) -> EventLog:
         case_id = None
         for child in elem:
             if _local(child.tag) == "string" and child.get("key") == "concept:name":
-                case_id = child.get("value")
+                case_id = (child.get("value") or "").strip()
                 break
         if not case_id:
             raise IngestError(f"trace {trace_no}: missing concept:name")
@@ -331,13 +333,13 @@ def parse_xes(source) -> EventLog:
                 if key is None or value is None:
                     continue
                 if key == "concept:name":
-                    activity = value
+                    activity = value.strip()
                 elif key == "time:timestamp":
                     try:
                         ts = _parse_iso_ns(value)
                     except IngestError as exc:
                         raise IngestError(f"{where}: {exc}") from None
-                else:
+                elif value:
                     extras[key] = value
             if activity is None:
                 raise IngestError(f"{where}: missing activity (concept:name)")

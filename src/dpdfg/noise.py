@@ -1,15 +1,13 @@
 """Laplace noise generation with deterministic per-edge substreams, query
-sensitivities, and the release operator with positivity post-processing.
+sensitivities, and positivity post-processing of released weights.
 """
 from __future__ import annotations
 
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field
 
 from .dfg import AggregationKind
-from .risk import UNBOUNDED
 
 TIME_FLOOR = 1e-3
 
@@ -26,21 +24,6 @@ def sensitivity(kind: AggregationKind, occurrence_count: int) -> float:
     if kind is AggregationKind.AVG:
         return 1.0 / occurrence_count
     return 1.0
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    epsilon: float
-    sensitivity: float
-    scale: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.sensitivity <= 0.0:
-            raise ValueError(f"sensitivity must be positive, got {self.sensitivity}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        scale = 0.0 if self.epsilon == UNBOUNDED else self.sensitivity / self.epsilon
-        object.__setattr__(self, "scale", scale)
 
 
 class NoiseStream:
@@ -88,9 +71,3 @@ def post_process(noisy: float, kind: AggregationKind) -> float:
         return float(max(1, math.floor(noisy + 0.5)))
     return max(TIME_FLOOR, noisy)
 
-
-def release(true_value: float, kind: AggregationKind, spec: NoiseSpec, stream) -> float:
-    """Laplace release of one edge weight, post-processed for publication."""
-    if true_value <= 0.0:
-        raise ValueError(f"weight must be positive, got {true_value}")
-    return post_process(true_value + sample_laplace(spec.scale, stream), kind)

@@ -33,14 +33,14 @@ from .risk import (
     DEFAULT_PRECISION,
     UNBOUNDED,
     RiskParams,
-    delta_from_epsilon_freq,
     delta_from_epsilon_time,
+    dfg_delta,
     edge_epsilon_time,
     edge_priors,
     epsilon_freq,
     worst_case_delta_time,
 )
-from .utility import UtilityParams, alpha_per_edge, ape, epsilon_from_alpha, smape
+from .utility import UtilityParams, alpha_per_edge, ape, epsilon_from_alpha, mape, smape
 
 SCHEMA_VERSION = 1
 
@@ -119,9 +119,6 @@ class DisclosureReport:
     run_smapes: list[float] = field(default_factory=list)
     runtime_ms: float = field(default=0.0, compare=False)
 
-    def epsilons(self) -> list[float]:
-        return [e.epsilon for e in self.edges]
-
 
 @dataclass(frozen=True)
 class _Calibration:
@@ -129,40 +126,32 @@ class _Calibration:
     noise_scale: float
     edge_delta: float
     degenerate: bool = False
-    boundary_constant: bool = False
 
 
-def _calibrate(edge: DfgEdge, kind: AggregationKind, request: DisclosureRequest) -> _Calibration:
-    """Epsilon, noise scale and guessing advantage of one edge. P1 derives
-    epsilon from the advantage target, P2 from the error target; the rest is
-    shared.
+def _calibrate(edge: DfgEdge, kind: AggregationKind, request: DisclosureRequest, true_value: float) -> _Calibration:
+    """Epsilon, noise scale and guessing advantage of one edge whose
+    aggregated weight is ``true_value``. P1 derives epsilon from the
+    advantage target, P2 from the error target; the rest is shared.
     """
-    if kind.is_time and edge.is_boundary:
-        # Virtual-edge time annotations are 0 by construction: data-independent,
-        # released exactly.
-        return _Calibration(UNBOUNDED, 0.0, 0.0, boundary_constant=True)
     sens = sensitivity(kind, edge.frequency)
+    r, priors, degenerate = 1.0, None, False
     if request.mode is Mode.P2:
         utility = request.utility
-        eps = epsilon_from_alpha(sens, alpha_per_edge(aggregate(edge, kind), utility.mape_target), utility.beta)
-    elif kind is AggregationKind.FREQUENCY:
-        eps = epsilon_freq(request.risk.delta)
-    else:
+        eps = epsilon_from_alpha(sens, alpha_per_edge(true_value, utility.mape_target), utility.beta)
+        if kind.is_time:
+            r = edge_range(edge, kind)
+            degenerate = edge.frequency == 1 or r <= 0.0
+            priors = None if degenerate else edge_priors(edge.durations, request.precision, r)
+    elif kind.is_time:
         result = edge_epsilon_time(edge, request.risk, kind)
-        eps = result.epsilon
-    if kind is AggregationKind.FREQUENCY:
-        return _Calibration(eps, sens / eps, delta_from_epsilon_freq(eps))
-
-    if request.mode is Mode.P1:
-        r, priors, degenerate = result.r, result.priors, result.degenerate
+        eps, r, priors, degenerate = result.epsilon, result.r, result.priors, result.degenerate
     else:
-        r = edge_range(edge, kind)
-        degenerate = edge.frequency == 1 or r <= 0.0
-        priors = None if degenerate else edge_priors(edge.durations, request.precision, r)
+        eps = epsilon_freq(request.risk.delta)
     r = r if r > 0.0 else 1.0
     if priors is None:
-        # P2 on a degenerate edge has no empirical prior: take the advantage
-        # maximized over all priors. P1 carries the worst-case prior from
+        # A frequency, or P2 on a degenerate time edge, has no empirical
+        # prior: take the advantage maximized over all priors. P1 on a
+        # degenerate time edge carries the worst-case prior from
         # edge_epsilon_time instead; the two forms agree only up to the last
         # bits, so each mode keeps its own.
         edge_delta = worst_case_delta_time(eps, r)
@@ -176,40 +165,45 @@ def _calibrate(edge: DfgEdge, kind: AggregationKind, request: DisclosureRequest)
 
 @dataclass(frozen=True)
 class _EdgeRuns:
-    """One edge's disclosure plus, per run, its released value and APE
-    (None for boundary-constant edges)."""
+    """One edge's disclosure plus, per run, its noisy and released values
+    (empty for boundary-constant edges)."""
 
     disclosure: EdgeDisclosure
+    noisy: list[float]
     released: list[float]
-    apes: list[float | None]
 
 
-def _disclose_edge(edge: DfgEdge, kind: AggregationKind, cal: _Calibration, request: DisclosureRequest) -> _EdgeRuns:
+def _disclose_edge(edge: DfgEdge, kind: AggregationKind, request: DisclosureRequest) -> _EdgeRuns:
     true_value = aggregate(edge, kind)
-    noisy_values = []
-    for run in range(request.runs):
-        stream = NoiseStream(request.seed, edge.source, edge.target, run)
-        noisy_values.append(true_value + sample_laplace(cal.noise_scale, stream))
-    if cal.boundary_constant:
-        released, apes = [true_value] * request.runs, [None] * request.runs
-    else:
-        released = [post_process(v, kind) for v in noisy_values]
-        apes = [ape(true_value, v) for v in noisy_values]
+    if kind.is_time and edge.is_boundary:
+        # Virtual-edge time annotations are 0 by construction: data-independent,
+        # released exactly.
+        disclosure = EdgeDisclosure(
+            edge.source, edge.target, true_value, epsilon=UNBOUNDED, noise_scale=0.0,
+            noisy_value=true_value, released_value=true_value, ape=None, released_ape=None,
+            edge_delta=0.0, boundary_constant=True,
+        )
+        return _EdgeRuns(disclosure, [], [])
+    cal = _calibrate(edge, kind, request, true_value)
+    noisy = [
+        true_value + sample_laplace(cal.noise_scale, NoiseStream(request.seed, edge.source, edge.target, run))
+        for run in range(request.runs)
+    ]
+    released = [post_process(v, kind) for v in noisy]
     disclosure = EdgeDisclosure(
         source=edge.source,
         target=edge.target,
         true_value=true_value,
         epsilon=cal.epsilon,
         noise_scale=cal.noise_scale,
-        noisy_value=noisy_values[0],
+        noisy_value=noisy[0],
         released_value=released[0],
-        ape=apes[0],
-        released_ape=None if cal.boundary_constant else ape(true_value, released[0]),
+        ape=ape(true_value, noisy[0]),
+        released_ape=ape(true_value, released[0]),
         edge_delta=cal.edge_delta,
         degenerate=cal.degenerate,
-        boundary_constant=cal.boundary_constant,
     )
-    return _EdgeRuns(disclosure, released, apes)
+    return _EdgeRuns(disclosure, noisy, released)
 
 
 def disclose(dfg: Dfg, request: DisclosureRequest, threads: int = 1) -> tuple[AnnotatedDfg, DisclosureReport]:
@@ -231,14 +225,13 @@ def disclose(dfg: Dfg, request: DisclosureRequest, threads: int = 1) -> tuple[An
         unit = None
 
     kind = request.aggregation
-    results = [_disclose_edge(e, kind, _calibrate(e, kind, request), request) for e in working.sorted_edges()]
+    results = [_disclose_edge(e, kind, request) for e in working.sorted_edges()]
     disclosures = [r.disclosure for r in results]
     noised = [r for r in results if not r.disclosure.boundary_constant]
     true_values = [r.disclosure.true_value for r in noised]
     run_mapes, run_smapes = [], []
     for run in range(request.runs):
-        ape_values = [r.apes[run] for r in noised]
-        run_mapes.append(ordered_sum(ape_values) / len(ape_values) if ape_values else 0.0)
+        run_mapes.append(mape(true_values, [r.noisy[run] for r in noised]) if noised else 0.0)
         run_smapes.append(smape(true_values, [r.released[run] for r in noised]) if noised else 0.0)
 
     weights = {(d.source, d.target): d.released_value for d in disclosures}
@@ -254,7 +247,7 @@ def disclose(dfg: Dfg, request: DisclosureRequest, threads: int = 1) -> tuple[An
         mape=ordered_sum(run_mapes) / len(run_mapes),
         smape=ordered_sum(run_smapes) / len(run_smapes),
         median_epsilon=statistics.median(d.epsilon for d in disclosures),
-        overall_delta=max(d.edge_delta for d in disclosures),
+        overall_delta=dfg_delta({(d.source, d.target): d.edge_delta for d in disclosures}),
         seed=request.seed,
         runs=request.runs,
         run_mapes=run_mapes,

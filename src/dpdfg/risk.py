@@ -166,16 +166,17 @@ def delta_from_epsilon_time(prior: float, epsilon: float, r: float) -> float:
 
 
 def delta_from_epsilon_freq(epsilon: float) -> float:
-    """Guessing advantage of a frequency-annotated edge released with epsilon."""
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    root = math.sqrt(math.exp(-epsilon))
-    return (1.0 - root) / (1.0 + root)
+    """Guessing advantage of a frequency-annotated edge released with
+    epsilon: the worst case over all priors at range 1, as in
+    :func:`epsilon_freq`.
+    """
+    return worst_case_delta_time(epsilon, 1.0)
 
 
 def worst_case_delta_time(epsilon: float, r: float) -> float:
-    """Advantage maximized over all priors for a time release; used for
-    degenerate edges where the prior cannot be estimated.
+    """Advantage maximized over all priors for a release over range r; used
+    where the prior cannot be estimated: frequencies (r = 1) and degenerate
+    time edges.
 
     The maximizing prior is sqrt(x)/(1+sqrt(x)) with x = exp(-epsilon*r),
     giving (1-sqrt(x))/(1+sqrt(x)).

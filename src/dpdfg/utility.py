@@ -7,6 +7,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .dfg import ordered_sum
+
 
 @dataclass(frozen=True)
 class UtilityParams:
@@ -32,12 +34,12 @@ def ape(actual: float, noisy: float) -> float:
 
 
 def mape(actuals: Sequence[float], noisies: Sequence[float]) -> float:
-    """Mean APE across edges."""
+    """Mean APE across edges, summed left to right (``ordered_sum``)."""
     if len(actuals) != len(noisies):
         raise ValueError("length mismatch")
     if not actuals:
         raise ValueError("empty input")
-    return sum(ape(a, f) for a, f in zip(actuals, noisies)) / len(actuals)
+    return ordered_sum(ape(a, f) for a, f in zip(actuals, noisies)) / len(actuals)
 
 
 def smape(actuals: Sequence[float], noisies: Sequence[float]) -> float:

@@ -88,6 +88,13 @@ def test_profile_spec_unknown_name():
         profile_spec("nope")
 
 
+def test_profile_with_zero_traces_is_rejected():
+    with pytest.raises(ValueError, match="empty log"):
+        profile_spec("skewed", 0)
+    with pytest.raises(ValueError, match="empty log"):
+        SweepSpec.from_dict({"logs": [{"profile": "skewed", "traces": 0}]})
+
+
 def _one_log_spec(**kw):
     source = LogSource(name="tiny", synthetic=SyntheticLogSpec(trace_count=30, n_variants=2), gen_seed=3)
     return SweepSpec(logs=(source,), **kw)
@@ -167,6 +174,13 @@ def test_sweep_spec_validation():
         SweepSpec(logs=(source,), deltas=(), mapes=())
     with pytest.raises(ValueError):
         SweepSpec(logs=(source,), aggregations=())
+
+
+def test_sweep_spec_rejects_duplicate_log_names():
+    with pytest.raises(ValueError, match="unique, repeated: log$"):
+        SweepSpec.from_dict({"logs": ["a/log.csv", "b/log.csv", {"profile": "simple"}]})
+    with pytest.raises(ValueError, match="repeated: simple$"):
+        SweepSpec.from_dict({"logs": [{"profile": "simple"}, {"profile": "simple", "traces": 20}]})
 
 
 def test_generated_log_activities_within_alphabet():

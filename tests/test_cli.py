@@ -167,6 +167,16 @@ def test_cli_sweep_with_synthetic_profile(tmp_path):
     assert all(line.endswith(",") or "ERROR" not in line for line in lines)
 
 
+def test_cli_sweep_rejects_duplicate_log_names(clinic_path, tmp_path, capsys):
+    other = tmp_path / "other" / clinic_path.name
+    other.parent.mkdir()
+    other.write_text(clinic_csv_text(), encoding="utf-8")
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"logs": [str(clinic_path), str(other)]}), encoding="utf-8")
+    assert main(["sweep", "--config", str(config)]) == 1
+    assert f"repeated: {clinic_path.stem}" in capsys.readouterr().err
+
+
 def test_cli_module_entry_point(clinic_path, tmp_path):
     out = tmp_path / "m.json"
     proc = subprocess.run(

@@ -353,6 +353,35 @@ def test_parse_xes_matches_csv_model():
     assert xes_events == csv_events
 
 
+def test_parse_xes_round_trips_through_canonical_csv():
+    xml = """<log><trace><string key="concept:name" value=" case1 "/>
+      <event><string key="concept:name" value="A"/>
+      <date key="time:timestamp" value="2021-01-01T08:00:00Z"/>
+      <string key="org:resource" value=""/></event>
+      <event><string key="concept:name" value=" B "/>
+      <date key="time:timestamp" value="2021-01-01T09:00:00Z"/>
+      <string key="org:resource" value=" S1 "/></event>
+    </trace></log>"""
+    log = parse_xes(xml)
+    events = log.traces["case1"].events
+    assert [e.activity for e in events] == ["A", "B"]
+    assert [e.extra_attrs for e in events] == [{}, {"org:resource": " S1 "}]
+    assert parse_csv(to_canonical_csv(log), CANONICAL_MAPPING) == log
+
+
+@pytest.mark.parametrize(
+    "label, message",
+    [("  ", "empty activity label"), (" -- ", "activity label '--' is reserved")],
+)
+def test_parse_xes_rejects_blank_and_reserved_labels(label, message):
+    xml = f"""<log><trace><string key="concept:name" value="t"/>
+      <event><string key="concept:name" value="{label}"/>
+      <date key="time:timestamp" value="2021-01-01T08:00:00Z"/></event>
+    </trace></log>"""
+    with pytest.raises(IngestError, match=f"^trace 1, event 1: {message}$"):
+        parse_xes(xml)
+
+
 # Differential test of parse_csv against parse_csv_reference (DictReader and
 # parse_timestamp_ns per row): the same EventLog, or the same IngestError.
 ISO_TIMESTAMPS = st.builds(

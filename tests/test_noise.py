@@ -3,9 +3,8 @@ import statistics
 
 import pytest
 
-from dpdfg import AggregationKind, NoiseSpec, NoiseStream, release, sample_laplace, sensitivity
+from dpdfg import AggregationKind, NoiseStream, sample_laplace, sensitivity
 from dpdfg.noise import TIME_FLOOR, post_process
-from dpdfg.risk import UNBOUNDED
 
 F = AggregationKind.FREQUENCY
 
@@ -59,23 +58,6 @@ def test_sample_laplace_median_absolute_noise():
     assert med == pytest.approx(scale * math.log(2.0), rel=0.02)
 
 
-def test_noise_spec_scale():
-    spec = NoiseSpec(epsilon=2.0, sensitivity=1.0)
-    assert spec.scale == 0.5
-    assert NoiseSpec(epsilon=UNBOUNDED, sensitivity=1.0).scale == 0.0
-    with pytest.raises(ValueError):
-        NoiseSpec(epsilon=0.0, sensitivity=1.0)
-    with pytest.raises(ValueError):
-        NoiseSpec(epsilon=1.0, sensitivity=0.0)
-
-
-def test_release_unbounded_is_exact():
-    spec = NoiseSpec(epsilon=UNBOUNDED, sensitivity=1.0)
-    stream = NoiseStream(5, "a", "b", 0)
-    assert release(15.0, AggregationKind.MAX, spec, stream) == 15.0
-    assert release(3.0, F, spec, stream) == 3.0
-
-
 def test_release_rounds_frequencies():
     assert post_process(3.41, F) == 3.0
     assert post_process(3.5, F) == 4.0
@@ -85,12 +67,6 @@ def test_release_rounds_frequencies():
 def test_release_clamps_time_weights():
     assert post_process(15.0 - 20.0, AggregationKind.MAX) == TIME_FLOOR
     assert post_process(0.25, AggregationKind.AVG) == 0.25
-
-
-def test_release_validates_weight():
-    spec = NoiseSpec(epsilon=1.0, sensitivity=1.0)
-    with pytest.raises(ValueError):
-        release(0.0, F, spec, NoiseStream(1, "a", "b", 0))
 
 
 def test_streams_are_deterministic_and_independent_of_order():

@@ -31,6 +31,15 @@ def test_mape_and_smape_basics():
     assert smape([10.0], [5.0]) == pytest.approx(5.0 / 15.0)
 
 
+def test_mape_sums_left_to_right():
+    # APEs 1, 1e16, 1: left to right the two 1s are lost to rounding; a
+    # compensated sum (sum() since Python 3.12, math.fsum) keeps them.
+    actuals, noisies = [1.0, 1.0, 1.0], [2.0, 1e16, 2.0]
+    apes = [ape(a, f) for a, f in zip(actuals, noisies)]
+    assert math.fsum(apes) / 3 != (apes[0] + apes[1] + apes[2]) / 3
+    assert mape(actuals, noisies) == (apes[0] + apes[1] + apes[2]) / 3
+
+
 def test_mape_length_mismatch():
     with pytest.raises(ValueError):
         mape([1.0], [1.0, 2.0])

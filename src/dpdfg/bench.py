@@ -186,6 +186,9 @@ class SweepSpec:
     precision: float = 0.5
     beta: float = 0.05
     include_boundary_time: bool = False
+    # The request of each grid cell, in row order, built (and so checked)
+    # with the spec, before any log loads.
+    requests: tuple[DisclosureRequest, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.logs:
@@ -198,9 +201,27 @@ class SweepSpec:
         duplicates = sorted({name for name in names if names.count(name) > 1})
         if duplicates:
             raise ValueError(f"sweep log names must be unique, repeated: {', '.join(duplicates)}")
+        params = [(Mode.P1, delta) for delta in self.deltas] + [(Mode.P2, target) for target in self.mapes]
+        requests = tuple(
+            DisclosureRequest(
+                mode=mode,
+                aggregation=aggregation,
+                risk=RiskParams(param, self.precision) if mode is Mode.P1 else None,
+                utility=None if mode is Mode.P1 else UtilityParams(param, self.beta),
+                precision=self.precision,
+                seed=self.seed,
+                runs=self.runs,
+                include_boundary_time=self.include_boundary_time,
+            )
+            for aggregation in self.aggregations
+            for mode, param in params
+        )
+        object.__setattr__(self, "requests", requests)
 
     @classmethod
     def from_dict(cls, config: dict) -> "SweepSpec":
+        if not isinstance(config, dict) or not isinstance(config.get("logs"), list):
+            raise ValueError("sweep config must be an object with a 'logs' list")
         sources = []
         for i, entry in enumerate(config["logs"]):
             if isinstance(entry, str):
@@ -236,20 +257,9 @@ def _se(values: list[float]) -> float:
     return (var / len(values)) ** 0.5
 
 
-def _measure(dfg: Dfg, spec: SweepSpec, aggregation: AggregationKind, mode: Mode, param: float) -> list[str]:
+def _measure(dfg: Dfg, request: DisclosureRequest) -> list[str]:
     """The measured columns of one grid row, from ``median_epsilon`` to an
     empty ``error``."""
-    p1 = mode is Mode.P1
-    request = DisclosureRequest(
-        mode=mode,
-        aggregation=aggregation,
-        risk=RiskParams(param, spec.precision) if p1 else None,
-        utility=None if p1 else UtilityParams(param, spec.beta),
-        precision=spec.precision,
-        seed=spec.seed,
-        runs=spec.runs,
-        include_boundary_time=spec.include_boundary_time,
-    )
     _, report = disclose(dfg, request)
     med_eps = report.median_epsilon
     return [
@@ -277,20 +287,19 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(GRID_HEADER)
-    params = [(Mode.P1, delta) for delta in spec.deltas] + [(Mode.P2, target) for target in spec.mapes]
     for source in spec.logs:
         try:
             dfg, failure = build_dfg(source.load(spec.seed)), None
         except Exception as exc:
             dfg, failure = None, exc
-        for agg in spec.aggregations:
-            for mode, param in params:
-                row = [source.name, agg.value, mode.value, repr(param)]
-                try:
-                    if failure is not None:
-                        raise failure
-                    row += _measure(dfg, spec, agg, mode, param)
-                except Exception as exc:
-                    row += [""] * (len(GRID_HEADER) - len(row) - 1) + [f"ERROR: {exc}"]
-                writer.writerow(row)
+        for request in spec.requests:
+            param = request.risk.delta if request.mode is Mode.P1 else request.utility.mape_target
+            row = [source.name, request.aggregation.value, request.mode.value, repr(param)]
+            try:
+                if failure is not None:
+                    raise failure
+                row += _measure(dfg, request)
+            except Exception as exc:
+                row += [""] * (len(GRID_HEADER) - len(row) - 1) + [f"ERROR: {exc}"]
+            writer.writerow(row)
     return out.getvalue()

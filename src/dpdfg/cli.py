@@ -156,13 +156,11 @@ def _run_sweep(args) -> int:
     from .bench import SweepSpec, run_sweep
 
     try:
-        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        spec = SweepSpec.from_dict(config)
-        grid_csv = run_sweep(spec)
-    except (IngestError, ValueError, OSError, KeyError) as exc:
+        spec = SweepSpec.from_dict(json.loads(Path(args.config).read_text(encoding="utf-8")))
+    except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"dpdfg: error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    if not _write_output(grid_csv, args.out):
+    if not _write_output(run_sweep(spec), args.out):
         return DATA_ERROR
     return 0
 

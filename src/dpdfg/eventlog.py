@@ -9,7 +9,6 @@ import csv
 import io
 import math
 import operator
-import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -30,10 +29,6 @@ NS_PER_UNIT = {
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _NAIVE_EPOCH = datetime(1970, 1, 1)
 _ONE_US = timedelta(microseconds=1)
-# A fraction of other than six digits. Python 3.10's fromisoformat takes
-# only 3 or 6; later versions take any number and truncate to microseconds,
-# as _six_digits does for every version.
-_FRACTION_RE = re.compile(r"\.(?!\d{6}(?!\d))(\d+)")
 # Products of a decimal and a unit are exact at this precision.
 _EXACT = Context(prec=MAX_PREC, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
 _BY_TIME = operator.attrgetter("timestamp_ns")
@@ -89,16 +84,9 @@ def _in_int64(ns: int, text: str) -> int:
     return ns
 
 
-def _six_digits(fraction: re.Match) -> str:
-    return "." + (fraction[1] + "00000")[:6]
-
-
 def _parse_iso_ns(text: str) -> int:
-    cleaned = text.strip().replace("Z", "+00:00")
-    if "." in cleaned and _FRACTION_RE.search(cleaned):
-        cleaned = _FRACTION_RE.sub(_six_digits, cleaned)
     try:
-        dt = datetime.fromisoformat(cleaned)
+        dt = datetime.fromisoformat(text.strip())
     except ValueError:
         raise IngestError(f"unparseable timestamp {text!r}") from None
     # Naive timestamps are taken as UTC.
@@ -123,49 +111,25 @@ def parse_timestamp_ns(text: str, fmt: str = "auto", number_unit: str = "h") -> 
     """Parse a timestamp string to nanoseconds since the epoch.
 
     Numeric values (e.g. fractional hours) are scaled exactly by
-    ``number_unit``; ISO-8601 values are resolved to UTC and truncated to
-    the microsecond.
+    ``number_unit``; ISO-8601 values are read by ``datetime.fromisoformat``,
+    resolved to UTC and truncated to the microsecond.
     """
-    if number_unit not in NS_PER_UNIT:
+    factor = NS_PER_UNIT.get(number_unit)
+    if factor is None:
         raise IngestError(f"unknown time unit {number_unit!r}")
     text = text.strip()
-    if fmt in ("auto", "number"):
+    # float() accepts no ':' and every ISO time has one, so such text
+    # skips a float() that could only fail.
+    if fmt in ("auto", "number") and ":" not in text:
         try:
             value = float(text)
         except ValueError:
-            if fmt == "number":
-                raise IngestError(f"unparseable numeric timestamp {text!r}") from None
+            pass
         else:
-            return _scale_number(text, value, NS_PER_UNIT[number_unit])
+            return _scale_number(text, value, factor)
+    if fmt == "number":
+        raise IngestError(f"unparseable numeric timestamp {text!r}")
     return _parse_iso_ns(text)
-
-
-def _timestamp_parser(fmt: str, number_unit: str):
-    """``parse_timestamp_ns`` for stripped text, with ``fmt`` and
-    ``number_unit`` looked at once. An unknown unit still fails at the
-    first timestamp parsed, as it does there.
-    """
-    factor = NS_PER_UNIT.get(number_unit)
-    numeric = fmt in ("auto", "number")
-    iso = fmt != "number"
-
-    def parse(text: str) -> int:
-        if factor is None:
-            raise IngestError(f"unknown time unit {number_unit!r}")
-        # float() accepts no ':' and every ISO time has one, so such text
-        # skips a float() that could only fail.
-        if numeric and ":" not in text:
-            try:
-                value = float(text)
-            except ValueError:
-                pass
-            else:
-                return _scale_number(text, value, factor)
-        if not iso:
-            raise IngestError(f"unparseable numeric timestamp {text!r}")
-        return _parse_iso_ns(text)
-
-    return parse
 
 
 def _validate_activity(activity: str, where: str) -> str:
@@ -193,14 +157,11 @@ def _assemble(rows: list[Event]) -> EventLog:
 
 
 def _as_text(source) -> io.StringIO:
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if isinstance(source, str):
-        return io.StringIO(source)
-    data = source.read()
+    """The text of a CSV source, without a leading byte-order mark."""
+    data = source if isinstance(source, (bytes, str)) else source.read()
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    return io.StringIO(data)
+    return io.StringIO(data.removeprefix("\ufeff"))
 
 
 def parse_csv(source, mapping: ColumnMapping | None = None) -> EventLog:
@@ -225,7 +186,7 @@ def parse_csv(source, mapping: ColumnMapping | None = None) -> EventLog:
     case_i, activity_i, ts_i = (column[col] for col in mapped)
     extra_cols = [(name, column[name]) for name in dict.fromkeys(header) if name not in mapped]
     width = len(header)
-    parse_ts = _timestamp_parser(mapping.timestamp_format, mapping.number_unit)
+    fmt, unit = mapping.timestamp_format, mapping.number_unit
 
     events: list[Event] = []
     append = events.append
@@ -246,7 +207,7 @@ def parse_csv(source, mapping: ColumnMapping | None = None) -> EventLog:
         if not ts_text:
             raise IngestError(f"row {row_no}: missing timestamp")
         try:
-            ts = parse_ts(ts_text)
+            ts = parse_timestamp_ns(ts_text, fmt, unit)
         except IngestError as exc:
             raise IngestError(f"row {row_no}: {exc}") from None
         extras = {name: row[i] for name, i in extra_cols if row[i]} if extra_cols else {}
@@ -255,9 +216,8 @@ def parse_csv(source, mapping: ColumnMapping | None = None) -> EventLog:
 
 
 def parse_csv_reference(source, mapping: ColumnMapping | None = None) -> EventLog:
-    """:func:`parse_csv` through ``csv.DictReader`` and
-    :func:`parse_timestamp_ns`, one dict and one full timestamp check per
-    row: the plain implementation, kept as the oracle of its tests.
+    """:func:`parse_csv` through ``csv.DictReader``, one dict per row: the
+    plain implementation, kept as the oracle of its tests.
     """
     mapping = mapping or ColumnMapping()
     reader = csv.DictReader(_as_text(source))
@@ -354,12 +314,17 @@ def to_canonical_csv(log: EventLog) -> str:
     """Serialize to the canonical CSV format (timestamps as integer ns).
 
     Re-parsing with ``ColumnMapping(number_unit="ns")`` reproduces the log
-    exactly.
+    exactly. An extra attribute named like a canonical column would be read
+    back in its place, so it raises ``ValueError``.
     """
+    header = ["case", "activity", "timestamp"]
     extra_keys = sorted({k for t in log.traces.values() for e in t.events for k in e.extra_attrs})
+    for key in header:
+        if key in extra_keys:
+            raise ValueError(f"extra attribute {key!r} collides with the canonical {key!r} column")
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["case", "activity", "timestamp", *extra_keys])
+    writer.writerow(header + extra_keys)
     for case_id in sorted(log.traces):
         for ev in log.traces[case_id].events:
             writer.writerow(

@@ -176,6 +176,25 @@ def test_sweep_spec_validation():
         SweepSpec(logs=(source,), aggregations=())
 
 
+def test_sweep_spec_rejects_bad_config_before_any_log_loads():
+    logs = ["does/not/exist.csv"]
+    with pytest.raises(ValueError, match=r"^delta must be in \(0,1\), got 1.5$"):
+        SweepSpec.from_dict({"logs": logs, "deltas": [1.5]})
+    with pytest.raises(ValueError, match="^mape_target must be positive"):
+        SweepSpec.from_dict({"logs": logs, "mapes": [0]})
+    with pytest.raises(ValueError, match="^runs must be >= 1"):
+        SweepSpec.from_dict({"logs": logs, "runs": 0})
+    with pytest.raises(ValueError, match="^beta must be in"):
+        SweepSpec.from_dict({"logs": logs, "beta": 1})
+    for config in ([{"logs": logs}], {"logs": "ab.csv"}, {"deltas": [0.4]}):
+        with pytest.raises(ValueError, match="^sweep config must be an object with a 'logs' list$"):
+            SweepSpec.from_dict(config)
+    with pytest.raises(TypeError):
+        SweepSpec.from_dict({"logs": logs, "deltas": 0.4})
+    with pytest.raises(TypeError):
+        SweepSpec.from_dict({"logs": [{"profile": "skewed", "traces": "5"}]})
+
+
 def test_sweep_spec_rejects_duplicate_log_names():
     with pytest.raises(ValueError, match="unique, repeated: log$"):
         SweepSpec.from_dict({"logs": ["a/log.csv", "b/log.csv", {"profile": "simple"}]})

@@ -177,6 +177,40 @@ def test_cli_sweep_rejects_duplicate_log_names(clinic_path, tmp_path, capsys):
     assert f"repeated: {clinic_path.stem}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"deltas": [1.5]}, "delta must be in (0,1), got 1.5"),
+        ({"deltas": 0.4}, "'float' object is not iterable"),
+        ({"logs": [{"profile": "skewed", "traces": "5"}]}, "not supported between instances of 'str' and 'int'"),
+        ({"logs": "ab.csv"}, "sweep config must be an object with a 'logs' list"),
+        (["clinic.csv"], "sweep config must be an object with a 'logs' list"),
+    ],
+)
+def test_cli_sweep_bad_config_is_data_error(clinic_path, tmp_path, capsys, config, message):
+    if isinstance(config, dict):
+        config = {"logs": [str(clinic_path)], **config}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dpdfg: error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
+def test_anonymize_accepts_utf8_byte_order_mark(clinic_path, tmp_path):
+    with_bom = tmp_path / "bom.csv"
+    with_bom.write_bytes(b"\xef\xbb\xbf" + clinic_path.read_bytes())
+    outputs = []
+    for path in (clinic_path, with_bom):
+        out = tmp_path / f"{path.stem}.json"
+        assert main(["anonymize", "--input", str(path), "--agg", "max", "--delta", "0.4", "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_module_entry_point(clinic_path, tmp_path):
     out = tmp_path / "m.json"
     proc = subprocess.run(

@@ -237,6 +237,20 @@ def test_iso_fractions_of_one_to_five_digits(fraction, ns):
     assert parse_xes(_xes_one_event(stamp)).traces["t"].events[0].timestamp_ns == base + ns
 
 
+@pytest.mark.parametrize(
+    "stamp, ns",
+    [
+        ("20210301T101500+00:00", 1_614_593_700 * 10**9),  # basic format
+        ("2021-W09-1T10:00:00", 1_614_592_800 * 10**9),  # ISO week date: Monday of week 9
+    ],
+)
+def test_iso_basic_format_and_week_dates(stamp, ns):
+    for fmt in ("auto", "iso"):
+        log = parse_csv(f"case,activity,timestamp\nP1,A,{stamp}\n", ColumnMapping(timestamp_format=fmt))
+        assert log.traces["P1"].events[0].timestamp_ns == ns
+    assert parse_xes(_xes_one_event(stamp)).traces["t"].events[0].timestamp_ns == ns
+
+
 def test_iso_timestamps_outside_int64_ns_are_rejected():
     latest = "2262-04-11T23:47:16.854775Z"
     log = parse_csv(f"case,activity,timestamp\nP1,A,1\nP1,B,{latest}\n")
@@ -266,6 +280,31 @@ def test_round_trip_preserves_extra_attrs():
     text = "case,activity,timestamp,resource\nP1,A,1,S1\nP1,B,2,S2\nP2,A,3,S1\n"
     log = parse_csv(text)
     assert parse_csv(to_canonical_csv(log), CANONICAL_MAPPING) == log
+
+
+def test_parse_csv_skips_utf8_byte_order_mark(clinic_csv, clinic_log):
+    with_bom = "\ufeff" + clinic_csv
+    for parse in (parse_csv, parse_csv_reference):
+        for source in (with_bom, with_bom.encode(), io.StringIO(with_bom), io.BytesIO(with_bom.encode())):
+            assert parse(source) == clinic_log
+
+
+def test_canonical_csv_rejects_attributes_named_like_its_columns():
+    # Re-parsed, the attribute column would be read in place of the case id.
+    log = parse_csv("id,activity,timestamp,case\nc1,A,1,x\nc1,B,2,y\n", ColumnMapping(case_col="id"))
+    assert log.traces["c1"].events[0].extra_attrs == {"case": "x"}
+    with pytest.raises(ValueError, match="^extra attribute 'case' collides"):
+        to_canonical_csv(log)
+    xml = """<log><trace><string key="concept:name" value="t"/>
+      <event><string key="concept:name" value="A"/>
+      <date key="time:timestamp" value="2021-01-01T08:00:00Z"/>
+      <string key="timestamp" value="late"/></event>
+    </trace></log>"""
+    with pytest.raises(ValueError, match="^extra attribute 'timestamp' collides"):
+        to_canonical_csv(parse_xes(xml))
+    extra = parse_csv("case,step,timestamp,activity\nc1,A,1,B\n", ColumnMapping(activity_col="step"))
+    with pytest.raises(ValueError, match="^extra attribute 'activity' collides"):
+        to_canonical_csv(extra)
 
 
 def test_parse_csv_order_insensitive_within_case(clinic_csv):

@@ -24,8 +24,6 @@ from .pipeline import (
     EdgeDisclosure,
     Mode,
     disclose,
-    disclose_p1,
-    disclose_p2,
     emit_csv,
     emit_dot,
     emit_json,

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from statistics import median
 
@@ -14,8 +14,8 @@ import numpy as np
 from .dfg import AggregationKind, Dfg, build_dfg, ordered_sum
 from .eventlog import NS_PER_UNIT, Event, EventLog, Trace, parse_csv, parse_xes
 from .noise import DEFAULT_SEED
-from .pipeline import DisclosureRequest, Mode, disclose
-from .risk import UNBOUNDED, RiskParams
+from .pipeline import DisclosureRequest, Mode, disclose, show_epsilon
+from .risk import RiskParams
 from .utility import UtilityParams
 
 DEFAULT_DELTAS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -222,31 +222,49 @@ class SweepSpec:
     def from_dict(cls, config: dict) -> "SweepSpec":
         if not isinstance(config, dict) or not isinstance(config.get("logs"), list):
             raise ValueError("sweep config must be an object with a 'logs' list")
-        sources = []
-        for i, entry in enumerate(config["logs"]):
-            if isinstance(entry, str):
-                sources.append(LogSource(name=Path(entry).stem, path=entry))
-            elif "profile" in entry:
-                spec = profile_spec(entry["profile"], entry.get("traces"))
-                sources.append(
-                    LogSource(name=entry.get("name", entry["profile"]), synthetic=spec,
-                              gen_seed=entry.get("gen_seed"))
-                )
-            elif "path" in entry:
-                sources.append(LogSource(name=entry.get("name", Path(entry["path"]).stem), path=entry["path"]))
-            else:
-                spec = SyntheticLogSpec(**entry["synthetic"])
-                sources.append(
-                    LogSource(name=entry.get("name", f"synthetic{i}"), synthetic=spec,
-                              gen_seed=entry.get("gen_seed"))
-                )
-        kwargs = {}
-        for key in ("deltas", "mapes", "runs", "seed", "precision", "beta", "include_boundary_time"):
-            if key in config:
-                kwargs[key] = tuple(config[key]) if key in ("deltas", "mapes") else config[key]
-        if "aggregations" in config:
-            kwargs["aggregations"] = tuple(AggregationKind.parse(a) for a in config["aggregations"])
-        return cls(logs=tuple(sources), **kwargs)
+        _check_keys("sweep config", config, {f.name for f in fields(cls) if f.init})
+        for key, kind in (("deltas", list), ("mapes", list), ("aggregations", list), ("include_boundary_time", bool)):
+            if not isinstance(config.get(key, kind()), kind):
+                raise TypeError(f"sweep config {key!r} must be a {kind.__name__}, got {config[key]!r}")
+        kwargs = {key: value for key, value in config.items() if key != "logs"}
+        for key in ("deltas", "mapes"):
+            if key in kwargs:
+                kwargs[key] = tuple(kwargs[key])
+        if "aggregations" in kwargs:
+            kwargs["aggregations"] = tuple(map(AggregationKind.parse, kwargs["aggregations"]))
+        return cls(logs=tuple(_log_source(i, entry) for i, entry in enumerate(config["logs"])), **kwargs)
+
+
+# The keys a log entry may have, by the key that says what kind of entry it is.
+_LOG_KEYS = {
+    "profile": {"profile", "traces", "name", "gen_seed"},
+    "path": {"path", "name"},
+    "synthetic": {"synthetic", "name", "gen_seed"},
+}
+
+
+def _check_keys(what: str, entry: dict, known: set[str]) -> None:
+    unknown = sorted(set(entry) - known)
+    if unknown:
+        raise ValueError(f"{what}: unknown key {', '.join(map(repr, unknown))}; expected {', '.join(sorted(known))}")
+
+
+def _log_source(i: int, entry) -> LogSource:
+    """The log of entry ``i`` of a sweep config's ``logs``: a path, or an
+    object with a ``profile``, a ``path`` or a ``synthetic`` spec."""
+    if isinstance(entry, str):
+        return LogSource(name=Path(entry).stem, path=entry)
+    if not isinstance(entry, dict) or not entry.keys() & _LOG_KEYS.keys():
+        raise ValueError(f"sweep log {i} must be a path or an object with a 'profile', 'path' or 'synthetic' key")
+    kind = next(k for k in _LOG_KEYS if k in entry)
+    _check_keys(f"sweep log {i}", entry, _LOG_KEYS[kind])
+    if kind == "path":
+        return LogSource(name=entry.get("name", Path(entry["path"]).stem), path=entry["path"])
+    if kind == "profile":
+        spec, name = profile_spec(entry["profile"], entry.get("traces")), entry["profile"]
+    else:
+        spec, name = SyntheticLogSpec(**entry["synthetic"]), f"synthetic{i}"
+    return LogSource(name=entry.get("name", name), synthetic=spec, gen_seed=entry.get("gen_seed"))
 
 
 def _se(values: list[float]) -> float:
@@ -261,9 +279,8 @@ def _measure(dfg: Dfg, request: DisclosureRequest) -> list[str]:
     """The measured columns of one grid row, from ``median_epsilon`` to an
     empty ``error``."""
     _, report = disclose(dfg, request)
-    med_eps = report.median_epsilon
     return [
-        "unbounded" if med_eps == UNBOUNDED else repr(med_eps),
+        show_epsilon(report.median_epsilon, repr),
         repr(report.mape),
         repr(_se(report.run_mapes)),
         repr(report.smape),

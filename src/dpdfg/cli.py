@@ -28,13 +28,22 @@ from .utility import UtilityParams
 DATA_ERROR = 1
 
 
-def _resolve_seed(flag_value: str | None) -> int:
-    if flag_value is None:
-        env = os.environ.get(SEED_ENV_VAR)
-        return int(env) if env else DEFAULT_SEED
-    if flag_value == "random":
+def _seed_flag(text: str) -> int:
+    """``--seed``: an integer, or ``random`` for a fresh one."""
+    if text == "random":
         return random.SystemRandom().randrange(2**63)
-    return int(flag_value)
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer or 'random', got {text!r}") from None
+
+
+def _env_seed() -> int:
+    env = os.environ.get(SEED_ENV_VAR)
+    try:
+        return int(env) if env else DEFAULT_SEED
+    except ValueError:
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def _load_log(path: str, fmt: str, args):
@@ -76,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     anon.add_argument("--beta", type=float, default=0.05, help="noise-exceedance probability (P2)")
     anon.add_argument("--precision", type=float, default=0.5,
                       help="guess window as a fraction of the edge range")
-    anon.add_argument("--seed", default=None, help="integer seed, or 'random'")
+    anon.add_argument("--seed", type=_seed_flag, default=None, help="integer seed, or 'random'")
     anon.add_argument("--runs", type=int, default=1)
     anon.add_argument("--include-boundary-time", action="store_true",
                       help="keep virtual start/end edges in time-annotated output")
@@ -106,7 +115,7 @@ def _run_anonymize(args, parser) -> int:
         parser.error("--delta and --mape are mutually exclusive; provide exactly one")
     try:
         kind = AggregationKind.parse(args.agg)
-        seed = _resolve_seed(args.seed)
+        seed = _env_seed() if args.seed is None else args.seed
         p1 = args.delta is not None
         request = DisclosureRequest(
             mode=Mode.P1 if p1 else Mode.P2,

@@ -24,7 +24,6 @@ from .dfg import (
     aggregate,
     choose_time_unit,
     convert_unit,
-    edge_range,
     filter_for_disclosure,
     ordered_sum,
 )
@@ -36,8 +35,8 @@ from .risk import (
     delta_from_epsilon_time,
     dfg_delta,
     edge_epsilon_time,
-    edge_priors,
     epsilon_freq,
+    time_priors,
     worst_case_delta_time,
 )
 from .utility import UtilityParams, alpha_per_edge, ape, epsilon_from_alpha, mape, smape
@@ -73,6 +72,10 @@ class DisclosureRequest:
             raise ValueError("P1 requires risk parameters and no utility parameters")
         if self.mode is Mode.P2 and (self.utility is None or self.risk is not None):
             raise ValueError("P2 requires utility parameters and no risk parameters")
+        for name in ("seed", "runs"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.risk is not None and self.precision not in (None, self.risk.precision):
@@ -139,15 +142,13 @@ def _calibrate(edge: DfgEdge, kind: AggregationKind, request: DisclosureRequest,
         utility = request.utility
         eps = epsilon_from_alpha(sens, alpha_per_edge(true_value, utility.mape_target), utility.beta)
         if kind.is_time:
-            r = edge_range(edge, kind)
-            degenerate = edge.frequency == 1 or r <= 0.0
-            priors = None if degenerate else edge_priors(edge.durations, request.precision, r)
+            r, priors = time_priors(edge, kind, request.precision)
+            degenerate = priors is None
     elif kind.is_time:
         result = edge_epsilon_time(edge, request.risk, kind)
         eps, r, priors, degenerate = result.epsilon, result.r, result.priors, result.degenerate
     else:
         eps = epsilon_freq(request.risk.delta)
-    r = r if r > 0.0 else 1.0
     if priors is None:
         # A frequency, or P2 on a degenerate time edge, has no empirical
         # prior: take the advantage maximized over all priors. P1 on a
@@ -271,31 +272,16 @@ def _echo_parameters(request: DisclosureRequest) -> dict:
     return params
 
 
-def disclose_p1(dfg: Dfg, request: DisclosureRequest, threads: int = 1) -> tuple[AnnotatedDfg, DisclosureReport]:
-    """Risk-first disclosure: calibrate epsilon from the guessing-advantage
-    target, then report the realized utility loss. ``threads`` is ignored.
-    """
-    if request.mode is not Mode.P1:
-        raise ValueError("request mode must be P1")
-    return disclose(dfg, request)
-
-
-def disclose_p2(dfg: Dfg, request: DisclosureRequest, threads: int = 1) -> tuple[AnnotatedDfg, DisclosureReport]:
-    """Utility-first disclosure: calibrate epsilon from the error target,
-    then report the incurred guessing advantage. ``threads`` is ignored.
-    """
-    if request.mode is not Mode.P2:
-        raise ValueError("request mode must be P2")
-    return disclose(dfg, request)
-
-
-def _num(value: float):
-    return "unbounded" if value == UNBOUNDED else value
+def show_epsilon(value: float, render=lambda value: value):
+    """``render(value)``, or the marker ``"unbounded"`` for an unbounded
+    epsilon; the one spelling of that marker in every output."""
+    return "unbounded" if value == UNBOUNDED else render(value)
 
 
 def report_to_dict(report: DisclosureReport) -> dict:
     """JSON-ready view of a report. Wall-clock time is deliberately excluded
-    so identical seeded runs serialize byte-identically.
+    so identical seeded runs serialize byte-identically. Each edge object
+    holds its ``EdgeDisclosure`` fields, in field order.
     """
     return {
         "schema_version": SCHEMA_VERSION,
@@ -305,27 +291,11 @@ def report_to_dict(report: DisclosureReport) -> dict:
         "time_unit": report.time_unit,
         "seed": report.seed,
         "runs": report.runs,
-        "median_epsilon": _num(report.median_epsilon),
+        "median_epsilon": show_epsilon(report.median_epsilon),
         "overall_delta": report.overall_delta,
         "mape": report.mape,
         "smape": report.smape,
-        "edges": [
-            {
-                "source": e.source,
-                "target": e.target,
-                "true_value": e.true_value,
-                "epsilon": _num(e.epsilon),
-                "noise_scale": e.noise_scale,
-                "noisy_value": e.noisy_value,
-                "released_value": e.released_value,
-                "ape": e.ape,
-                "released_ape": e.released_ape,
-                "edge_delta": e.edge_delta,
-                "degenerate": e.degenerate,
-                "boundary_constant": e.boundary_constant,
-            }
-            for e in report.edges
-        ],
+        "edges": [{**vars(e), "epsilon": show_epsilon(e.epsilon)} for e in report.edges],
     }
 
 
@@ -343,7 +313,7 @@ def emit_csv(report: DisclosureReport) -> str:
                 e.source,
                 e.target,
                 repr(e.true_value),
-                "unbounded" if e.epsilon == UNBOUNDED else repr(e.epsilon),
+                show_epsilon(e.epsilon, repr),
                 repr(e.released_value),
                 "" if e.ape is None else repr(e.ape),
                 repr(e.edge_delta),
@@ -377,7 +347,7 @@ def emit_dot(annotated: AnnotatedDfg, report: DisclosureReport | None = None, an
         label = _format_weight(annotated.weights[key], kind)
         if annotate_debug and key in by_key:
             e = by_key[key]
-            eps_text = "unbounded" if e.epsilon == UNBOUNDED else f"{e.epsilon:.6g}"
+            eps_text = show_epsilon(e.epsilon, "{:.6g}".format)
             ape_text = "n/a" if e.ape is None else f"{e.ape:.6g}"
             label = f"{label}\neps={eps_text}\nape={ape_text}"
         lines.append(f"    {_dot_quote(key[0])} -> {_dot_quote(key[1])} [label={_dot_quote(label)}];")

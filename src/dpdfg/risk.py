@@ -37,12 +37,11 @@ class RiskParams:
 
 @dataclass(frozen=True)
 class EdgeEpsilon:
-    """``r`` is the edge's range (``edge_range``) as computed, 0 included;
-    degenerate edges are calibrated with range 1 where it is not positive.
+    """``priors`` holds the prior of every occurrence and ``r`` the range
+    the edge is calibrated over (see :func:`time_priors`).
     """
 
     epsilon: float
-    per_occurrence: tuple[float, ...]
     priors: tuple[float, ...]
     r: float
     degenerate: bool = False
@@ -120,30 +119,35 @@ def edge_priors(durations: Sequence[float], precision: float, r: float) -> tuple
     return tuple(map(prior_of.__getitem__, durations))
 
 
-def edge_epsilon_time(edge: DfgEdge, params: RiskParams, kind: AggregationKind = AggregationKind.MAX) -> EdgeEpsilon:
-    """Per-occurrence epsilons for a time-annotated edge; the edge epsilon is
-    their minimum (maximum noise protects every occurrence).
+def time_priors(edge: DfgEdge, kind: AggregationKind, precision: float) -> tuple[float, tuple[float, ...] | None]:
+    """The range a time edge is calibrated over and the empirical prior of
+    each occurrence.
 
-    Single-occurrence and zero-range edges cannot support an empirical CDF;
-    they fall back to the worst-case prior and are flagged degenerate.
+    Single-occurrence and zero-range edges cannot support an empirical CDF:
+    they are degenerate, get no priors (``None``), and are calibrated over
+    range 1 where their range is not positive.
     """
-    durations = edge.durations
-    if not durations:
-        raise ValueError("edge has no occurrences")
     r = edge_range(edge, kind)
-    if len(durations) == 1 or r <= 0.0:
-        prior = worst_case_prior(params.delta)
-        eps = epsilon_from_delta(prior, params.delta, r if r > 0.0 else 1.0)
-        n = len(durations)
-        return EdgeEpsilon(eps, (eps,) * n, (prior,) * n, r, degenerate=True)
+    if len(edge.durations) == 1 or r <= 0.0:
+        return (r if r > 0.0 else 1.0), None
+    return r, edge_priors(edge.durations, precision, r)
 
-    priors = edge_priors(durations, params.precision, r)
-    eps_of = {
-        prior: UNBOUNDED if params.delta + prior >= 1.0 else epsilon_from_delta(prior, params.delta, r)
+
+def edge_epsilon_time(edge: DfgEdge, params: RiskParams, kind: AggregationKind = AggregationKind.MAX) -> EdgeEpsilon:
+    """Epsilon of a time-annotated edge: the smallest that any of its
+    occurrences' priors allows (maximum noise protects every occurrence).
+    Degenerate edges fall back to the worst-case prior.
+    """
+    r, priors = time_priors(edge, kind, params.precision)
+    if priors is None:
+        prior = worst_case_prior(params.delta)
+        eps = epsilon_from_delta(prior, params.delta, r)
+        return EdgeEpsilon(eps, (prior,) * len(edge.durations), r, degenerate=True)
+    epsilon = min(
+        UNBOUNDED if params.delta + prior >= 1.0 else epsilon_from_delta(prior, params.delta, r)
         for prior in set(priors)
-    }
-    per = tuple(map(eps_of.__getitem__, priors))
-    return EdgeEpsilon(min(eps_of.values()), per, priors, r)
+    )
+    return EdgeEpsilon(epsilon, priors, r)
 
 
 def epsilon_freq(delta: float) -> float:

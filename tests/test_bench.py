@@ -212,3 +212,23 @@ def test_generated_log_activities_within_alphabet():
         if not edge.is_boundary:
             assert all(d > 0 for d in edge.durations)
             assert aggregate(edge, AggregationKind.MIN) > 0
+
+
+def test_sweep_spec_from_dict_rejects_values_it_cannot_use():
+    logs = ["does/not/exist.csv"]
+    for key, value in (("deltas", 0.4), ("mapes", 0.3), ("aggregations", "max")):
+        with pytest.raises(TypeError, match=f"^sweep config '{key}' must be a list, got {value!r}$"):
+            SweepSpec.from_dict({"logs": logs, key: value})
+    with pytest.raises(TypeError, match="^sweep config 'include_boundary_time' must be a bool, got 'no'$"):
+        SweepSpec.from_dict({"logs": logs, "include_boundary_time": "no"})
+    for key, value in (("seed", "abc"), ("seed", 1.5), ("seed", True), ("runs", 2.5)):
+        with pytest.raises(TypeError, match=f"^{key} must be an integer, got {value!r}$"):
+            SweepSpec.from_dict({"logs": logs, key: value})
+    with pytest.raises(ValueError, match="^sweep config: unknown key 'delta'; expected "):
+        SweepSpec.from_dict({"logs": logs, "delta": [0.4]})
+    with pytest.raises(ValueError, match="^sweep log 0: unknown key 'trace'; expected gen_seed, name, profile, traces$"):
+        SweepSpec.from_dict({"logs": [{"profile": "unique", "trace": 5}]})
+    with pytest.raises(ValueError, match="^sweep log 1: unknown key 'traces'; expected name, path$"):
+        SweepSpec.from_dict({"logs": [{"profile": "unique"}, {"path": "a.csv", "traces": 5}]})
+    with pytest.raises(ValueError, match="^sweep log 0 must be a path or an object with a 'profile'"):
+        SweepSpec.from_dict({"logs": [{"name": "x"}]})

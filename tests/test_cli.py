@@ -181,10 +181,17 @@ def test_cli_sweep_rejects_duplicate_log_names(clinic_path, tmp_path, capsys):
     "config, message",
     [
         ({"deltas": [1.5]}, "delta must be in (0,1), got 1.5"),
-        ({"deltas": 0.4}, "'float' object is not iterable"),
+        ({"deltas": 0.4}, "'deltas' must be a list, got 0.4"),
         ({"logs": [{"profile": "skewed", "traces": "5"}]}, "not supported between instances of 'str' and 'int'"),
         ({"logs": "ab.csv"}, "sweep config must be an object with a 'logs' list"),
         (["clinic.csv"], "sweep config must be an object with a 'logs' list"),
+        ({"aggregations": "max"}, "'aggregations' must be a list, got 'max'"),
+        ({"seed": "abc"}, "seed must be an integer, got 'abc'"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"runs": 2.5}, "runs must be an integer, got 2.5"),
+        ({"delta": [0.4]}, "sweep config: unknown key 'delta'"),
+        ({"logs": [{"profile": "unique", "trace": 5}]}, "sweep log 0: unknown key 'trace'"),
+        ({"include_boundary_time": "no"}, "'include_boundary_time' must be a bool, got 'no'"),
     ],
 )
 def test_cli_sweep_bad_config_is_data_error(clinic_path, tmp_path, capsys, config, message):
@@ -267,3 +274,17 @@ def test_cli_xes_input(tmp_path):
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["time_unit"] == "h"
     assert report["edges"][0]["true_value"] == pytest.approx(2.5)
+
+
+@pytest.mark.parametrize("seed", ["abc", "1.5"])
+def test_cli_seed_must_be_an_integer_or_random(clinic_path, capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        main(["anonymize", "--input", str(clinic_path), "--delta", "0.4", "--seed", seed])
+    assert exc.value.code == 2
+    assert f"argument --seed: expected an integer or 'random', got '{seed}'" in capsys.readouterr().err
+
+
+def test_cli_bad_seed_env_var_is_data_error(clinic_path, capsys, monkeypatch):
+    monkeypatch.setenv("DPDFG_SEED", "abc")
+    assert main(["anonymize", "--input", str(clinic_path), "--delta", "0.4"]) == 1
+    assert capsys.readouterr().err == "dpdfg: error: DPDFG_SEED must be an integer, got 'abc'\n"

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pyparsing as pp
 import pytest
@@ -8,14 +9,20 @@ from dpdfg import START_END, AggregationKind, Mode, RiskParams, UtilityParams, b
 from dpdfg.pipeline import (
     DisclosureRequest,
     disclose,
-    disclose_p1,
-    disclose_p2,
     emit_csv,
     emit_dot,
     emit_json,
     report_to_dict,
 )
-from dpdfg.risk import UNBOUNDED, delta_from_epsilon_freq, delta_from_epsilon_time, epsilon_freq
+from dpdfg.bench import SyntheticLogSpec, generate_log
+from dpdfg.risk import (
+    UNBOUNDED,
+    delta_from_epsilon_freq,
+    delta_from_epsilon_time,
+    empirical_prior,
+    epsilon_freq,
+    worst_case_delta_time,
+)
 from dpdfg.dfg import Dfg
 
 MAX = AggregationKind.MAX
@@ -53,7 +60,7 @@ def by_key(report):
 
 
 def test_p1_frequency_clinic(clinic_dfg):
-    annotated, report = disclose_p1(clinic_dfg, p1(FREQ, 0.4))
+    annotated, report = disclose(clinic_dfg, p1(FREQ, 0.4))
     assert len(report.edges) == 8
     for edge in report.edges:
         assert edge.epsilon == pytest.approx(1.695, abs=1e-3)
@@ -68,7 +75,7 @@ def test_p1_frequency_clinic(clinic_dfg):
 
 
 def test_p1_max_clinic_worked_example(clinic_dfg):
-    annotated, report = disclose_p1(clinic_dfg, p1(MAX, 0.4, precision=0.1))
+    annotated, report = disclose(clinic_dfg, p1(MAX, 0.4, precision=0.1))
     edges = by_key(report)
     assert set(edges) == {("A", "B"), ("A", "C"), ("A", "D"), ("B", "C"), ("C", "D")}
     assert report.time_unit == "h"
@@ -97,14 +104,14 @@ def test_p1_max_clinic_worked_example(clinic_dfg):
 
 def test_p1_risk_soundness_all_aggregations(clinic_dfg):
     for kind in AggregationKind:
-        _, report = disclose_p1(clinic_dfg, p1(kind, 0.25, precision=0.1))
+        _, report = disclose(clinic_dfg, p1(kind, 0.25, precision=0.1))
         for edge in report.edges:
             assert edge.edge_delta <= 0.25 + 1e-9
         assert report.overall_delta <= 0.25 + 1e-9
 
 
 def test_p2_max_clinic_worked_example(clinic_dfg):
-    _, report = disclose_p2(clinic_dfg, p2(MAX, 0.3, precision=0.1))
+    _, report = disclose(clinic_dfg, p2(MAX, 0.3, precision=0.1))
     edges = by_key(report)
     ac = edges[("A", "C")]
     assert ac.true_value * 0.3 == pytest.approx(4.5)
@@ -121,7 +128,7 @@ def test_p2_max_clinic_worked_example(clinic_dfg):
 
 
 def test_p2_frequency_clinic_worked_example(clinic_dfg):
-    _, report = disclose_p2(clinic_dfg, p2(FREQ, 0.3))
+    _, report = disclose(clinic_dfg, p2(FREQ, 0.3))
     edges = by_key(report)
     ac = edges[("A", "C")]
     assert ac.epsilon == pytest.approx(3.329, abs=1e-3)
@@ -132,7 +139,7 @@ def test_p2_frequency_clinic_worked_example(clinic_dfg):
 
 
 def test_p2_average_uses_reduced_sensitivity(clinic_dfg):
-    _, report = disclose_p2(clinic_dfg, p2(AggregationKind.AVG, 0.3, precision=0.1))
+    _, report = disclose(clinic_dfg, p2(AggregationKind.AVG, 0.3, precision=0.1))
     cd = by_key(report)[("C", "D")]
     avg = sum((0.2, 0.25, 0.4, 1.5, 2.6, 3.65, 4.7, 6.0)) / 8
     assert cd.true_value == pytest.approx(avg)
@@ -141,7 +148,7 @@ def test_p2_average_uses_reduced_sensitivity(clinic_dfg):
 
 
 def test_p1_vacuous_risk_limit(clinic_dfg):
-    _, report = disclose_p1(clinic_dfg, p1(MAX, 0.99, precision=0.1))
+    _, report = disclose(clinic_dfg, p1(MAX, 0.99, precision=0.1))
     for edge in report.edges:
         if edge.degenerate:
             assert edge.epsilon != UNBOUNDED
@@ -157,7 +164,7 @@ def test_released_time_weights_respect_floor(clinic_dfg):
     # delta=0.05 forces large noise; negative draws must clamp at the floor
     floors = 0
     for seed in range(12):
-        _, report = disclose_p1(clinic_dfg, p1(MAX, 0.05, precision=0.1, seed=seed))
+        _, report = disclose(clinic_dfg, p1(MAX, 0.05, precision=0.1, seed=seed))
         for e in report.edges:
             assert e.released_value >= 1e-3
             floors += e.released_value == 1e-3
@@ -165,8 +172,8 @@ def test_released_time_weights_respect_floor(clinic_dfg):
 
 
 def test_runs_change_only_realized_noise(clinic_dfg):
-    _, one = disclose_p1(clinic_dfg, p1(FREQ, 0.4, runs=1, seed=77))
-    _, ten = disclose_p1(clinic_dfg, p1(FREQ, 0.4, runs=10, seed=77))
+    _, one = disclose(clinic_dfg, p1(FREQ, 0.4, runs=1, seed=77))
+    _, ten = disclose(clinic_dfg, p1(FREQ, 0.4, runs=10, seed=77))
     for a, b in zip(one.edges, ten.edges):
         assert a.epsilon == b.epsilon
         assert a.edge_delta == b.edge_delta
@@ -178,9 +185,9 @@ def test_runs_change_only_realized_noise(clinic_dfg):
 
 def test_determinism_same_seed_and_threads(clinic_dfg):
     request = p1(MAX, 0.4, precision=0.1, seed=123, runs=3)
-    _, a = disclose_p1(clinic_dfg, request)
-    _, b = disclose_p1(clinic_dfg, request)
-    _, c = disclose_p1(clinic_dfg, request, threads=8)
+    _, a = disclose(clinic_dfg, request)
+    _, b = disclose(clinic_dfg, request)
+    _, c = disclose(clinic_dfg, request, threads=8)
     assert a == b == c
     assert emit_json(a) == emit_json(b) == emit_json(c)
 
@@ -192,10 +199,10 @@ def test_precision_has_one_value_in_p1(clinic_dfg):
         DisclosureRequest(mode=Mode.P1, aggregation=MAX, risk=RiskParams(0.4, 0.5), precision=0.1)
     unset = DisclosureRequest(mode=Mode.P1, aggregation=MAX, risk=RiskParams(0.4, 0.1))
     assert unset.precision == 0.1
-    _, report = disclose_p1(clinic_dfg, unset)
+    _, report = disclose(clinic_dfg, unset)
     assert report.parameters["precision"] == 0.1
     assert report.median_epsilon == pytest.approx(EPS_TIME_AC, rel=1e-12)
-    _, matching = disclose_p1(clinic_dfg, p1(MAX, 0.4, precision=0.1))
+    _, matching = disclose(clinic_dfg, p1(MAX, 0.4, precision=0.1))
     assert emit_json(matching) == emit_json(report)
 
 
@@ -205,13 +212,13 @@ def test_precision_defaults_in_p2():
 
 
 def test_different_seeds_differ(clinic_dfg):
-    _, a = disclose_p1(clinic_dfg, p1(FREQ, 0.4, seed=1))
-    _, b = disclose_p1(clinic_dfg, p1(FREQ, 0.4, seed=2))
+    _, a = disclose(clinic_dfg, p1(FREQ, 0.4, seed=1))
+    _, b = disclose(clinic_dfg, p1(FREQ, 0.4, seed=2))
     assert [e.noisy_value for e in a.edges] != [e.noisy_value for e in b.edges]
 
 
 def test_include_boundary_time_constant_release(clinic_dfg):
-    _, report = disclose_p1(
+    _, report = disclose(
         clinic_dfg, p1(MAX, 0.4, precision=0.1, include_boundary_time=True)
     )
     edges = by_key(report)
@@ -224,25 +231,23 @@ def test_include_boundary_time_constant_release(clinic_dfg):
     assert start.edge_delta == 0.0
     assert start.ape is None
     # real edges are calibrated exactly as without the flag
-    _, plain = disclose_p1(clinic_dfg, p1(MAX, 0.4, precision=0.1))
+    _, plain = disclose(clinic_dfg, p1(MAX, 0.4, precision=0.1))
     for key, edge in by_key(plain).items():
         assert edges[key] == edge
 
 
 def test_time_unit_override(clinic_dfg):
-    _, report = disclose_p1(clinic_dfg, p1(MAX, 0.4, precision=0.1, time_unit="min"))
+    _, report = disclose(clinic_dfg, p1(MAX, 0.4, precision=0.1, time_unit="min"))
     assert report.time_unit == "min"
     assert by_key(report)[("A", "C")].true_value == pytest.approx(900.0)
 
 
 def test_empty_dfg_rejected():
     with pytest.raises(ValueError, match="empty"):
-        disclose_p1(Dfg(frozenset(), {}, "ns"), p1(FREQ, 0.4))
+        disclose(Dfg(frozenset(), {}, "ns"), p1(FREQ, 0.4))
 
 
-def test_mode_mismatch_rejected(clinic_dfg):
-    with pytest.raises(ValueError):
-        disclose_p2(clinic_dfg, p1(FREQ, 0.4))
+def test_mode_mismatch_rejected():
     with pytest.raises(ValueError):
         DisclosureRequest(mode=Mode.P1, aggregation=FREQ)
     with pytest.raises(ValueError):
@@ -255,7 +260,7 @@ def test_p2_utility_soundness_tail():
     log = parse_csv("case,activity,timestamp\nt,A,0\nt,B,5\n")
     dfg = build_dfg(log)
     runs = 1000
-    _, report = disclose_p2(dfg, p2(MAX, 0.3, precision=0.1, runs=runs, seed=3131))
+    _, report = disclose(dfg, p2(MAX, 0.3, precision=0.1, runs=runs, seed=3131))
     assert len(report.edges) == 1
     exceed = sum(1 for a in report.run_mapes if a > 0.3) / runs
     bound = 3.0 * math.sqrt(0.05 * 0.95 / runs)
@@ -263,7 +268,7 @@ def test_p2_utility_soundness_tail():
 
 
 def test_emit_csv_shape(clinic_dfg):
-    _, report = disclose_p2(clinic_dfg, p2(MAX, 0.3, precision=0.1))
+    _, report = disclose(clinic_dfg, p2(MAX, 0.3, precision=0.1))
     lines = emit_csv(report).strip().split("\n")
     assert lines[0] == "source,target,true,epsilon,released,ape,delta"
     assert len(lines) == 1 + len(report.edges)
@@ -272,7 +277,7 @@ def test_emit_csv_shape(clinic_dfg):
 
 
 def test_emit_json_round_trip(clinic_dfg):
-    _, report = disclose_p1(clinic_dfg, p1(MAX, 0.99, precision=0.1))
+    _, report = disclose(clinic_dfg, p1(MAX, 0.99, precision=0.1))
     payload = emit_json(report)
     assert json.loads(payload) == report_to_dict(report)
     parsed = json.loads(payload)
@@ -296,7 +301,7 @@ DOT_GRAPH = (
 
 
 def test_emit_dot_parses_under_independent_grammar(clinic_dfg):
-    annotated, report = disclose_p1(clinic_dfg, p1(MAX, 0.4, precision=0.1))
+    annotated, report = disclose(clinic_dfg, p1(MAX, 0.4, precision=0.1))
     text = emit_dot(annotated, report)
     parsed = DOT_GRAPH.parse_string(text, parse_all=True)
     node_names = {n[0] for n in parsed.nodes}
@@ -306,7 +311,7 @@ def test_emit_dot_parses_under_independent_grammar(clinic_dfg):
 
 
 def test_emit_dot_debug_annotations(clinic_dfg):
-    annotated, report = disclose_p1(clinic_dfg, p1(FREQ, 0.4))
+    annotated, report = disclose(clinic_dfg, p1(FREQ, 0.4))
     text = emit_dot(annotated, report, annotate_debug=True)
     DOT_GRAPH.parse_string(text, parse_all=True)
     # annotations are separated by single-backslash DOT line breaks
@@ -317,7 +322,7 @@ def test_emit_dot_debug_annotations(clinic_dfg):
 def test_emit_dot_escapes_label_characters():
     log = parse_csv('case,activity,timestamp\nt,"say ""hi""",1\nt,B,2\n')
     dfg = build_dfg(log)
-    annotated, report = disclose_p1(dfg, p1(FREQ, 0.4))
+    annotated, report = disclose(dfg, p1(FREQ, 0.4))
     text = emit_dot(annotated, report)
     parsed = DOT_GRAPH.parse_string(text, parse_all=True)
     assert 'say "hi"' in {n[0] for n in parsed.nodes}
@@ -327,3 +332,35 @@ def test_disclose_dispatches_on_mode(clinic_dfg):
     _, a = disclose(clinic_dfg, p1(FREQ, 0.4))
     _, b = disclose(clinic_dfg, p2(FREQ, 0.3))
     assert a.mode == "P1" and b.mode == "P2"
+
+
+def test_p2_edge_delta_equals_the_prior_oracle():
+    # P2 reports the advantage its epsilon leaves; recompute it occurrence by
+    # occurrence from empirical_prior, as C9 does for P1.
+    rng = random.Random(20240917)
+    checked = degenerate = 0
+    for i in range(30):
+        spec = SyntheticLogSpec(
+            trace_count=rng.randint(3, 40),
+            n_activities=rng.randint(2, 6),
+            n_variants=rng.choice([None, 1, 3, 6]),
+            duration_log_sigma=rng.uniform(0.3, 1.5),
+            min_trace_len=2,
+            max_trace_len=6,
+        )
+        dfg = build_dfg(generate_log(spec, seed=i))
+        for kind in (k for k in AggregationKind if k.is_time):
+            for precision in (0.1, 0.5):
+                annotated, report = disclose(dfg, p2(kind, rng.uniform(0.05, 1.5), precision, seed=i))
+                for e in report.edges:
+                    durations = annotated.dfg.edges[(e.source, e.target)].durations
+                    r = max(durations)
+                    if len(durations) == 1 or r <= 0.0:
+                        expected = worst_case_delta_time(e.epsilon, r if r > 0.0 else 1.0)
+                        degenerate += 1
+                    else:
+                        priors = [empirical_prior(durations, t, precision, r) for t in durations]
+                        expected = max([0.0, *(delta_from_epsilon_time(p, e.epsilon, r) for p in priors if p < 1.0)])
+                    assert e.edge_delta == expected, (i, kind, precision, e)
+                    checked += 1
+    assert 0 < degenerate < checked

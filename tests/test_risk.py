@@ -17,6 +17,7 @@ from dpdfg.risk import (
     epsilon_freq,
     epsilon_from_delta,
     posterior_bound,
+    time_priors,
     worst_case_delta_time,
     worst_case_prior,
 )
@@ -107,7 +108,7 @@ def test_edge_priors_at_ten_thousand_occurrences():
         assert priors[i] == empirical_prior(durations, durations[i], 0.1, r)
     result = edge_epsilon_time(DfgEdge("A", "B", durations), RiskParams(0.4, 0.1))
     assert result.priors == priors
-    assert result.epsilon == min(result.per_occurrence)
+    assert result.epsilon == min(epsilon_from_delta(p, 0.4, r) for p in priors)
     assert result.r == r
 
 
@@ -135,7 +136,7 @@ def test_epsilon_from_delta_domain():
 def test_edge_epsilon_time_clinic_ac():
     result = edge_epsilon_time(AC, RiskParams(0.4, 0.1))
     assert result.priors == pytest.approx((1 / 3, 1 / 3, 1 / 3))
-    assert result.per_occurrence == pytest.approx((EPS_TIME_AC,) * 3)
+    assert [epsilon_from_delta(p, 0.4, result.r) for p in result.priors] == pytest.approx([EPS_TIME_AC] * 3)
     assert result.epsilon == pytest.approx(0.114, abs=1e-3)
     assert not result.degenerate
 
@@ -143,7 +144,7 @@ def test_edge_epsilon_time_clinic_ac():
 def test_edge_epsilon_time_is_min_over_occurrences():
     edge = DfgEdge("C", "D", (0.2, 0.25, 0.4, 1.5, 2.6, 3.65, 4.7, 6.0))
     result = edge_epsilon_time(edge, RiskParams(0.4, 0.1))
-    assert result.epsilon == min(result.per_occurrence)
+    assert result.epsilon == min(epsilon_from_delta(p, 0.4, result.r) for p in result.priors)
 
 
 def test_edge_epsilon_time_single_occurrence_falls_back():
@@ -162,7 +163,7 @@ def test_edge_epsilon_time_zero_range_falls_back():
 
 def test_edge_epsilon_time_vacuous_delta_unbounded():
     result = edge_epsilon_time(AC, RiskParams(0.99, 0.1))
-    assert all(e == UNBOUNDED for e in result.per_occurrence)
+    assert all(epsilon_from_delta(p, 0.99, result.r) == UNBOUNDED for p in result.priors)
     assert result.epsilon == UNBOUNDED
 
 
@@ -312,3 +313,11 @@ def test_edge_epsilon_time_kind_range():
     eps_max = edge_epsilon_time(AC, RiskParams(0.4, 0.1), AggregationKind.MAX)
     eps_sum = edge_epsilon_time(AC, RiskParams(0.4, 0.1), AggregationKind.SUM)
     assert eps_max.epsilon == eps_sum.epsilon  # range is the max duration either way
+
+
+def test_time_priors_range_and_degenerate_fallback():
+    assert time_priors(AC, AggregationKind.SUM, 0.1) == (15.0, edge_priors(AC.durations, 0.1, 15.0))
+    # Degenerate edges get no priors; a zero range is calibrated as range 1.
+    assert time_priors(DfgEdge("A", "D", (7.0,)), AggregationKind.MAX, 0.1) == (7.0, None)
+    assert time_priors(DfgEdge("X", "Y", (0.0, 0.0)), AggregationKind.MIN, 0.1) == (1.0, None)
+    assert edge_epsilon_time(DfgEdge("X", "Y", (0.0, 0.0)), RiskParams(0.4, 0.1)).r == 1.0

@@ -12,9 +12,9 @@ from .eventlog import (
     EventLog,
     IngestError,
     START_END,
-    Trace,
     parse_csv,
     parse_xes,
+    read_log,
     to_canonical_csv,
 )
 from .noise import DEFAULT_SEED, NoiseStream, sample_laplace, sensitivity

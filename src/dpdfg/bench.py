@@ -12,7 +12,7 @@ from statistics import median
 import numpy as np
 
 from .dfg import AggregationKind, Dfg, build_dfg, ordered_sum
-from .eventlog import NS_PER_UNIT, Event, EventLog, Trace, parse_csv, parse_xes
+from .eventlog import NS_PER_UNIT, Event, EventLog, read_log
 from .noise import DEFAULT_SEED
 from .pipeline import DisclosureRequest, Mode, disclose, show_epsilon
 from .risk import RiskParams
@@ -101,16 +101,15 @@ def synthesize(spec: SyntheticLogSpec, seed: int) -> tuple[EventLog, GenerationS
         assignment = [int(v) for v in rng.choice(spec.n_variants, size=spec.trace_count, p=weights)]
 
     stats = GenerationStats(variant_of_trace=assignment)
-    traces: dict[str, Trace] = {}
+    traces: dict[str, tuple[Event, ...]] = {}
     hour_ns = NS_PER_UNIT["h"]
     for idx, variant_idx in enumerate(assignment):
         sequence = variants[variant_idx]
-        case_id = f"c{idx:05d}"
         # One case starts per day, which keeps about 100,000 cases inside
         # int64 nanoseconds. Cases may overlap in time; a DFG only sees the
         # gaps within a case.
         start_ns = idx * NS_PER_UNIT["d"]
-        events = [Event(case_id, sequence[0], start_ns)]
+        events = [Event(sequence[0], start_ns)]
         now = start_ns
         for prev, cur in zip(sequence, sequence[1:]):
             gap_h = float(rng.lognormal(spec.duration_log_mean, spec.duration_log_sigma))
@@ -119,8 +118,8 @@ def synthesize(spec: SyntheticLogSpec, seed: int) -> tuple[EventLog, GenerationS
                 key = (prev, cur)
                 stats.outlier_edges[key] = stats.outlier_edges.get(key, 0) + 1
             now += round(gap_h * hour_ns)
-            events.append(Event(case_id, cur, now))
-        traces[case_id] = Trace(case_id, tuple(events))
+            events.append(Event(cur, now))
+        traces[f"c{idx:05d}"] = tuple(events)
     return EventLog(traces), stats
 
 
@@ -166,10 +165,7 @@ class LogSource:
 
     def load(self, default_seed: int) -> EventLog:
         if self.path is not None:
-            data = Path(self.path).read_bytes()
-            if self.path.lower().endswith(".xes"):
-                return parse_xes(data)
-            return parse_csv(data)
+            return read_log(self.path)
         assert self.synthetic is not None
         seed = self.gen_seed if self.gen_seed is not None else default_seed
         return generate_log(self.synthetic, seed)
@@ -223,9 +219,7 @@ class SweepSpec:
         if not isinstance(config, dict) or not isinstance(config.get("logs"), list):
             raise ValueError("sweep config must be an object with a 'logs' list")
         _check_keys("sweep config", config, {f.name for f in fields(cls) if f.init})
-        for key, kind in (("deltas", list), ("mapes", list), ("aggregations", list), ("include_boundary_time", bool)):
-            if not isinstance(config.get(key, kind()), kind):
-                raise TypeError(f"sweep config {key!r} must be a {kind.__name__}, got {config[key]!r}")
+        _check_types("sweep config", config, _CONFIG_TYPES)
         kwargs = {key: value for key, value in config.items() if key != "logs"}
         for key in ("deltas", "mapes"):
             if key in kwargs:
@@ -241,12 +235,34 @@ _LOG_KEYS = {
     "path": {"path", "name"},
     "synthetic": {"synthetic", "name", "gen_seed"},
 }
+# The type of each config and log entry value that the sweep's classes do
+# not check themselves; [kind] is a list of kind, and a bool is no number.
+_NUMBER = (int, float)
+_TYPE_NAMES = {list: "a list", bool: "a bool", str: "a string", int: "an integer", dict: "an object", _NUMBER: "a number"}
+_CONFIG_TYPES = {"deltas": [_NUMBER], "mapes": [_NUMBER], "aggregations": [str], "include_boundary_time": bool,
+                 "precision": _NUMBER, "beta": _NUMBER}
+_LOG_TYPES = {"profile": str, "path": str, "synthetic": dict, "name": str, "traces": int, "gen_seed": int}
 
 
 def _check_keys(what: str, entry: dict, known: set[str]) -> None:
     unknown = sorted(set(entry) - known)
     if unknown:
         raise ValueError(f"{what}: unknown key {', '.join(map(repr, unknown))}; expected {', '.join(sorted(known))}")
+
+
+def _check_type(what: str, value, kind) -> None:
+    if isinstance(kind, list):
+        _check_type(what, value, list)
+        for item in value:
+            _check_type(f"{what} item", item, kind[0])
+    elif not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+        raise TypeError(f"{what} must be {_TYPE_NAMES[kind]}, got {value!r}")
+
+
+def _check_types(what: str, entry: dict, types: dict) -> None:
+    for key, kind in types.items():
+        if key in entry:
+            _check_type(f"{what} {key!r}", entry[key], kind)
 
 
 def _log_source(i: int, entry) -> LogSource:
@@ -258,6 +274,7 @@ def _log_source(i: int, entry) -> LogSource:
         raise ValueError(f"sweep log {i} must be a path or an object with a 'profile', 'path' or 'synthetic' key")
     kind = next(k for k in _LOG_KEYS if k in entry)
     _check_keys(f"sweep log {i}", entry, _LOG_KEYS[kind])
+    _check_types(f"sweep log {i}", entry, _LOG_TYPES)
     if kind == "path":
         return LogSource(name=entry.get("name", Path(entry["path"]).stem), path=entry["path"])
     if kind == "profile":

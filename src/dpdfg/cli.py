@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .dfg import AggregationKind, aggregate, build_dfg, choose_time_unit, convert_unit
-from .eventlog import NS_PER_UNIT, ColumnMapping, IngestError, parse_csv, parse_xes
+from .eventlog import NS_PER_UNIT, ColumnMapping, IngestError, read_log
 from .noise import DEFAULT_SEED, SEED_ENV_VAR
 from .pipeline import (
     DisclosureRequest,
@@ -46,12 +46,7 @@ def _env_seed() -> int:
         raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
-def _load_log(path: str, fmt: str, args):
-    source = Path(path).read_bytes()
-    if fmt == "auto":
-        fmt = "xes" if path.lower().endswith(".xes") else "csv"
-    if fmt == "xes":
-        return parse_xes(source)
+def _load_log(args):
     mapping = ColumnMapping(
         case_col=args.case_col,
         activity_col=args.activity_col,
@@ -59,7 +54,7 @@ def _load_log(path: str, fmt: str, args):
         timestamp_format=args.timestamp_format,
         number_unit=args.timestamp_unit,
     )
-    return parse_csv(source, mapping)
+    return read_log(args.input, args.input_format, mapping)
 
 
 def _add_input_flags(parser: argparse.ArgumentParser) -> None:
@@ -128,7 +123,7 @@ def _run_anonymize(args, parser) -> int:
             include_boundary_time=args.include_boundary_time,
             time_unit=args.time_unit,
         )
-        log = _load_log(args.input, args.input_format, args)
+        log = _load_log(args)
         dfg = build_dfg(log)
         annotated, report = disclose(dfg, request)
     except (IngestError, ValueError, OSError) as exc:
@@ -177,7 +172,7 @@ def _run_sweep(args) -> int:
 def _run_inspect(args) -> int:
     try:
         kind = AggregationKind.parse(args.agg)
-        log = _load_log(args.input, args.input_format, args)
+        log = _load_log(args)
         dfg = build_dfg(log)
     except (IngestError, ValueError, OSError) as exc:
         print(f"dpdfg: error: {exc}", file=sys.stderr)

@@ -88,7 +88,7 @@ def build_dfg(log: EventLog) -> Dfg:
     lookup = occurrences.get
     traces = log.traces
     for case_id in sorted(traces):
-        events = traces[case_id].events
+        events = traces[case_id]
         if not events:
             continue
         # The first event pairs with the virtual start at a zero gap.

@@ -10,9 +10,11 @@ import io
 import math
 import operator
 import xml.etree.ElementTree as ET
+from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
+from pathlib import Path
 
 START_END = "--"
 
@@ -40,27 +42,22 @@ class IngestError(Exception):
 
 @dataclass(frozen=True)
 class Event:
-    case_id: str
     activity: str
     timestamp_ns: int
     extra_attrs: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
-class Trace:
-    case_id: str
-    events: tuple[Event, ...]
-
-
-@dataclass(frozen=True)
 class EventLog:
-    traces: dict[str, Trace]
+    """Case id -> its events in time order; cases in first-appearance order."""
+
+    traces: dict[str, tuple[Event, ...]]
 
     def __len__(self) -> int:
         return len(self.traces)
 
     def event_count(self) -> int:
-        return sum(len(t.events) for t in self.traces.values())
+        return sum(map(len, self.traces.values()))
 
 
 @dataclass(frozen=True)
@@ -140,20 +137,9 @@ def _validate_activity(activity: str, where: str) -> str:
     return activity
 
 
-def _assemble(rows: list[Event]) -> EventLog:
-    by_case: dict[str, list[Event]] = {}
-    for ev in rows:
-        events = by_case.get(ev.case_id)
-        if events is None:
-            by_case[ev.case_id] = [ev]
-        else:
-            events.append(ev)
+def _sorted_log(by_case: dict[str, list[Event]]) -> EventLog:
     # sorted() is stable: equal timestamps keep their input order.
-    traces = {
-        case_id: Trace(case_id, tuple(sorted(events, key=_BY_TIME)))
-        for case_id, events in by_case.items()
-    }
-    return EventLog(traces)
+    return EventLog({case_id: tuple(sorted(events, key=_BY_TIME)) for case_id, events in by_case.items()})
 
 
 def _as_text(source) -> io.StringIO:
@@ -188,8 +174,7 @@ def parse_csv(source, mapping: ColumnMapping | None = None) -> EventLog:
     width = len(header)
     fmt, unit = mapping.timestamp_format, mapping.number_unit
 
-    events: list[Event] = []
-    append = events.append
+    by_case: defaultdict[str, list[Event]] = defaultdict(list)
     row_no = 1
     for row in rows:
         if not row:
@@ -211,8 +196,8 @@ def parse_csv(source, mapping: ColumnMapping | None = None) -> EventLog:
         except IngestError as exc:
             raise IngestError(f"row {row_no}: {exc}") from None
         extras = {name: row[i] for name, i in extra_cols if row[i]} if extra_cols else {}
-        append(Event(case_id, activity, ts, extras))
-    return _assemble(events)
+        by_case[case_id].append(Event(activity, ts, extras))
+    return _sorted_log(by_case)
 
 
 def parse_csv_reference(source, mapping: ColumnMapping | None = None) -> EventLog:
@@ -229,7 +214,7 @@ def parse_csv_reference(source, mapping: ColumnMapping | None = None) -> EventLo
             raise IngestError(f"row 1: missing mapped column {col!r}")
     extra_cols = [c for c in header if c not in (mapping.case_col, mapping.activity_col, mapping.timestamp_col)]
 
-    events: list[Event] = []
+    by_case: defaultdict[str, list[Event]] = defaultdict(list)
     for row_no, row in enumerate(reader, start=2):
         where = f"row {row_no}"
         case_id = (row.get(mapping.case_col) or "").strip()
@@ -244,12 +229,13 @@ def parse_csv_reference(source, mapping: ColumnMapping | None = None) -> EventLo
         except IngestError as exc:
             raise IngestError(f"{where}: {exc}") from None
         extras = {c: row[c] for c in extra_cols if c in row and row[c] not in (None, "")}
-        events.append(Event(case_id, activity, ts, extras))
-    return _assemble(events)
+        by_case[case_id].append(Event(activity, ts, extras))
+    return _sorted_log(by_case)
 
 
-def _local(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
+def _children(elem: ET.Element, tag: str):
+    """The children of ``elem`` named ``tag``, in any namespace."""
+    return (child for child in elem if child.tag.rsplit("}", 1)[-1] == tag)
 
 
 def parse_xes(source) -> EventLog:
@@ -265,24 +251,15 @@ def parse_xes(source) -> EventLog:
     except ET.ParseError as exc:
         raise IngestError(f"malformed XES document: {exc}") from None
 
-    events: list[Event] = []
-    trace_no = 0
-    for elem in root:
-        if _local(elem.tag) != "trace":
-            continue
-        trace_no += 1
-        case_id = None
-        for child in elem:
-            if _local(child.tag) == "string" and child.get("key") == "concept:name":
-                case_id = (child.get("value") or "").strip()
-                break
+    # Traces that share a concept:name merge; a trace without events adds no case.
+    by_case: defaultdict[str, list[Event]] = defaultdict(list)
+    for trace_no, elem in enumerate(_children(root, "trace"), start=1):
+        case_id = next(
+            (c.get("value") or "" for c in _children(elem, "string") if c.get("key") == "concept:name"), ""
+        ).strip()
         if not case_id:
             raise IngestError(f"trace {trace_no}: missing concept:name")
-        event_no = 0
-        for ev_elem in elem:
-            if _local(ev_elem.tag) != "event":
-                continue
-            event_no += 1
+        for event_no, ev_elem in enumerate(_children(elem, "event"), start=1):
             where = f"trace {trace_no}, event {event_no}"
             activity = None
             ts = None
@@ -306,8 +283,17 @@ def parse_xes(source) -> EventLog:
             if ts is None:
                 raise IngestError(f"{where}: missing timestamp")
             _validate_activity(activity, where)
-            events.append(Event(case_id, activity, ts, extras))
-    return _assemble(events)
+            by_case[case_id].append(Event(activity, ts, extras))
+    return _sorted_log(by_case)
+
+
+def read_log(path, fmt: str = "auto", mapping: ColumnMapping | None = None) -> EventLog:
+    """The log at ``path``: XES if ``fmt`` is ``xes``, or ``auto`` and the
+    name ends in ``.xes``; else CSV read with ``mapping``."""
+    data = Path(path).read_bytes()
+    if fmt == "xes" or (fmt == "auto" and str(path).lower().endswith(".xes")):
+        return parse_xes(data)
+    return parse_csv(data, mapping)
 
 
 def to_canonical_csv(log: EventLog) -> str:
@@ -318,7 +304,7 @@ def to_canonical_csv(log: EventLog) -> str:
     back in its place, so it raises ``ValueError``.
     """
     header = ["case", "activity", "timestamp"]
-    extra_keys = sorted({k for t in log.traces.values() for e in t.events for k in e.extra_attrs})
+    extra_keys = sorted({k for events in log.traces.values() for e in events for k in e.extra_attrs})
     for key in header:
         if key in extra_keys:
             raise ValueError(f"extra attribute {key!r} collides with the canonical {key!r} column")
@@ -326,9 +312,9 @@ def to_canonical_csv(log: EventLog) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header + extra_keys)
     for case_id in sorted(log.traces):
-        for ev in log.traces[case_id].events:
+        for ev in log.traces[case_id]:
             writer.writerow(
-                [ev.case_id, ev.activity, str(ev.timestamp_ns)]
+                [case_id, ev.activity, str(ev.timestamp_ns)]
                 + [ev.extra_attrs.get(k, "") for k in extra_keys]
             )
     return out.getvalue()

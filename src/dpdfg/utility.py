@@ -12,7 +12,7 @@ from .dfg import ordered_sum
 
 @dataclass(frozen=True)
 class UtilityParams:
-    """mape_target: tolerated absolute percentage error per edge (> 0).
+    """mape_target: tolerated absolute percentage error per edge (finite, > 0).
     beta: probability that the injected noise exceeds the tolerance alpha.
     """
 
@@ -20,8 +20,8 @@ class UtilityParams:
     beta: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.mape_target <= 0.0:
-            raise ValueError(f"mape_target must be positive, got {self.mape_target}")
+        if not 0.0 < self.mape_target < math.inf:
+            raise ValueError(f"mape_target must be positive and finite, got {self.mape_target}")
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must be in (0,1), got {self.beta}")
 

@@ -195,6 +195,12 @@ def test_sweep_spec_rejects_bad_config_before_any_log_loads():
         SweepSpec.from_dict({"logs": [{"profile": "skewed", "traces": "5"}]})
 
 
+def test_sweep_spec_rejects_non_finite_error_targets():
+    for target in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"^mape_target must be positive and finite, got {target}$"):
+            SweepSpec.from_dict({"logs": ["does/not/exist.csv"], "mapes": [target]})
+
+
 def test_sweep_spec_rejects_duplicate_log_names():
     with pytest.raises(ValueError, match="unique, repeated: log$"):
         SweepSpec.from_dict({"logs": ["a/log.csv", "b/log.csv", {"profile": "simple"}]})

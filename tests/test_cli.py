@@ -78,6 +78,15 @@ def test_anonymize_bad_column_is_data_error(tmp_path, capsys):
     assert "missing mapped column" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["nan", "inf"])
+def test_anonymize_non_finite_error_target_is_data_error(clinic_path, capsys, target):
+    code = main(["anonymize", "--input", str(clinic_path), "--agg", "max", "--mape", target])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"dpdfg: error: mape_target must be positive and finite, got {target}\n"
+
+
 def test_cli_determinism_across_runs_and_threads(clinic_path, tmp_path):
     outputs = []
     for threads, name in ((1, "a.json"), (1, "b.json"), (8, "c.json")):
@@ -182,7 +191,7 @@ def test_cli_sweep_rejects_duplicate_log_names(clinic_path, tmp_path, capsys):
     [
         ({"deltas": [1.5]}, "delta must be in (0,1), got 1.5"),
         ({"deltas": 0.4}, "'deltas' must be a list, got 0.4"),
-        ({"logs": [{"profile": "skewed", "traces": "5"}]}, "not supported between instances of 'str' and 'int'"),
+        ({"logs": [{"profile": "skewed", "traces": "5"}]}, "sweep log 0 'traces' must be an integer, got '5'"),
         ({"logs": "ab.csv"}, "sweep config must be an object with a 'logs' list"),
         (["clinic.csv"], "sweep config must be an object with a 'logs' list"),
         ({"aggregations": "max"}, "'aggregations' must be a list, got 'max'"),
@@ -192,6 +201,15 @@ def test_cli_sweep_rejects_duplicate_log_names(clinic_path, tmp_path, capsys):
         ({"delta": [0.4]}, "sweep config: unknown key 'delta'"),
         ({"logs": [{"profile": "unique", "trace": 5}]}, "sweep log 0: unknown key 'trace'"),
         ({"include_boundary_time": "no"}, "'include_boundary_time' must be a bool, got 'no'"),
+        ({"deltas": ["0.4"]}, "sweep config 'deltas' item must be a number, got '0.4'"),
+        ({"mapes": [True]}, "sweep config 'mapes' item must be a number, got True"),
+        ({"aggregations": [5]}, "sweep config 'aggregations' item must be a string, got 5"),
+        ({"precision": "0.5"}, "sweep config 'precision' must be a number, got '0.5'"),
+        ({"logs": [{"path": 5}]}, "sweep log 0 'path' must be a string, got 5"),
+        ({"logs": [{"profile": "skewed", "gen_seed": "x"}]}, "sweep log 0 'gen_seed' must be an integer, got 'x'"),
+        ({"logs": [{"profile": "skewed", "traces": True}]}, "sweep log 0 'traces' must be an integer, got True"),
+        ({"mapes": [float("nan")]}, "mape_target must be positive and finite, got nan"),
+        ({"mapes": [float("inf")]}, "mape_target must be positive and finite, got inf"),
     ],
 )
 def test_cli_sweep_bad_config_is_data_error(clinic_path, tmp_path, capsys, config, message):

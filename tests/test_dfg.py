@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from dpdfg import START_END, AggregationKind, build_dfg, parse_csv
 from dpdfg.dfg import aggregate, choose_time_unit, convert_unit, edge_range, filter_for_disclosure
-from dpdfg.eventlog import NS_PER_UNIT, Event, EventLog, Trace
+from dpdfg.eventlog import NS_PER_UNIT, Event, EventLog
 
 F = AggregationKind.FREQUENCY
 
@@ -32,9 +32,8 @@ def test_build_dfg_single_event_trace():
 
 
 def test_build_dfg_rejects_unsorted_trace():
-    trace = Trace("bad", (Event("bad", "A", 100), Event("bad", "B", 50)))
     with pytest.raises(ValueError, match="bad"):
-        build_dfg(EventLog({"bad": trace}))
+        build_dfg(EventLog({"bad": (Event("A", 100), Event("B", 50))}))
 
 
 def _dfg_by_definition(log: EventLog):
@@ -42,7 +41,7 @@ def _dfg_by_definition(log: EventLog):
     consecutive pair, (last, end), over the traces in case order."""
     occurrences = {}
     for case_id in sorted(log.traces):
-        events = log.traces[case_id].events
+        events = log.traces[case_id]
         if not events:
             continue
         pairs = [(START_END, events[0].activity, 0.0)]
@@ -53,7 +52,7 @@ def _dfg_by_definition(log: EventLog):
         pairs.append((events[-1].activity, START_END, 0.0))
         for src, dst, gap in pairs:
             occurrences.setdefault((src, dst), []).append(gap)
-    activities = frozenset(e.activity for t in log.traces.values() for e in t.events)
+    activities = frozenset(e.activity for events in log.traces.values() for e in events)
     return activities, {key: tuple(gaps) for key, gaps in occurrences.items()}
 
 
@@ -70,7 +69,7 @@ def test_build_dfg_equals_definition(cases):
     traces = {}
     for case_id, (keep_order, rows) in cases.items():
         rows = rows if keep_order else sorted(rows, key=lambda row: row[1])
-        traces[case_id] = Trace(case_id, tuple(Event(case_id, a, ts) for a, ts in rows))
+        traces[case_id] = tuple(Event(a, ts) for a, ts in rows)
     log = EventLog(traces)
     expected = _dfg_by_definition(log)
     if isinstance(expected, str):

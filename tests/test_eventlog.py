@@ -24,7 +24,7 @@ def test_parse_csv_decimal_hours_single_case():
     text = "case,activity,timestamp\nP1,A,1\nP1,B,1.2\nP1,C,2.2\nP1,D,2.4\n"
     log = parse_csv(text)
     assert list(log.traces) == ["P1"]
-    events = log.traces["P1"].events
+    events = log.traces["P1"]
     assert [e.activity for e in events] == ["A", "B", "C", "D"]
     gaps = [b.timestamp_ns - a.timestamp_ns for a, b in zip(events, events[1:])]
     assert gaps == [round(0.2 * HOUR_NS), HOUR_NS, round(0.2 * HOUR_NS)]
@@ -38,13 +38,13 @@ def test_parse_csv_header_only_gives_empty_log():
 def test_parse_csv_sorts_out_of_order_rows():
     text = "case,activity,timestamp\nP9,B,5\nP9,A,2\n"
     log = parse_csv(text)
-    assert [e.activity for e in log.traces["P9"].events] == ["A", "B"]
+    assert [e.activity for e in log.traces["P9"]] == ["A", "B"]
 
 
 def test_parse_csv_keeps_source_order_on_timestamp_ties():
     text = "case,activity,timestamp\nP1,X,3\nP1,Y,3\nP1,Z,3\n"
     log = parse_csv(text)
-    assert [e.activity for e in log.traces["P1"].events] == ["X", "Y", "Z"]
+    assert [e.activity for e in log.traces["P1"]] == ["X", "Y", "Z"]
 
 
 def test_parse_csv_missing_mapped_column():
@@ -71,7 +71,7 @@ def test_parse_csv_rejects_empty_activity():
 def test_parse_csv_preserves_unknown_columns():
     text = "case,activity,timestamp,resource,ward\nP1,A,1,S1,W3\n"
     log = parse_csv(text)
-    event = log.traces["P1"].events[0]
+    event = log.traces["P1"][0]
     assert event.extra_attrs == {"resource": "S1", "ward": "W3"}
 
 
@@ -79,7 +79,7 @@ def test_parse_csv_custom_mapping_and_units():
     text = "pid,step,at\nk1,A,0\nk1,B,90\n"
     mapping = ColumnMapping(case_col="pid", activity_col="step", timestamp_col="at", number_unit="min")
     log = parse_csv(text, mapping)
-    events = log.traces["k1"].events
+    events = log.traces["k1"]
     assert events[1].timestamp_ns - events[0].timestamp_ns == 90 * NS_PER_UNIT["min"]
 
 
@@ -233,8 +233,8 @@ def test_iso_fractions_of_one_to_five_digits(fraction, ns):
     stamp = f"2021-03-01T10:00:00{fraction}Z"
     for fmt in ("auto", "iso"):
         log = parse_csv(f"case,activity,timestamp\nP1,A,{stamp}\n", ColumnMapping(timestamp_format=fmt))
-        assert log.traces["P1"].events[0].timestamp_ns == base + ns
-    assert parse_xes(_xes_one_event(stamp)).traces["t"].events[0].timestamp_ns == base + ns
+        assert log.traces["P1"][0].timestamp_ns == base + ns
+    assert parse_xes(_xes_one_event(stamp)).traces["t"][0].timestamp_ns == base + ns
 
 
 @pytest.mark.parametrize(
@@ -247,14 +247,14 @@ def test_iso_fractions_of_one_to_five_digits(fraction, ns):
 def test_iso_basic_format_and_week_dates(stamp, ns):
     for fmt in ("auto", "iso"):
         log = parse_csv(f"case,activity,timestamp\nP1,A,{stamp}\n", ColumnMapping(timestamp_format=fmt))
-        assert log.traces["P1"].events[0].timestamp_ns == ns
-    assert parse_xes(_xes_one_event(stamp)).traces["t"].events[0].timestamp_ns == ns
+        assert log.traces["P1"][0].timestamp_ns == ns
+    assert parse_xes(_xes_one_event(stamp)).traces["t"][0].timestamp_ns == ns
 
 
 def test_iso_timestamps_outside_int64_ns_are_rejected():
     latest = "2262-04-11T23:47:16.854775Z"
     log = parse_csv(f"case,activity,timestamp\nP1,A,1\nP1,B,{latest}\n")
-    assert log.traces["P1"].events[1].timestamp_ns == 2**63 - 808
+    assert log.traces["P1"][1].timestamp_ns == 2**63 - 808
     assert parse_csv(to_canonical_csv(log), CANONICAL_MAPPING) == log
     assert parse_timestamp_ns("1677-09-21T00:12:43.145225Z", fmt="iso") == -(2**63) + 808
     for outside in ("2262-04-11T23:47:16.854776Z", "2300-01-01T00:00:00Z", "1677-09-21T00:12:43.145224Z"):
@@ -292,7 +292,7 @@ def test_parse_csv_skips_utf8_byte_order_mark(clinic_csv, clinic_log):
 def test_canonical_csv_rejects_attributes_named_like_its_columns():
     # Re-parsed, the attribute column would be read in place of the case id.
     log = parse_csv("id,activity,timestamp,case\nc1,A,1,x\nc1,B,2,y\n", ColumnMapping(case_col="id"))
-    assert log.traces["c1"].events[0].extra_attrs == {"case": "x"}
+    assert log.traces["c1"][0].extra_attrs == {"case": "x"}
     with pytest.raises(ValueError, match="^extra attribute 'case' collides"):
         to_canonical_csv(log)
     xml = """<log><trace><string key="concept:name" value="t"/>
@@ -336,7 +336,7 @@ XES_ONE_TRACE = """<?xml version="1.0" encoding="UTF-8"?>
 
 def test_parse_xes_one_trace_one_hour_gap():
     log = parse_xes(XES_ONE_TRACE)
-    events = log.traces["case1"].events
+    events = log.traces["case1"]
     assert [e.activity for e in events] == ["A", "B"]
     assert events[1].timestamp_ns - events[0].timestamp_ns == HOUR_NS
     assert events[0].extra_attrs["lifecycle:transition"] == "complete"
@@ -348,7 +348,7 @@ def test_parse_xes_single_event_trace():
       <date key="time:timestamp" value="2021-01-01T08:00:00Z"/></event>
     </trace></log>"""
     log = parse_xes(xml)
-    assert len(log.traces["t"].events) == 1
+    assert len(log.traces["t"]) == 1
 
 
 def test_parse_xes_with_namespace():
@@ -358,7 +358,7 @@ def test_parse_xes_with_namespace():
       <date key="time:timestamp" value="2021-01-01T08:00:00Z"/></event>
     </trace></log>"""
     log = parse_xes(xml)
-    assert [e.activity for e in log.traces["t"].events] == ["A"]
+    assert [e.activity for e in log.traces["t"]] == ["A"]
 
 
 def test_parse_xes_missing_timestamp():
@@ -387,8 +387,8 @@ def test_parse_xes_matches_csv_model():
     log = parse_xes(XES_ONE_TRACE)
     csv_text = "case,activity,timestamp\ncase1,A,2021-01-01T08:00:00Z\ncase1,B,2021-01-01T09:00:00Z\n"
     csv_log = parse_csv(csv_text, ColumnMapping(timestamp_format="iso"))
-    xes_events = [(e.activity, e.timestamp_ns) for e in log.traces["case1"].events]
-    csv_events = [(e.activity, e.timestamp_ns) for e in csv_log.traces["case1"].events]
+    xes_events = [(e.activity, e.timestamp_ns) for e in log.traces["case1"]]
+    csv_events = [(e.activity, e.timestamp_ns) for e in csv_log.traces["case1"]]
     assert xes_events == csv_events
 
 
@@ -402,10 +402,36 @@ def test_parse_xes_round_trips_through_canonical_csv():
       <string key="org:resource" value=" S1 "/></event>
     </trace></log>"""
     log = parse_xes(xml)
-    events = log.traces["case1"].events
+    events = log.traces["case1"]
     assert [e.activity for e in events] == ["A", "B"]
     assert [e.extra_attrs for e in events] == [{}, {"org:resource": " S1 "}]
     assert parse_csv(to_canonical_csv(log), CANONICAL_MAPPING) == log
+
+
+def test_parse_xes_merges_traces_of_one_case_and_skips_empty_ones():
+    def trace(name, *events):
+        body = "".join(
+            f'<event><string key="concept:name" value="{a}"/>'
+            f'<date key="time:timestamp" value="2021-01-01T0{h}:00:00Z"/></event>'
+            for a, h in events
+        )
+        return f'<trace><string key="concept:name" value="{name}"/>{body}</trace>'
+
+    xml = "<log>" + trace("t", ("A", 1)) + trace("e") + trace("u", ("X", 0)) + trace("t", ("B", 0), ("C", 1)) + "</log>"
+    log = parse_xes(xml)
+    # EventLog equality ignores dict order, so the case order is checked
+    # on its own.
+    assert list(log.traces) == ["t", "u"]
+    assert len(log) == 2
+    assert [e.activity for e in log.traces["t"]] == ["B", "A", "C"]
+
+
+def test_parse_csv_keeps_cases_in_first_appearance_order():
+    text = "case,activity,timestamp\nz,A,3\nb,A,1\nz,B,4\nm,A,0\nb,B,2\n"
+    for parse in (parse_csv, parse_csv_reference):
+        log = parse(text)
+        assert list(log.traces) == ["z", "b", "m"]
+        assert [e.activity for e in log.traces["z"]] == ["A", "B"]
 
 
 @pytest.mark.parametrize(

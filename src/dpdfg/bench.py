@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+import random
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from statistics import median
-
-import numpy as np
 
 from .dfg import AggregationKind, Dfg, build_dfg, ordered_sum
 from .eventlog import NS_PER_UNIT, Event, EventLog, read_log
@@ -72,6 +72,11 @@ class SyntheticLogSpec:
             raise ValueError("outlier_rate must be in [0,1]")
         if not 1 <= self.min_trace_len <= self.max_trace_len:
             raise ValueError("trace length bounds must satisfy 1 <= min <= max")
+        for name in ("zipf_exponent", "duration_log_mean", "duration_log_sigma", "outlier_multiplier"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.duration_log_sigma < 0:
+            raise ValueError(f"duration_log_sigma must be non-negative, got {self.duration_log_sigma}")
 
 
 @dataclass
@@ -80,25 +85,28 @@ class GenerationStats:
     outlier_edges: dict[tuple[str, str], int] = field(default_factory=dict)
 
 
-def _draw_variant(rng: np.random.Generator, spec: SyntheticLogSpec) -> list[str]:
-    length = int(rng.integers(spec.min_trace_len, spec.max_trace_len + 1))
-    return [f"a{int(i):02d}" for i in rng.integers(0, spec.n_activities, size=length)]
+def _draw_variant(rng: random.Random, spec: SyntheticLogSpec) -> list[str]:
+    length = rng.randint(spec.min_trace_len, spec.max_trace_len)
+    return [f"a{rng.randrange(spec.n_activities):02d}" for _ in range(length)]
 
 
 def synthesize(spec: SyntheticLogSpec, seed: int) -> tuple[EventLog, GenerationStats]:
-    """Deterministically generate an event log plus generation metadata."""
-    rng = np.random.default_rng(seed)
+    """Deterministically generate an event log plus generation metadata.
+
+    ``seed`` must be non-negative: ``random.Random`` seeds -3 as it seeds 3.
+    """
+    if seed < 0:
+        raise ValueError(f"generation seed must be non-negative, got {seed}")
+    rng = random.Random(seed)
     if spec.n_variants is None:
         variants = [_draw_variant(rng, spec) for _ in range(spec.trace_count)]
         assignment = list(range(spec.trace_count))
     else:
         variants = [_draw_variant(rng, spec) for _ in range(spec.n_variants)]
+        weights = None
         if spec.variant_distribution == "zipf":
-            weights = np.arange(1, spec.n_variants + 1, dtype=float) ** (-spec.zipf_exponent)
-            weights /= weights.sum()
-        else:
-            weights = np.full(spec.n_variants, 1.0 / spec.n_variants)
-        assignment = [int(v) for v in rng.choice(spec.n_variants, size=spec.trace_count, p=weights)]
+            weights = [(rank + 1.0) ** -spec.zipf_exponent for rank in range(spec.n_variants)]
+        assignment = rng.choices(range(spec.n_variants), weights=weights, k=spec.trace_count)
 
     stats = GenerationStats(variant_of_trace=assignment)
     traces: dict[str, tuple[Event, ...]] = {}
@@ -112,7 +120,7 @@ def synthesize(spec: SyntheticLogSpec, seed: int) -> tuple[EventLog, GenerationS
         events = [Event(sequence[0], start_ns)]
         now = start_ns
         for prev, cur in zip(sequence, sequence[1:]):
-            gap_h = float(rng.lognormal(spec.duration_log_mean, spec.duration_log_sigma))
+            gap_h = rng.lognormvariate(spec.duration_log_mean, spec.duration_log_sigma)
             if spec.outlier_rate > 0.0 and rng.random() < spec.outlier_rate:
                 gap_h *= spec.outlier_multiplier
                 key = (prev, cur)
@@ -213,6 +221,11 @@ class SweepSpec:
             for mode, param in params
         )
         object.__setattr__(self, "requests", requests)
+        for source in self.logs:
+            if source.synthetic is not None:
+                key, seed = ("gen_seed", source.gen_seed) if source.gen_seed is not None else ("seed", self.seed)
+                if seed < 0:
+                    raise ValueError(f"sweep log {source.name!r}: {key} must be non-negative to generate it, got {seed}")
 
     @classmethod
     def from_dict(cls, config: dict) -> "SweepSpec":
@@ -238,10 +251,17 @@ _LOG_KEYS = {
 # The type of each config and log entry value that the sweep's classes do
 # not check themselves; [kind] is a list of kind, and a bool is no number.
 _NUMBER = (int, float)
-_TYPE_NAMES = {list: "a list", bool: "a bool", str: "a string", int: "an integer", dict: "an object", _NUMBER: "a number"}
+_INT_OR_NULL = (int, type(None))
+_TYPE_NAMES = {list: "a list", bool: "a bool", str: "a string", int: "an integer", dict: "an object", _NUMBER: "a number",
+               _INT_OR_NULL: "an integer or null"}
 _CONFIG_TYPES = {"deltas": [_NUMBER], "mapes": [_NUMBER], "aggregations": [str], "include_boundary_time": bool,
                  "precision": _NUMBER, "beta": _NUMBER}
 _LOG_TYPES = {"profile": str, "path": str, "synthetic": dict, "name": str, "traces": int, "gen_seed": int}
+_SYNTHETIC_TYPES = {
+    "trace_count": int, "n_activities": int, "n_variants": _INT_OR_NULL, "variant_distribution": str,
+    "zipf_exponent": _NUMBER, "duration_log_mean": _NUMBER, "duration_log_sigma": _NUMBER,
+    "outlier_rate": _NUMBER, "outlier_multiplier": _NUMBER, "min_trace_len": int, "max_trace_len": int,
+}
 
 
 def _check_keys(what: str, entry: dict, known: set[str]) -> None:
@@ -280,6 +300,8 @@ def _log_source(i: int, entry) -> LogSource:
     if kind == "profile":
         spec, name = profile_spec(entry["profile"], entry.get("traces")), entry["profile"]
     else:
+        _check_keys(f"sweep log {i} 'synthetic'", entry["synthetic"], set(_SYNTHETIC_TYPES))
+        _check_types(f"sweep log {i} 'synthetic'", entry["synthetic"], _SYNTHETIC_TYPES)
         spec, name = SyntheticLogSpec(**entry["synthetic"]), f"synthetic{i}"
     return LogSource(name=entry.get("name", name), synthetic=spec, gen_seed=entry.get("gen_seed"))
 

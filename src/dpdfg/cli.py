@@ -10,6 +10,7 @@ import random
 import sys
 from pathlib import Path
 
+from .bench import SweepSpec, run_sweep
 from .dfg import AggregationKind, aggregate, build_dfg, choose_time_unit, convert_unit
 from .eventlog import NS_PER_UNIT, ColumnMapping, IngestError, read_log
 from .noise import DEFAULT_SEED, SEED_ENV_VAR
@@ -156,9 +157,6 @@ def _write_output(payload: str, out: str | None) -> bool:
 
 
 def _run_sweep(args) -> int:
-    # dpdfg.bench imports numpy, which only the sweep needs.
-    from .bench import SweepSpec, run_sweep
-
     try:
         spec = SweepSpec.from_dict(json.loads(Path(args.config).read_text(encoding="utf-8")))
     except (ValueError, OSError, KeyError, TypeError) as exc:

@@ -238,3 +238,26 @@ def test_sweep_spec_from_dict_rejects_values_it_cannot_use():
         SweepSpec.from_dict({"logs": [{"profile": "unique"}, {"path": "a.csv", "traces": 5}]})
     with pytest.raises(ValueError, match="^sweep log 0 must be a path or an object with a 'profile'"):
         SweepSpec.from_dict({"logs": [{"name": "x"}]})
+
+
+def test_synthesize_rejects_negative_seeds():
+    # random.Random seeds -3 exactly as it seeds 3.
+    with pytest.raises(ValueError, match="^generation seed must be non-negative, got -3$"):
+        synthesize(SyntheticLogSpec(trace_count=5), seed=-3)
+
+
+def test_synthetic_spec_rejects_non_finite_floats():
+    for name in ("zipf_exponent", "duration_log_mean", "duration_log_sigma", "outlier_multiplier"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+                SyntheticLogSpec(trace_count=5, **{name: value})
+
+
+def test_sweep_spec_takes_synthetic_entries_and_seeds_it_can_use():
+    # A null n_variants, an integer float field, and a non-negative gen_seed
+    # under a negative noise seed.
+    spec = SweepSpec.from_dict({
+        "logs": [{"synthetic": {"trace_count": 5, "n_variants": None, "zipf_exponent": 2}, "gen_seed": 0}],
+        "seed": -3,
+    })
+    assert spec.logs[0].synthetic == SyntheticLogSpec(trace_count=5, n_variants=None, zipf_exponent=2)

@@ -210,6 +210,17 @@ def test_cli_sweep_rejects_duplicate_log_names(clinic_path, tmp_path, capsys):
         ({"logs": [{"profile": "skewed", "traces": True}]}, "sweep log 0 'traces' must be an integer, got True"),
         ({"mapes": [float("nan")]}, "mape_target must be positive and finite, got nan"),
         ({"mapes": [float("inf")]}, "mape_target must be positive and finite, got inf"),
+        ({"logs": [{"synthetic": {"trace_count": "5"}}]},
+         "sweep log 0 'synthetic' 'trace_count' must be an integer, got '5'"),
+        ({"logs": [{"synthetic": {"trace_cout": 5}}]}, "sweep log 0 'synthetic': unknown key 'trace_cout'"),
+        ({"logs": [{"synthetic": {"trace_count": 5, "n_variants": True}}]},
+         "sweep log 0 'synthetic' 'n_variants' must be an integer or null, got True"),
+        ({"logs": [{"synthetic": {"trace_count": 5, "zipf_exponent": "1"}}]},
+         "sweep log 0 'synthetic' 'zipf_exponent' must be a number, got '1'"),
+        ({"logs": [{"synthetic": {"trace_count": 5, "duration_log_sigma": -1}}]},
+         "duration_log_sigma must be non-negative, got -1"),
+        ({"logs": [{"profile": "skewed", "gen_seed": -1}]}, "sweep log 'skewed': gen_seed must be non-negative"),
+        ({"logs": [{"synthetic": {"trace_count": 5}}], "seed": -3}, "sweep log 'synthetic0': seed must be non-negative"),
     ],
 )
 def test_cli_sweep_bad_config_is_data_error(clinic_path, tmp_path, capsys, config, message):
@@ -223,6 +234,18 @@ def test_cli_sweep_bad_config_is_data_error(clinic_path, tmp_path, capsys, confi
     assert err.startswith("dpdfg: error: ") and err.count("\n") == 1
     assert message in err
     assert not out.exists()
+
+
+def test_negative_noise_seeds_are_accepted(clinic_path, tmp_path):
+    # Only a generated log needs a non-negative seed.
+    assert main(["anonymize", "--input", str(clinic_path), "--delta", "0.4", "--seed", "-3",
+                 "--out", str(tmp_path / "a.json")]) == 0
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"logs": [str(clinic_path)], "deltas": [0.4], "mapes": [], "seed": -3}),
+                      encoding="utf-8")
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    assert "ERROR" not in out.read_text(encoding="utf-8")
 
 
 def test_anonymize_accepts_utf8_byte_order_mark(clinic_path, tmp_path):
@@ -248,23 +271,29 @@ def test_cli_module_entry_point(clinic_path, tmp_path):
     assert json.loads(out.read_text(encoding="utf-8"))["mode"] == "P1"
 
 
-def test_import_dpdfg_does_not_load_numpy():
-    # Only dpdfg.bench needs numpy; keeping it out of `import dpdfg` keeps
-    # the library's import time and resident memory down.
+@pytest.mark.parametrize("module", ["dpdfg", "dpdfg.cli", "dpdfg.bench"])
+def test_import_does_not_load_numpy(module):
+    # The runtime needs only the standard library; numpy is a test extra.
     proc = subprocess.run(
-        [sys.executable, "-c", "import dpdfg, sys; assert 'numpy' not in sys.modules"],
+        [sys.executable, "-c", f"import {module}, sys; assert 'numpy' not in sys.modules"],
         capture_output=True, text=True, env=_env_importing_dpdfg(),
     )
     assert proc.returncode == 0, proc.stderr
 
 
-def test_import_dpdfg_cli_does_not_load_numpy():
-    # `anonymize` and `inspect` start without numpy; `sweep` imports it.
-    proc = subprocess.run(
-        [sys.executable, "-c", "import dpdfg.cli, sys; assert 'numpy' not in sys.modules"],
-        capture_output=True, text=True, env=_env_importing_dpdfg(),
-    )
+def test_cli_sweep_of_a_profile_runs_without_numpy(tmp_path):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({
+        "logs": [{"profile": "skewed", "traces": 20}], "deltas": [0.4], "mapes": [0.3], "aggregations": ["max"],
+    }), encoding="utf-8")
+    out = tmp_path / "grid.csv"
+    # A None entry in sys.modules makes `import numpy` raise ImportError.
+    script = ("import sys; sys.modules['numpy'] = None; from dpdfg.cli import main; "
+              f"sys.exit(main(['sweep', '--config', {str(config)!r}, '--out', {str(out)!r}]))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_env_importing_dpdfg())
     assert proc.returncode == 0, proc.stderr
+    rows = out.read_text(encoding="utf-8").strip().split("\n")
+    assert len(rows) == 3 and all(row.endswith(",") for row in rows[1:])
 
 
 def _env_importing_dpdfg() -> dict:

@@ -2,6 +2,7 @@ import csv
 import io
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from dpdfg import (
     IngestError,
     parse_csv,
     parse_xes,
+    read_log,
     to_canonical_csv,
 )
 from dpdfg.eventlog import NS_PER_UNIT, parse_csv_reference, parse_timestamp_ns
@@ -274,6 +276,11 @@ def test_round_trip_canonical_csv(clinic_log):
     text = to_canonical_csv(clinic_log)
     reparsed = parse_csv(text, CANONICAL_MAPPING)
     assert reparsed == clinic_log
+    # The golden logs are canonical CSVs, and must re-serialize byte for byte.
+    paths = sorted((Path(__file__).parent / "data").glob("*.csv"))
+    assert len(paths) == 5
+    for path in paths:
+        assert to_canonical_csv(read_log(path, mapping=CANONICAL_MAPPING)).encode() == path.read_bytes(), path.name
 
 
 def test_round_trip_preserves_extra_attrs():

@@ -8,6 +8,12 @@ dropped, at ``runs=3``. A change that alters these bytes on purpose must
 say which bytes change and why, and re-pin the digests with
 ``PYTHONPATH=src python tests/test_golden.py``.
 
+The synthetic logs are read from canonical CSVs in ``tests/data``, so a
+change to the generator moves no digest here. They were written by the
+numpy-based ``dpdfg.bench.generate_log`` of earlier versions at seed 2020:
+``simple``, ``skewed`` and ``unique`` at their profile sizes, and
+``simple-30`` and ``unique-20`` at 30 and 20 traces.
+
 The digests were taken with CPython 3.11 on x86-64 Linux. ``sum`` of floats
 and the libm behind ``math.log``/``math.exp`` can differ in the last bit
 elsewhere.
@@ -17,17 +23,18 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+from pathlib import Path
 
 import pytest
 
-from dpdfg import AggregationKind, Mode, RiskParams, UtilityParams, build_dfg, parse_csv
-from dpdfg.bench import GRID_HEADER, LogSource, SweepSpec, generate_log, profile_spec, run_sweep
+from dpdfg import CANONICAL_MAPPING, AggregationKind, Mode, RiskParams, UtilityParams, build_dfg, parse_csv, read_log
+from dpdfg.bench import GRID_HEADER, LogSource, SweepSpec, run_sweep
 from dpdfg.pipeline import DisclosureRequest, disclose, emit_csv, emit_dot, emit_json
 
 from conftest import clinic_csv_text
 
+DATA = Path(__file__).parent / "data"
 PRECISION = 0.1
-GEN_SEED = 2020
 SEED = 7
 RUNS = 3
 LOGS = ("clinic", "simple", "skewed", "unique")
@@ -67,7 +74,7 @@ GOLDEN_SWEEP = "ee25e87c0f5fa94113bcd340d0a5849a7f2ff4ed7115f8530209d877425c0a1a
 def _dfg(name: str):
     if name == "clinic":
         return build_dfg(parse_csv(clinic_csv_text()))
-    return build_dfg(generate_log(profile_spec(name), GEN_SEED))
+    return build_dfg(read_log(DATA / f"{name}.csv", mapping=CANONICAL_MAPPING))
 
 
 def _request(mode: Mode, param: float, kind: AggregationKind, include_boundary_time: bool) -> DisclosureRequest:
@@ -104,11 +111,19 @@ def release_digest(dfg, mode: Mode, param: float) -> str:
     return digest.hexdigest()
 
 
+class CanonicalLog(LogSource):
+    """A sweep log read from a canonical CSV, whose timestamps are integer
+    nanoseconds (a plain ``path`` source would read them as hours)."""
+
+    def load(self, default_seed: int):
+        return read_log(self.path, mapping=CANONICAL_MAPPING)
+
+
 def sweep_digest() -> str:
     spec = SweepSpec(
         logs=(
-            LogSource("simple", synthetic=profile_spec("simple", 30), gen_seed=GEN_SEED),
-            LogSource("unique", synthetic=profile_spec("unique", 20), gen_seed=GEN_SEED),
+            CanonicalLog("simple", path=str(DATA / "simple-30.csv")),
+            CanonicalLog("unique", path=str(DATA / "unique-20.csv")),
         ),
         deltas=(0.05, 0.4, 0.99),
         mapes=(0.1, 0.5),

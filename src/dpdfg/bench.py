@@ -44,7 +44,8 @@ class SyntheticLogSpec:
 
     ``n_variants=None`` draws a fresh activity sequence per trace (variant
     count ~ trace count). Durations are lognormal, in hours; a fraction
-    ``outlier_rate`` of them is stretched by ``outlier_multiplier``.
+    ``outlier_rate`` of them is stretched by ``outlier_multiplier``, which
+    must be positive.
     """
 
     trace_count: int
@@ -77,6 +78,8 @@ class SyntheticLogSpec:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.duration_log_sigma < 0:
             raise ValueError(f"duration_log_sigma must be non-negative, got {self.duration_log_sigma}")
+        if self.outlier_multiplier <= 0:
+            raise ValueError(f"outlier_multiplier must be positive, got {self.outlier_multiplier}")
 
 
 @dataclass
@@ -314,10 +317,10 @@ def _se(values: list[float]) -> float:
     return (var / len(values)) ** 0.5
 
 
-def _measure(dfg: Dfg, request: DisclosureRequest) -> list[str]:
+def _measure(dfg: Dfg, request: DisclosureRequest, draws: dict) -> list[str]:
     """The measured columns of one grid row, from ``median_epsilon`` to an
-    empty ``error``."""
-    _, report = disclose(dfg, request)
+    empty ``error``; ``draws`` is the sweep's memo of unit noise draws."""
+    _, report = disclose(dfg, request, draws=draws)
     return [
         show_epsilon(report.median_epsilon, repr),
         repr(report.mape),
@@ -337,9 +340,15 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> str:
     that fails to load, or a cell that fails, gives rows whose measured
     columns are empty and whose ``error`` says why; the sweep goes on.
 
+    Every cell uses ``spec.seed``, so a noise key ``(seed, source,
+    target, run)`` has the same unit-scale draw in every cell, and only
+    the scale differs: one memo per call draws each key once, across all
+    logs and cells, and ``disclose`` scales it per cell.
+
     ``threads`` is accepted for compatibility and ignored: cells are
     evaluated serially.
     """
+    draws: dict = {}
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(GRID_HEADER)
@@ -354,7 +363,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> str:
             try:
                 if failure is not None:
                     raise failure
-                row += _measure(dfg, request)
+                row += _measure(dfg, request, draws)
             except Exception as exc:
                 row += [""] * (len(GRID_HEADER) - len(row) - 1) + [f"ERROR: {exc}"]
             writer.writerow(row)

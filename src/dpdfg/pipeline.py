@@ -174,7 +174,22 @@ class _EdgeRuns:
     released: list[float]
 
 
-def _disclose_edge(edge: DfgEdge, kind: AggregationKind, request: DisclosureRequest) -> _EdgeRuns:
+def _noise(scale: float, key: tuple[int, str, str, int], draws: dict) -> float:
+    """``sample_laplace(scale, NoiseStream(*key))``, bit for bit, as
+    ``scale`` times the unit-scale draw of ``key``, which ``draws`` keeps.
+    ``sample_laplace`` only flips the sign of ``scale`` before its one
+    rounding multiply, so scaling the unit draw afterwards rounds the same
+    product to the same bits. Scale 0 draws nothing.
+    """
+    if scale == 0.0:
+        return 0.0
+    unit = draws.get(key)
+    if unit is None:
+        unit = draws[key] = sample_laplace(1.0, NoiseStream(*key))
+    return scale * unit
+
+
+def _disclose_edge(edge: DfgEdge, kind: AggregationKind, request: DisclosureRequest, draws: dict) -> _EdgeRuns:
     true_value = aggregate(edge, kind)
     if kind.is_time and edge.is_boundary:
         # Virtual-edge time annotations are 0 by construction: data-independent,
@@ -187,7 +202,7 @@ def _disclose_edge(edge: DfgEdge, kind: AggregationKind, request: DisclosureRequ
         return _EdgeRuns(disclosure, [], [])
     cal = _calibrate(edge, kind, request, true_value)
     noisy = [
-        true_value + sample_laplace(cal.noise_scale, NoiseStream(request.seed, edge.source, edge.target, run))
+        true_value + _noise(cal.noise_scale, (request.seed, edge.source, edge.target, run), draws)
         for run in range(request.runs)
     ]
     released = [post_process(v, kind) for v in noisy]
@@ -207,14 +222,25 @@ def _disclose_edge(edge: DfgEdge, kind: AggregationKind, request: DisclosureRequ
     return _EdgeRuns(disclosure, noisy, released)
 
 
-def disclose(dfg: Dfg, request: DisclosureRequest, threads: int = 1) -> tuple[AnnotatedDfg, DisclosureReport]:
+def disclose(
+    dfg: Dfg, request: DisclosureRequest, threads: int = 1, *, draws: dict | None = None
+) -> tuple[AnnotatedDfg, DisclosureReport]:
     """Calibrate, noise and report every edge of ``dfg`` as ``request``
     asks, in sorted edge order.
+
+    Each edge and run has its own keyed noise stream, ``NoiseStream(seed,
+    source, target, run)``; its noise is the stream's unit-scale Laplace
+    draw times the edge's noise scale. ``draws`` memoizes those unit draws
+    by key: calls that share one dict (as the cells of a sweep do) draw
+    each key once, with output byte-identical to calls that do not. Left
+    unset, the call uses a fresh dict of its own.
 
     ``threads`` is accepted for compatibility and ignored: evaluation is
     serial, and the output would not depend on it anyway, because every
     edge and run draws from its own keyed noise stream.
     """
+    if draws is None:
+        draws = {}
     started = time.perf_counter()
     working = filter_for_disclosure(dfg, request.aggregation, request.include_boundary_time)
     if not working.edges:
@@ -226,7 +252,7 @@ def disclose(dfg: Dfg, request: DisclosureRequest, threads: int = 1) -> tuple[An
         unit = None
 
     kind = request.aggregation
-    results = [_disclose_edge(e, kind, request) for e in working.sorted_edges()]
+    results = [_disclose_edge(e, kind, request, draws) for e in working.sorted_edges()]
     disclosures = [r.disclosure for r in results]
     noised = [r for r in results if not r.disclosure.boundary_constant]
     true_values = [r.disclosure.true_value for r in noised]

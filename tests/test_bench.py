@@ -193,6 +193,12 @@ def test_sweep_spec_rejects_bad_config_before_any_log_loads():
         SweepSpec.from_dict({"logs": logs, "deltas": 0.4})
     with pytest.raises(TypeError):
         SweepSpec.from_dict({"logs": [{"profile": "skewed", "traces": "5"}]})
+    # A stretch that is not positive would reorder (or zero) the gaps it hits.
+    for multiplier in (-5, 0):
+        with pytest.raises(ValueError, match=f"^outlier_multiplier must be positive, got {multiplier}$"):
+            SweepSpec.from_dict(
+                {"logs": [{"synthetic": {"trace_count": 30, "outlier_rate": 0.5, "outlier_multiplier": multiplier}}]}
+            )
 
 
 def test_sweep_spec_rejects_non_finite_error_targets():

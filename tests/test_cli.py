@@ -221,6 +221,10 @@ def test_cli_sweep_rejects_duplicate_log_names(clinic_path, tmp_path, capsys):
          "duration_log_sigma must be non-negative, got -1"),
         ({"logs": [{"profile": "skewed", "gen_seed": -1}]}, "sweep log 'skewed': gen_seed must be non-negative"),
         ({"logs": [{"synthetic": {"trace_count": 5}}], "seed": -3}, "sweep log 'synthetic0': seed must be non-negative"),
+        ({"logs": [{"synthetic": {"trace_count": 30, "outlier_rate": 0.5, "outlier_multiplier": -5}}]},
+         "outlier_multiplier must be positive, got -5"),
+        ({"logs": [{"synthetic": {"trace_count": 30, "outlier_multiplier": 0}}]},
+         "outlier_multiplier must be positive, got 0"),
     ],
 )
 def test_cli_sweep_bad_config_is_data_error(clinic_path, tmp_path, capsys, config, message):

@@ -1,10 +1,15 @@
 import math
 import statistics
+import struct
+import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dpdfg import AggregationKind, NoiseStream, sample_laplace, sensitivity
 from dpdfg.noise import TIME_FLOOR, post_process
+from dpdfg.pipeline import _noise
 
 F = AggregationKind.FREQUENCY
 
@@ -96,3 +101,30 @@ def test_stream_key_is_not_ambiguous():
     a = sample_laplace(1.0, NoiseStream(7, "AB", "C", 0))
     b = sample_laplace(1.0, NoiseStream(7, "A", "BC", 0))
     assert a != b
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+KEYS = st.tuples(st.integers(-(2**70), 2**70), st.text(max_size=6), st.text(max_size=6), st.integers(0, 10**6))
+SCALES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.0, 1e300, sys.float_info.max]),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@given(key=KEYS, scale=SCALES)
+def test_scaled_unit_draw_is_bitwise_the_reference_draw(key, scale):
+    # A sweep draws each key's unit-scale Laplace value once and scales it
+    # per cell; that must give the bits sample_laplace gives at that scale,
+    # sign of zero included.
+    reference = sample_laplace(scale, NoiseStream(*key))
+    if scale > 0.0:
+        assert bits(scale * sample_laplace(1.0, NoiseStream(*key))) == bits(reference)
+    draws = {}
+    assert bits(_noise(scale, key, draws)) == bits(reference)
+    # Scale 0 draws nothing; any other scale stores the key's unit draw.
+    assert list(draws) == ([key] if scale > 0.0 else [])
+    # A second scale reads the stored draw and still matches its reference.
+    assert bits(_noise(scale / 3, key, draws)) == bits(sample_laplace(scale / 3, NoiseStream(*key)))

@@ -4,6 +4,8 @@ import random
 
 import pyparsing as pp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpdfg import START_END, AggregationKind, Mode, RiskParams, UtilityParams, build_dfg, parse_csv
 from dpdfg.pipeline import (
@@ -14,7 +16,7 @@ from dpdfg.pipeline import (
     emit_json,
     report_to_dict,
 )
-from dpdfg.bench import SyntheticLogSpec, generate_log
+from dpdfg.bench import PROFILES, LogSource, SweepSpec, SyntheticLogSpec, generate_log, profile_spec
 from dpdfg.risk import (
     UNBOUNDED,
     delta_from_epsilon_freq,
@@ -24,6 +26,8 @@ from dpdfg.risk import (
     worst_case_delta_time,
 )
 from dpdfg.dfg import Dfg
+from dpdfg.noise import NoiseStream, sample_laplace
+from dpdfg.utility import mape
 
 MAX = AggregationKind.MAX
 FREQ = AggregationKind.FREQUENCY
@@ -364,3 +368,84 @@ def test_p2_edge_delta_equals_the_prior_oracle():
                     assert e.edge_delta == expected, (i, kind, precision, e)
                     checked += 1
     assert 0 < degenerate < checked
+
+
+def test_shared_draw_memo_matches_fresh_draws_cell_by_cell():
+    # run_sweep shares one memo of unit draws across every log and cell of a
+    # grid; each cell must come out as a disclose call with no memo does.
+    spec = SweepSpec(
+        logs=(
+            LogSource("unique", synthetic=profile_spec("unique", 12), gen_seed=4),
+            LogSource("skewed", synthetic=profile_spec("skewed", 25), gen_seed=5),
+        ),
+        deltas=(0.1, 0.6),
+        mapes=(0.2, 1.0),
+        aggregations=(FREQ, MAX),
+        runs=3,
+        seed=41,
+    )
+    draws, cells, noised = {}, 0, 0
+    for source in spec.logs:
+        dfg = build_dfg(source.load(spec.seed))
+        for request in spec.requests:
+            annotated, report = disclose(dfg, request, draws=draws)
+            fresh_annotated, fresh = disclose(dfg, request)
+            assert report == fresh and annotated == fresh_annotated, (source.name, request)
+            assert emit_json(report) == emit_json(fresh)
+            # Every run's noise is the reference draw of its own stream.
+            true_values = [e.true_value for e in report.edges]
+            for run in range(request.runs):
+                noisy = [
+                    e.true_value + sample_laplace(e.noise_scale, NoiseStream(spec.seed, e.source, e.target, run))
+                    for e in report.edges
+                ]
+                assert report.run_mapes[run] == mape(true_values, noisy)
+            cells += 1
+            noised += sum(e.noise_scale > 0.0 for e in report.edges) * request.runs
+    assert cells == 2 * len(spec.requests) == 16
+    # Each key is drawn once, however many cells scale it.
+    assert 0 < len(draws) < noised
+
+
+# Small generated logs of every profile, as a (name, trace count, generation
+# seed) triple.
+SMALL_LOGS = st.tuples(st.sampled_from(sorted(PROFILES)), st.integers(2, 25), st.integers(0, 2**16))
+NOISE_SEEDS = st.integers(-(2**40), 2**40)
+
+
+def small_dfg(log):
+    name, traces, gen_seed = log
+    return build_dfg(generate_log(profile_spec(name, traces), gen_seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log=SMALL_LOGS,
+    kind=st.sampled_from(AggregationKind),
+    deltas=st.lists(st.floats(0.01, 0.99), min_size=2, max_size=4, unique=True),
+    seed=NOISE_SEEDS,
+)
+def test_p1_run_mape_is_non_increasing_in_delta(log, kind, deltas, seed):
+    # One seed draws the same unit noise per (edge, run) in every cell, and
+    # a larger delta never gives an edge a larger noise scale.
+    dfg = small_dfg(log)
+    reports = [disclose(dfg, p1(kind, d, seed=seed, runs=4))[1] for d in sorted(deltas)]
+    for lower, higher in zip(reports, reports[1:]):
+        assert all(a >= b for a, b in zip(lower.run_mapes, higher.run_mapes)), (lower.run_mapes, higher.run_mapes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log=SMALL_LOGS,
+    kind=st.sampled_from(AggregationKind),
+    targets=st.lists(st.floats(0.05, 2.0), min_size=2, max_size=4, unique=True),
+    seed=NOISE_SEEDS,
+)
+def test_p2_error_and_advantage_are_monotone_in_the_target(log, kind, targets, seed):
+    # A looser error target never lowers an edge's noise scale, so run MAPE
+    # cannot fall and the graph's advantage cannot rise.
+    dfg = small_dfg(log)
+    reports = [disclose(dfg, p2(kind, t, seed=seed, runs=4))[1] for t in sorted(targets)]
+    for tight, loose in zip(reports, reports[1:]):
+        assert all(a <= b for a, b in zip(tight.run_mapes, loose.run_mapes)), (tight.run_mapes, loose.run_mapes)
+        assert tight.overall_delta >= loose.overall_delta

@@ -11,6 +11,7 @@ import math
 import operator
 import xml.etree.ElementTree as ET
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
@@ -40,7 +41,7 @@ class IngestError(Exception):
     """Raised when an event-log source cannot be parsed."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Event:
     activity: str
     timestamp_ns: int
@@ -81,15 +82,6 @@ def _in_int64(ns: int, text: str) -> int:
     return ns
 
 
-def _parse_iso_ns(text: str) -> int:
-    try:
-        dt = datetime.fromisoformat(text.strip())
-    except ValueError:
-        raise IngestError(f"unparseable timestamp {text!r}") from None
-    # Naive timestamps are taken as UTC.
-    return _in_int64((dt - (_NAIVE_EPOCH if dt.tzinfo is None else _EPOCH)) // _ONE_US * 1_000, text)
-
-
 def _scale_number(text: str, value: float, factor: int) -> int:
     """``text``, which ``float()`` read as ``value``, times ``factor`` ns,
     exactly, then rounded half to even.
@@ -115,8 +107,8 @@ def parse_timestamp_ns(text: str, fmt: str = "auto", number_unit: str = "h") -> 
     if factor is None:
         raise IngestError(f"unknown time unit {number_unit!r}")
     text = text.strip()
-    # float() accepts no ':' and every ISO time has one, so such text
-    # skips a float() that could only fail.
+    # float() accepts no ':' and every extended-format ISO time has one, so
+    # such text skips a float() that could only fail.
     if fmt in ("auto", "number") and ":" not in text:
         try:
             value = float(text)
@@ -126,7 +118,12 @@ def parse_timestamp_ns(text: str, fmt: str = "auto", number_unit: str = "h") -> 
             return _scale_number(text, value, factor)
     if fmt == "number":
         raise IngestError(f"unparseable numeric timestamp {text!r}")
-    return _parse_iso_ns(text)
+    try:
+        dt = datetime.fromisoformat(text)
+    except ValueError:
+        raise IngestError(f"unparseable timestamp {text!r}") from None
+    # Naive timestamps are taken as UTC.
+    return _in_int64((dt - (_NAIVE_EPOCH if dt.tzinfo is None else _EPOCH)) // _ONE_US * 1_000, text)
 
 
 def _validate_activity(activity: str, where: str) -> str:
@@ -142,12 +139,35 @@ def _sorted_log(by_case: dict[str, list[Event]]) -> EventLog:
     return EventLog({case_id: tuple(sorted(events, key=_BY_TIME)) for case_id, events in by_case.items()})
 
 
-def _as_text(source) -> io.StringIO:
-    """The text of a CSV source, without a leading byte-order mark."""
+def _as_text(source) -> io.TextIOBase:
+    """The text of a CSV source, without a leading byte-order mark, as a
+    stream that ``csv`` reads with its line ends untranslated. Bytes are
+    decoded as they are read."""
     data = source if isinstance(source, (bytes, str)) else source.read()
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return io.StringIO(data.removeprefix("\ufeff"))
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+    return io.StringIO(data.removeprefix("\ufeff"), newline="")
+
+
+@contextmanager
+def _read_errors(text: io.TextIOBase, reader):
+    """Raise what reading ``text`` through the csv ``reader`` raises as an
+    :class:`IngestError` that names the line."""
+    try:
+        yield
+    except csv.Error as exc:
+        raise IngestError(f"line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        # The streamed decode reports a position inside its chunk, so the
+        # whole source is decoded again to find the line of the bad byte.
+        data = text.buffer.getvalue()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = data[: exc.start]
+            line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+            raise IngestError(f"line {line}: not UTF-8 ({exc.reason})") from None
+        raise
 
 
 def parse_csv(source, mapping: ColumnMapping | None = None) -> EventLog:
@@ -157,46 +177,51 @@ def parse_csv(source, mapping: ColumnMapping | None = None) -> EventLog:
     ``extra_attrs``. Empty cells of unknown columns are treated as absent.
     Blank lines are skipped and not counted in the ``row N`` of an error,
     missing cells of a short row read as empty, and a repeated header name
-    reads its last column. :func:`parse_csv_reference` is the oracle.
+    reads its last column. Lines may end in LF, CRLF or CR. Bytes that are
+    not UTF-8, or a field longer than ``csv.field_size_limit()``, raise an
+    :class:`IngestError` that names the line. :func:`parse_csv_reference`
+    is the oracle.
     """
     mapping = mapping or ColumnMapping()
-    rows = csv.reader(_as_text(source))
-    header = next(rows, None)
-    if header is None:
-        return EventLog({})
-    mapped = (mapping.case_col, mapping.activity_col, mapping.timestamp_col)
-    for col in mapped:
-        if col not in header:
-            raise IngestError(f"row 1: missing mapped column {col!r}")
-    column = {name: i for i, name in enumerate(header)}
-    case_i, activity_i, ts_i = (column[col] for col in mapped)
-    extra_cols = [(name, column[name]) for name in dict.fromkeys(header) if name not in mapped]
-    width = len(header)
-    fmt, unit = mapping.timestamp_format, mapping.number_unit
+    text = _as_text(source)
+    rows = csv.reader(text)
+    with _read_errors(text, rows):
+        header = next(rows, None)
+        if header is None:
+            return EventLog({})
+        mapped = (mapping.case_col, mapping.activity_col, mapping.timestamp_col)
+        for col in mapped:
+            if col not in header:
+                raise IngestError(f"row 1: missing mapped column {col!r}")
+        column = {name: i for i, name in enumerate(header)}
+        case_i, activity_i, ts_i = (column[col] for col in mapped)
+        extra_cols = [(name, column[name]) for name in dict.fromkeys(header) if name not in mapped]
+        width = len(header)
+        fmt, unit = mapping.timestamp_format, mapping.number_unit
 
-    by_case: defaultdict[str, list[Event]] = defaultdict(list)
-    row_no = 1
-    for row in rows:
-        if not row:
-            continue
-        row_no += 1
-        if len(row) < width:
-            row += [""] * (width - len(row))
-        case_id = row[case_i].strip()
-        if not case_id:
-            raise IngestError(f"row {row_no}: empty case id")
-        activity = row[activity_i].strip()
-        if not activity or activity == START_END:
-            _validate_activity(activity, f"row {row_no}")
-        ts_text = row[ts_i].strip()
-        if not ts_text:
-            raise IngestError(f"row {row_no}: missing timestamp")
-        try:
-            ts = parse_timestamp_ns(ts_text, fmt, unit)
-        except IngestError as exc:
-            raise IngestError(f"row {row_no}: {exc}") from None
-        extras = {name: row[i] for name, i in extra_cols if row[i]} if extra_cols else {}
-        by_case[case_id].append(Event(activity, ts, extras))
+        by_case: defaultdict[str, list[Event]] = defaultdict(list)
+        row_no = 1
+        for row in rows:
+            if not row:
+                continue
+            row_no += 1
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            case_id = row[case_i].strip()
+            if not case_id:
+                raise IngestError(f"row {row_no}: empty case id")
+            activity = row[activity_i].strip()
+            if not activity or activity == START_END:
+                _validate_activity(activity, f"row {row_no}")
+            ts_text = row[ts_i].strip()
+            if not ts_text:
+                raise IngestError(f"row {row_no}: missing timestamp")
+            try:
+                ts = parse_timestamp_ns(ts_text, fmt, unit)
+            except IngestError as exc:
+                raise IngestError(f"row {row_no}: {exc}") from None
+            extras = {name: row[i] for name, i in extra_cols if row[i]} if extra_cols else {}
+            by_case[case_id].append(Event(activity, ts, extras))
     return _sorted_log(by_case)
 
 
@@ -205,31 +230,34 @@ def parse_csv_reference(source, mapping: ColumnMapping | None = None) -> EventLo
     plain implementation, kept as the oracle of its tests.
     """
     mapping = mapping or ColumnMapping()
-    reader = csv.DictReader(_as_text(source))
-    if reader.fieldnames is None:
-        return EventLog({})
-    header = list(reader.fieldnames)
-    for col in (mapping.case_col, mapping.activity_col, mapping.timestamp_col):
-        if col not in header:
-            raise IngestError(f"row 1: missing mapped column {col!r}")
-    extra_cols = [c for c in header if c not in (mapping.case_col, mapping.activity_col, mapping.timestamp_col)]
+    text = _as_text(source)
+    reader = csv.DictReader(text)
+    # DictReader's own line_num lags a row that fails to read.
+    with _read_errors(text, reader.reader):
+        if reader.fieldnames is None:
+            return EventLog({})
+        header = list(reader.fieldnames)
+        for col in (mapping.case_col, mapping.activity_col, mapping.timestamp_col):
+            if col not in header:
+                raise IngestError(f"row 1: missing mapped column {col!r}")
+        extra_cols = [c for c in header if c not in (mapping.case_col, mapping.activity_col, mapping.timestamp_col)]
 
-    by_case: defaultdict[str, list[Event]] = defaultdict(list)
-    for row_no, row in enumerate(reader, start=2):
-        where = f"row {row_no}"
-        case_id = (row.get(mapping.case_col) or "").strip()
-        if not case_id:
-            raise IngestError(f"{where}: empty case id")
-        activity = _validate_activity((row.get(mapping.activity_col) or "").strip(), where)
-        ts_text = row.get(mapping.timestamp_col)
-        if ts_text is None or not ts_text.strip():
-            raise IngestError(f"{where}: missing timestamp")
-        try:
-            ts = parse_timestamp_ns(ts_text, mapping.timestamp_format, mapping.number_unit)
-        except IngestError as exc:
-            raise IngestError(f"{where}: {exc}") from None
-        extras = {c: row[c] for c in extra_cols if c in row and row[c] not in (None, "")}
-        by_case[case_id].append(Event(activity, ts, extras))
+        by_case: defaultdict[str, list[Event]] = defaultdict(list)
+        for row_no, row in enumerate(reader, start=2):
+            where = f"row {row_no}"
+            case_id = (row.get(mapping.case_col) or "").strip()
+            if not case_id:
+                raise IngestError(f"{where}: empty case id")
+            activity = _validate_activity((row.get(mapping.activity_col) or "").strip(), where)
+            ts_text = row.get(mapping.timestamp_col)
+            if ts_text is None or not ts_text.strip():
+                raise IngestError(f"{where}: missing timestamp")
+            try:
+                ts = parse_timestamp_ns(ts_text, mapping.timestamp_format, mapping.number_unit)
+            except IngestError as exc:
+                raise IngestError(f"{where}: {exc}") from None
+            extras = {c: row[c] for c in extra_cols if c in row and row[c] not in (None, "")}
+            by_case[case_id].append(Event(activity, ts, extras))
     return _sorted_log(by_case)
 
 
@@ -273,7 +301,7 @@ def parse_xes(source) -> EventLog:
                     activity = value.strip()
                 elif key == "time:timestamp":
                     try:
-                        ts = _parse_iso_ns(value)
+                        ts = parse_timestamp_ns(value, "iso")
                     except IngestError as exc:
                         raise IngestError(f"{where}: {exc}") from None
                 elif value:

@@ -339,3 +339,24 @@ def test_cli_bad_seed_env_var_is_data_error(clinic_path, capsys, monkeypatch):
     monkeypatch.setenv("DPDFG_SEED", "abc")
     assert main(["anonymize", "--input", str(clinic_path), "--delta", "0.4"]) == 1
     assert capsys.readouterr().err == "dpdfg: error: DPDFG_SEED must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"case,activity,timestamp,note\nP1,A,1," + b"x" * 140_000 + b"\n", "line 2: field larger than field limit (131072)"),
+        (b"case,activity,timestamp\nP1,A,1\nP1,\xff,2\n", "line 3: not UTF-8 (invalid start byte)"),
+    ],
+    ids=["oversize-field", "not-utf8"],
+)
+@pytest.mark.parametrize("command", ["anonymize", "inspect"])
+def test_cli_unreadable_csv_is_data_error(tmp_path, command, content, message):
+    path = tmp_path / "log.csv"
+    path.write_bytes(content)
+    args = ["--agg", "frequency"] + (["--delta", "0.4"] if command == "anonymize" else [])
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpdfg", command, "--input", str(path), *args],
+        capture_output=True, text=True, env=_env_importing_dpdfg(),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"dpdfg: error: {message}\n")
+

@@ -296,6 +296,67 @@ def test_parse_csv_skips_utf8_byte_order_mark(clinic_csv, clinic_log):
             assert parse(source) == clinic_log
 
 
+def test_parse_csv_reads_bare_cr_line_ends(clinic_csv, clinic_log):
+    bare_cr = clinic_csv.replace("\n", "\r")
+    quoted = 'case,activity,timestamp,note\nP1,A,1,"two\rlines"\nP1,B,2,\n'
+    for parse in (parse_csv, parse_csv_reference):
+        for source in (bare_cr, bare_cr.encode()):
+            assert parse(source) == clinic_log
+        for source in (quoted.replace("\n", "\r"), quoted.replace("\n", "\r").encode()):
+            assert parse(source) == parse(quoted)
+            assert parse(source).traces["P1"][0].extra_attrs == {"note": "two\rlines"}
+
+
+def test_csv_errors_name_the_line():
+    oversize = "case,activity,timestamp,note\nP1,A,1,x\nP1,B,2," + "y" * (csv.field_size_limit() + 1) + "\n"
+    for parse in (parse_csv, parse_csv_reference):
+        for source in (oversize, oversize.encode()):
+            with pytest.raises(IngestError, match=r"^line 3: field larger than field limit \(131072\)$"):
+                parse(source)
+
+
+def _large_csv(seed: int) -> bytes:
+    """A UTF-8 CSV of several hundred KiB, with a byte-order mark, CRLF line
+    ends, multi-byte labels and quoted multi-line notes."""
+    rng = random.Random(seed)
+    labels = ["Aufnahme", "Prüfung", "検査", "Überweisung 🙂", "résumé", "A"]
+    notes = ["", "ok", "zwei\r\nZeilen", "多行\n备注", 'sagt "grüß dich"', "x, y", "🙂" * 3]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\r\n")
+    writer.writerow(["case", "activity", "timestamp", "note"])
+    for _ in range(7000):
+        stamp = f"2021-03-{rng.randint(1, 28):02d}T{rng.randint(0, 23):02d}:{rng.randint(0, 59):02d}:00Z"
+        writer.writerow([f"c{rng.randrange(700)}", rng.choice(labels), stamp, rng.choice(notes)])
+    return ("\ufeff" + out.getvalue()).encode()
+
+
+def test_parse_csv_decodes_across_chunk_boundaries():
+    data = _large_csv(13)
+    assert len(data) > 300 * 1024
+    # The decode reads 8 KiB chunks. Some end inside a multi-byte character,
+    # and some between a CR and its LF.
+    ends = range(8192, len(data), 8192)
+    assert any(0x80 <= data[i] < 0xC0 for i in ends)
+    assert any(data[i - 1 : i + 1] == b"\r\n" for i in ends)
+    log = parse_csv(data)
+    assert log.event_count() == 7000
+    assert log == parse_csv(data.decode("utf-8-sig"))
+    assert log == parse_csv_reference(data)
+
+
+def test_invalid_utf8_names_its_line():
+    lines = ["case,activity,timestamp"] + [f"c{i},Prüfung,{i}" for i in range(20000)]
+    data = "\r\n".join(lines).encode()
+    bad = data.index(b"c15000,") + len("c15000,Pr")  # the first byte of the "ü" on line 15002
+    for source, message in (
+        (data[:bad] + b"\xff" + data[bad + 1 :], "invalid start byte"),
+        (data[: bad + 1], "unexpected end of data"),
+    ):
+        for parse in (parse_csv, parse_csv_reference):
+            with pytest.raises(IngestError, match=f"^line 15002: not UTF-8 \\({message}\\)$"):
+                parse(source)
+
+
 def test_canonical_csv_rejects_attributes_named_like_its_columns():
     # Re-parsed, the attribute column would be read in place of the case id.
     log = parse_csv("id,activity,timestamp,case\nc1,A,1,x\nc1,B,2,y\n", ColumnMapping(case_col="id"))
@@ -456,21 +517,40 @@ def test_parse_xes_rejects_blank_and_reserved_labels(label, message):
 
 # Differential test of parse_csv against parse_csv_reference (DictReader and
 # parse_timestamp_ns per row): the same EventLog, or the same IngestError.
-ISO_TIMESTAMPS = st.builds(
-    "{:04d}-{:02d}-{:02d}{}{:02d}:{:02d}:{:02d}{}{}".format,
-    st.integers(1970, 2100),
-    st.integers(1, 12),
-    st.integers(1, 28),
-    st.sampled_from(["T", " "]),
-    st.integers(0, 23),
-    st.integers(0, 59),
-    st.integers(0, 59),
-    st.integers(0, 9).flatmap(lambda k: st.text("0123456789", min_size=k, max_size=k)).map(
-        lambda digits: "." + digits if digits else ""
+# Years before 1677 or after 2262 fall outside int64 nanoseconds.
+YEARS = st.one_of(st.integers(1970, 2100), st.integers(1600, 2400))
+FRACTIONS = st.integers(0, 9).flatmap(lambda k: st.text("0123456789", min_size=k, max_size=k)).map(
+    lambda digits: "." + digits if digits else ""
+)
+
+
+def _zones(colon):
+    return st.one_of(
+        st.sampled_from(["", "Z", f"+00{colon}00"]),
+        st.builds(
+            f"{{}}{{:02d}}{colon}{{:02d}}".format,
+            st.sampled_from("+-"),
+            st.integers(0, 14),
+            st.sampled_from([0, 30, 45]),
+        ),
+    )
+
+
+ISO_TIMESTAMPS = st.one_of(
+    st.builds(  # extended format
+        "{:04d}-{:02d}-{:02d}{}{:02d}:{:02d}:{:02d}{}{}".format,
+        YEARS, st.integers(1, 12), st.integers(1, 28), st.sampled_from(["T", " "]),
+        st.integers(0, 23), st.integers(0, 59), st.integers(0, 59), FRACTIONS, _zones(":"),
     ),
-    st.one_of(
-        st.sampled_from(["", "Z", "+00:00"]),
-        st.builds("{}{:02d}:{:02d}".format, st.sampled_from("+-"), st.integers(0, 14), st.sampled_from([0, 30, 45])),
+    st.builds(  # basic format
+        "{:04d}{:02d}{:02d}T{:02d}{:02d}{:02d}{}{}".format,
+        YEARS, st.integers(1, 12), st.integers(1, 28),
+        st.integers(0, 23), st.integers(0, 59), st.integers(0, 59), FRACTIONS, _zones(""),
+    ),
+    st.builds(  # week date
+        "{:04d}-W{:02d}-{}T{:02d}:{:02d}:{:02d}{}{}".format,
+        YEARS, st.integers(1, 52), st.integers(1, 7),
+        st.integers(0, 23), st.integers(0, 59), st.integers(0, 59), FRACTIONS, _zones(":"),
     ),
 )
 NUMERIC_TIMESTAMPS = st.one_of(
@@ -528,7 +608,7 @@ def csv_logs(draw):
             row += draw(st.lists(EXTRAS, min_size=1, max_size=3))
         rows.append(row)
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n", "\r"])))
     if draw(st.sampled_from([False] * 19 + [True])):
         writer.writerow([])  # a blank first line: the header has no columns
     writer.writerow(header)

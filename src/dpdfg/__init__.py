@@ -23,10 +23,13 @@ from .pipeline import (
     DisclosureRequest,
     EdgeDisclosure,
     Mode,
+    PreparedDfg,
     disclose,
     emit_csv,
     emit_dot,
     emit_json,
+    prepare,
+    release,
     report_to_dict,
 )
 from .risk import (

@@ -11,10 +11,10 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from statistics import median
 
-from .dfg import AggregationKind, Dfg, build_dfg, ordered_sum
+from .dfg import AggregationKind, build_dfg, ordered_sum
 from .eventlog import NS_PER_UNIT, Event, EventLog, read_log
 from .noise import DEFAULT_SEED
-from .pipeline import DisclosureRequest, Mode, disclose, show_epsilon
+from .pipeline import DisclosureRequest, Mode, PreparedDfg, prepare, release, show_epsilon
 from .risk import RiskParams
 from .utility import UtilityParams
 
@@ -317,10 +317,10 @@ def _se(values: list[float]) -> float:
     return (var / len(values)) ** 0.5
 
 
-def _measure(dfg: Dfg, request: DisclosureRequest, draws: dict) -> list[str]:
+def _measure(prepared: PreparedDfg, request: DisclosureRequest, draws: dict) -> list[str]:
     """The measured columns of one grid row, from ``median_epsilon`` to an
     empty ``error``; ``draws`` is the sweep's memo of unit noise draws."""
-    _, report = disclose(dfg, request, draws=draws)
+    _, report = release(prepared, request, draws)
     return [
         show_epsilon(report.median_epsilon, repr),
         repr(report.mape),
@@ -340,10 +340,13 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> str:
     that fails to load, or a cell that fails, gives rows whose measured
     columns are empty and whose ``error`` says why; the sweep goes on.
 
-    Every cell uses ``spec.seed``, so a noise key ``(seed, source,
-    target, run)`` has the same unit-scale draw in every cell, and only
-    the scale differs: one memo per call draws each key once, across all
-    logs and cells, and ``disclose`` scales it per cell.
+    Each (log, aggregation) is prepared once (``pipeline.prepare``) and
+    released once per cell, so a row's ``wall_clock_ms`` times its release
+    alone; one preparation is held at a time. Every cell uses
+    ``spec.seed``, so a noise stream ``(seed, source, target, run)`` has
+    the same unit-scale draw in every cell, and only the scale differs: one
+    memo per call draws each stream once, across all logs and cells, and
+    ``release`` scales it per cell.
 
     ``threads`` is accepted for compatibility and ignored: cells are
     evaluated serially.
@@ -357,14 +360,19 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> str:
             dfg, failure = build_dfg(source.load(spec.seed)), None
         except Exception as exc:
             dfg, failure = None, exc
+        prepared = None
         for request in spec.requests:
             param = request.risk.delta if request.mode is Mode.P1 else request.utility.mape_target
             row = [source.name, request.aggregation.value, request.mode.value, repr(param)]
             try:
                 if failure is not None:
                     raise failure
-                row += _measure(dfg, request, draws)
+                if prepared is None or prepared.aggregation is not request.aggregation:
+                    prepared = None  # drop the last aggregation's before preparing the next
+                    prepared = prepare(dfg, request)
+                row += _measure(prepared, request, draws)
             except Exception as exc:
                 row += [""] * (len(GRID_HEADER) - len(row) - 1) + [f"ERROR: {exc}"]
             writer.writerow(row)
+        dfg = prepared = None
     return out.getvalue()

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from pathlib import Path
+from types import SimpleNamespace
 
 START_END = "--"
 
@@ -336,8 +337,11 @@ def to_canonical_csv(log: EventLog) -> str:
     for key in header:
         if key in extra_keys:
             raise ValueError(f"extra attribute {key!r} collides with the canonical {key!r} column")
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    rows: list[str] = []
+    # Rows end in CRLF so that the writer quotes a field holding a CR or an
+    # LF: Python 3.11 quotes only the characters of its line terminator.
+    # Each row's CRLF then becomes the canonical LF.
+    writer = csv.writer(SimpleNamespace(write=rows.append), lineterminator="\r\n")
     writer.writerow(header + extra_keys)
     for case_id in sorted(log.traces):
         for ev in log.traces[case_id]:
@@ -345,7 +349,7 @@ def to_canonical_csv(log: EventLog) -> str:
                 [case_id, ev.activity, str(ev.timestamp_ns)]
                 + [ev.extra_attrs.get(k, "") for k in extra_keys]
             )
-    return out.getvalue()
+    return "".join(row[:-2] + "\n" for row in rows)
 
 
 CANONICAL_MAPPING = ColumnMapping(timestamp_format="number", number_unit="ns")

@@ -3,7 +3,9 @@
 P1: tolerated guessing advantage -> per-edge epsilon -> noisy DFG -> error
 report. P2: tolerated percentage error -> per-edge epsilon -> noisy DFG ->
 risk report. Both go through one calibration; only the source of epsilon
-differs. Emitters for DOT, JSON and CSV.
+differs. A disclosure is a :func:`prepare` of the DFG for its aggregation,
+which many requests can share, then a :func:`release` per request. Emitters
+for DOT, JSON and CSV.
 """
 from __future__ import annotations
 
@@ -14,6 +16,8 @@ import json
 import statistics
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import NamedTuple
 
 from .dfg import (
     AggregationKind,
@@ -34,12 +38,12 @@ from .risk import (
     RiskParams,
     delta_from_epsilon_time,
     dfg_delta,
-    edge_epsilon_time,
     epsilon_freq,
+    epsilon_time,
     time_priors,
     worst_case_delta_time,
 )
-from .utility import UtilityParams, alpha_per_edge, ape, epsilon_from_alpha, mape, smape
+from .utility import UtilityParams, alpha_per_edge, ape, epsilon_from_alpha, sape
 
 SCHEMA_VERSION = 1
 
@@ -123,164 +127,222 @@ class DisclosureReport:
     runtime_ms: float = field(default=0.0, compare=False)
 
 
-@dataclass(frozen=True)
-class _Calibration:
-    epsilon: float
-    noise_scale: float
-    edge_delta: float
-    degenerate: bool = False
-
-
-def _calibrate(edge: DfgEdge, kind: AggregationKind, request: DisclosureRequest, true_value: float) -> _Calibration:
-    """Epsilon, noise scale and guessing advantage of one edge whose
-    aggregated weight is ``true_value``. P1 derives epsilon from the
-    advantage target, P2 from the error target; the rest is shared.
+class PreparedEdge(NamedTuple):
+    """One edge of a :class:`PreparedDfg`: its aggregated weight and what
+    calibrating it needs besides the request's targets. A time edge carries
+    the range ``r`` and occurrence ``priors`` of ``risk.time_priors``
+    (``priors`` is None if it is degenerate), a frequency edge range 1 and
+    no priors. A boundary-constant edge is released exactly and carries
+    only its weight. A named tuple, not a dataclass: it is as immutable,
+    and its class takes a fraction of a dataclass's time to build at import.
     """
-    sens = sensitivity(kind, edge.frequency)
-    r, priors, degenerate = 1.0, None, False
+
+    source: str
+    target: str
+    true_value: float
+    sensitivity: float = 1.0
+    occurrences: int = 0
+    r: float = 1.0
+    priors: tuple[float, ...] | None = None
+    degenerate: bool = False
+    boundary_constant: bool = False
+
+
+# The request fields that shape a preparation; a release must agree on them.
+PREPARATION_FIELDS = ("aggregation", "precision", "include_boundary_time", "time_unit")
+
+
+@dataclass(frozen=True)
+class PreparedDfg:
+    """A DFG made ready to release under one aggregation: filtered,
+    converted to the disclosed unit (``dfg.time_unit``), and its edges
+    prepared in sorted order. It holds the request's
+    ``PREPARATION_FIELDS``; nothing in it depends on the mode, the
+    targets, the seed or the runs.
+    """
+
+    aggregation: AggregationKind
+    precision: float
+    include_boundary_time: bool
+    time_unit: str | None
+    dfg: Dfg
+    edges: tuple[PreparedEdge, ...]
+
+
+def prepare(dfg: Dfg, request: DisclosureRequest) -> PreparedDfg:
+    """The part of disclosing ``dfg`` that only the request's
+    ``PREPARATION_FIELDS`` decide, done once for any number of
+    :func:`release` calls: the boundary filter, the unit choice and
+    conversion, and each edge's weight, sensitivity and time priors.
+    """
+    kind = request.aggregation
+    working = filter_for_disclosure(dfg, kind, request.include_boundary_time)
+    if not working.edges:
+        raise ValueError("cannot disclose an empty DFG")
+    if kind.is_time:
+        working = convert_unit(working, request.time_unit or choose_time_unit(working, kind))
+    edges = tuple(_prepare_edge(e, kind, request.precision) for e in working.sorted_edges())
+    return PreparedDfg(kind, request.precision, request.include_boundary_time, request.time_unit, working, edges)
+
+
+def _prepare_edge(edge: DfgEdge, kind: AggregationKind, precision: float) -> PreparedEdge:
+    true_value = aggregate(edge, kind)
+    if kind.is_time and edge.is_boundary:
+        # Virtual-edge time annotations are 0 by construction: data-independent,
+        # released exactly.
+        return PreparedEdge(edge.source, edge.target, true_value, boundary_constant=True)
+    r, priors = time_priors(edge, kind, precision) if kind.is_time else (1.0, None)
+    return PreparedEdge(
+        edge.source, edge.target, true_value, sensitivity(kind, edge.frequency), edge.frequency, r, priors,
+        degenerate=kind.is_time and priors is None,
+    )
+
+
+def _calibrate(edge: PreparedEdge, request: DisclosureRequest) -> tuple[float, float, float]:
+    """Epsilon, noise scale and guessing advantage of one prepared edge.
+    P1 derives epsilon from the advantage target, P2 from the error target;
+    the rest is shared.
+    """
+    r, priors = edge.r, edge.priors
     if request.mode is Mode.P2:
         utility = request.utility
-        eps = epsilon_from_alpha(sens, alpha_per_edge(true_value, utility.mape_target), utility.beta)
-        if kind.is_time:
-            r, priors = time_priors(edge, kind, request.precision)
-            degenerate = priors is None
-    elif kind.is_time:
-        result = edge_epsilon_time(edge, request.risk, kind)
-        eps, r, priors, degenerate = result.epsilon, result.r, result.priors, result.degenerate
+        eps = epsilon_from_alpha(edge.sensitivity, alpha_per_edge(edge.true_value, utility.mape_target), utility.beta)
+    elif request.aggregation.is_time:
+        result = epsilon_time(request.risk, r, priors, edge.occurrences)
+        eps, priors = result.epsilon, result.priors
     else:
         eps = epsilon_freq(request.risk.delta)
     if priors is None:
         # A frequency, or P2 on a degenerate time edge, has no empirical
         # prior: take the advantage maximized over all priors. P1 on a
         # degenerate time edge carries the worst-case prior from
-        # edge_epsilon_time instead; the two forms agree only up to the last
+        # epsilon_time instead; the two forms agree only up to the last
         # bits, so each mode keeps its own.
         edge_delta = worst_case_delta_time(eps, r)
     else:
         # Occurrences every guess hits (prior 1) carry no advantage. The
         # advantage depends on the occurrence only through its prior.
         edge_delta = max([0.0, *(delta_from_epsilon_time(p, eps, r) for p in set(priors) if p < 1.0)])
-    scale = 0.0 if eps == UNBOUNDED else sens / eps
-    return _Calibration(eps, scale, edge_delta, degenerate)
+    scale = 0.0 if eps == UNBOUNDED else edge.sensitivity / eps
+    return eps, scale, edge_delta
 
 
-@dataclass(frozen=True)
-class _EdgeRuns:
-    """One edge's disclosure plus, per run, its noisy and released values
-    (empty for boundary-constant edges)."""
-
-    disclosure: EdgeDisclosure
-    noisy: list[float]
-    released: list[float]
-
-
-def _noise(scale: float, key: tuple[int, str, str, int], draws: dict) -> float:
-    """``sample_laplace(scale, NoiseStream(*key))``, bit for bit, as
-    ``scale`` times the unit-scale draw of ``key``, which ``draws`` keeps.
+def _noise(scale: float, key: tuple[int, str, str], runs: int, draws: dict) -> list[float]:
+    """The noise of runs ``0 .. runs-1`` of the edge ``key`` = ``(seed,
+    source, target)``. Run i's is ``sample_laplace(scale, NoiseStream(*key,
+    i))``, bit for bit, as ``scale`` times that stream's unit-scale draw;
+    ``draws`` keeps the unit draws of a key as one list, indexed by run.
     ``sample_laplace`` only flips the sign of ``scale`` before its one
     rounding multiply, so scaling the unit draw afterwards rounds the same
     product to the same bits. Scale 0 draws nothing.
     """
     if scale == 0.0:
-        return 0.0
-    unit = draws.get(key)
-    if unit is None:
-        unit = draws[key] = sample_laplace(1.0, NoiseStream(*key))
-    return scale * unit
+        return [0.0] * runs
+    units = draws.setdefault(key, [])
+    if len(units) < runs:
+        units.extend(sample_laplace(1.0, NoiseStream(*key, run)) for run in range(len(units), runs))
+    return [scale * unit for unit in units[:runs]]
 
 
-def _disclose_edge(edge: DfgEdge, kind: AggregationKind, request: DisclosureRequest, draws: dict) -> _EdgeRuns:
-    true_value = aggregate(edge, kind)
-    if kind.is_time and edge.is_boundary:
-        # Virtual-edge time annotations are 0 by construction: data-independent,
-        # released exactly.
-        disclosure = EdgeDisclosure(
-            edge.source, edge.target, true_value, epsilon=UNBOUNDED, noise_scale=0.0,
-            noisy_value=true_value, released_value=true_value, ape=None, released_ape=None,
-            edge_delta=0.0, boundary_constant=True,
-        )
-        return _EdgeRuns(disclosure, [], [])
-    cal = _calibrate(edge, kind, request, true_value)
-    noisy = [
-        true_value + _noise(cal.noise_scale, (request.seed, edge.source, edge.target, run), draws)
-        for run in range(request.runs)
-    ]
-    released = [post_process(v, kind) for v in noisy]
-    disclosure = EdgeDisclosure(
-        source=edge.source,
-        target=edge.target,
-        true_value=true_value,
-        epsilon=cal.epsilon,
-        noise_scale=cal.noise_scale,
-        noisy_value=noisy[0],
-        released_value=released[0],
-        ape=ape(true_value, noisy[0]),
-        released_ape=ape(true_value, released[0]),
-        edge_delta=cal.edge_delta,
-        degenerate=cal.degenerate,
-    )
-    return _EdgeRuns(disclosure, noisy, released)
-
-
-def disclose(
-    dfg: Dfg, request: DisclosureRequest, threads: int = 1, *, draws: dict | None = None
+def release(
+    prepared: PreparedDfg, request: DisclosureRequest, draws: dict | None = None
 ) -> tuple[AnnotatedDfg, DisclosureReport]:
-    """Calibrate, noise and report every edge of ``dfg`` as ``request``
-    asks, in sorted edge order.
+    """Calibrate, noise and report every edge of ``prepared`` as ``request``
+    asks, in sorted edge order. ``request`` must agree with the
+    preparation on ``PREPARATION_FIELDS``.
 
     Each edge and run has its own keyed noise stream, ``NoiseStream(seed,
     source, target, run)``; its noise is the stream's unit-scale Laplace
-    draw times the edge's noise scale. ``draws`` memoizes those unit draws
-    by key: calls that share one dict (as the cells of a sweep do) draw
-    each key once, with output byte-identical to calls that do not. Left
-    unset, the call uses a fresh dict of its own.
-
-    ``threads`` is accepted for compatibility and ignored: evaluation is
-    serial, and the output would not depend on it anyway, because every
-    edge and run draws from its own keyed noise stream.
+    draw times the edge's noise scale. ``draws`` memoizes those unit draws,
+    one list per ``(seed, source, target)``: calls that share one dict (as
+    the cells of a sweep do) draw each stream once, with output
+    byte-identical to calls that do not. Left unset, the call uses a fresh
+    dict of its own. ``runtime_ms`` times this call alone.
     """
+    for name in PREPARATION_FIELDS:
+        wanted, held = getattr(request, name), getattr(prepared, name)
+        if wanted != held:
+            raise ValueError(f"request {name} {wanted!r} differs from the prepared {held!r}")
     if draws is None:
         draws = {}
     started = time.perf_counter()
-    working = filter_for_disclosure(dfg, request.aggregation, request.include_boundary_time)
-    if not working.edges:
-        raise ValueError("cannot disclose an empty DFG")
-    if request.aggregation.is_time:
-        unit = request.time_unit or choose_time_unit(working, request.aggregation)
-        working = convert_unit(working, unit)
+    kind, runs = request.aggregation, request.runs
+    disclosures: list[EdgeDisclosure] = []
+    # Per noised edge: its true value, and per run its APE and released value.
+    noised: list[tuple[float, list[float], list[float]]] = []
+    for edge in prepared.edges:
+        true_value = edge.true_value
+        if edge.boundary_constant:
+            disclosures.append(EdgeDisclosure(
+                edge.source, edge.target, true_value, epsilon=UNBOUNDED, noise_scale=0.0,
+                noisy_value=true_value, released_value=true_value, ape=None, released_ape=None,
+                edge_delta=0.0, boundary_constant=True,
+            ))
+            continue
+        eps, scale, edge_delta = _calibrate(edge, request)
+        noisy = [true_value + n for n in _noise(scale, (request.seed, edge.source, edge.target), runs, draws)]
+        released = list(map(post_process, noisy, repeat(kind)))
+        apes = list(map(ape, repeat(true_value), noisy))
+        disclosures.append(EdgeDisclosure(
+            source=edge.source,
+            target=edge.target,
+            true_value=true_value,
+            epsilon=eps,
+            noise_scale=scale,
+            noisy_value=noisy[0],
+            released_value=released[0],
+            ape=apes[0],
+            released_ape=ape(true_value, released[0]),
+            edge_delta=edge_delta,
+            degenerate=edge.degenerate,
+        ))
+        noised.append((true_value, apes, released))
+    # Each run's MAPE (of the noisy values) and SMAPE (of the released ones)
+    # sums its edges left to right in sorted order, as utility.mape and
+    # utility.smape do.
+    if noised:
+        smapes = [list(map(sape, repeat(true_value), released)) for true_value, _, released in noised]
+        run_mapes = [ordered_sum(run) / len(noised) for run in zip(*(apes for _, apes, _ in noised))]
+        run_smapes = [ordered_sum(run) / len(noised) for run in zip(*smapes)]
     else:
-        unit = None
+        run_mapes, run_smapes = [0.0] * runs, [0.0] * runs
 
-    kind = request.aggregation
-    results = [_disclose_edge(e, kind, request, draws) for e in working.sorted_edges()]
-    disclosures = [r.disclosure for r in results]
-    noised = [r for r in results if not r.disclosure.boundary_constant]
-    true_values = [r.disclosure.true_value for r in noised]
-    run_mapes, run_smapes = [], []
-    for run in range(request.runs):
-        run_mapes.append(mape(true_values, [r.noisy[run] for r in noised]) if noised else 0.0)
-        run_smapes.append(smape(true_values, [r.released[run] for r in noised]) if noised else 0.0)
-
+    working = prepared.dfg
     weights = {(d.source, d.target): d.released_value for d in disclosures}
-    annotated = AnnotatedDfg(
-        Dfg(dfg.activities, dict(working.edges), time_unit=working.time_unit), kind, weights
-    )
+    annotated = AnnotatedDfg(Dfg(working.activities, dict(working.edges), time_unit=working.time_unit), kind, weights)
     report = DisclosureReport(
         mode=request.mode.value,
         aggregation=kind.value,
         parameters=_echo_parameters(request),
-        time_unit=unit,
+        time_unit=working.time_unit if kind.is_time else None,
         edges=disclosures,
         mape=ordered_sum(run_mapes) / len(run_mapes),
         smape=ordered_sum(run_smapes) / len(run_smapes),
         median_epsilon=statistics.median(d.epsilon for d in disclosures),
         overall_delta=dfg_delta({(d.source, d.target): d.edge_delta for d in disclosures}),
         seed=request.seed,
-        runs=request.runs,
+        runs=runs,
         run_mapes=run_mapes,
         run_smapes=run_smapes,
         runtime_ms=(time.perf_counter() - started) * 1e3,
     )
+    return annotated, report
+
+
+def disclose(
+    dfg: Dfg, request: DisclosureRequest, threads: int = 1, *, draws: dict | None = None
+) -> tuple[AnnotatedDfg, DisclosureReport]:
+    """``release(prepare(dfg, request), request, draws)``: calibrate, noise
+    and report every edge of ``dfg`` as ``request`` asks, in sorted edge
+    order. ``runtime_ms`` times both steps.
+
+    ``threads`` is accepted for compatibility and ignored: evaluation is
+    serial, and the output would not depend on it anyway, because every
+    edge and run draws from its own keyed noise stream.
+    """
+    started = time.perf_counter()
+    annotated, report = release(prepare(dfg, request), request, draws)
+    report.runtime_ms = (time.perf_counter() - started) * 1e3
     return annotated, report
 
 

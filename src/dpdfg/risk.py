@@ -139,10 +139,18 @@ def edge_epsilon_time(edge: DfgEdge, params: RiskParams, kind: AggregationKind =
     Degenerate edges fall back to the worst-case prior.
     """
     r, priors = time_priors(edge, kind, params.precision)
+    return epsilon_time(params, r, priors, edge.frequency)
+
+
+def epsilon_time(params: RiskParams, r: float, priors: tuple[float, ...] | None, occurrences: int) -> EdgeEpsilon:
+    """:func:`edge_epsilon_time` of an edge of ``occurrences`` occurrences
+    whose :func:`time_priors` are ``r`` and ``priors``, so that the priors,
+    which do not depend on delta, can be computed once for many deltas.
+    """
     if priors is None:
         prior = worst_case_prior(params.delta)
         eps = epsilon_from_delta(prior, params.delta, r)
-        return EdgeEpsilon(eps, (prior,) * len(edge.durations), r, degenerate=True)
+        return EdgeEpsilon(eps, (prior,) * occurrences, r, degenerate=True)
     epsilon = min(
         UNBOUNDED if params.delta + prior >= 1.0 else epsilon_from_delta(prior, params.delta, r)
         for prior in set(priors)

@@ -50,19 +50,25 @@ def smape(actuals: Sequence[float], noisies: Sequence[float]) -> float:
         raise ValueError("length mismatch")
     if not actuals:
         raise ValueError("empty input")
-    total = 0.0
-    for a, f in zip(actuals, noisies):
-        if a + f == 0.0:
-            raise ValueError("SMAPE undefined when actual + noisy is 0")
-        total += abs(a - f) / abs(a + f)
-    return total / len(actuals)
+    return ordered_sum(sape(a, f) for a, f in zip(actuals, noisies)) / len(actuals)
+
+
+def sape(actual: float, noisy: float) -> float:
+    """One value's term of :func:`smape`: |actual - noisy| / |actual + noisy|."""
+    if actual + noisy == 0.0:
+        raise ValueError("SMAPE undefined when actual + noisy is 0")
+    return abs(actual - noisy) / abs(actual + noisy)
 
 
 def alpha_per_edge(actual_weight: float, mape_target: float) -> float:
-    """Noise bound for one edge: its true weight times the error target."""
+    """Noise bound for one edge: its true weight times the error target,
+    which must be finite."""
     if actual_weight <= 0.0:
         raise ValueError(f"edge weight must be positive, got {actual_weight}")
-    return actual_weight * mape_target
+    alpha = actual_weight * mape_target
+    if not math.isfinite(alpha):
+        raise ValueError(f"edge weight {actual_weight!r} times error target {mape_target!r} is not finite")
+    return alpha
 
 
 def epsilon_from_alpha(sensitivity: float, alpha: float, beta: float) -> float:

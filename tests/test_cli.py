@@ -87,6 +87,19 @@ def test_anonymize_non_finite_error_target_is_data_error(clinic_path, capsys, ta
     assert captured.err == f"dpdfg: error: mape_target must be positive and finite, got {target}\n"
 
 
+def test_anonymize_error_target_that_overflows_an_edge_is_data_error(capsys):
+    # 1e308 is a finite target, but the first edge's weight 2 times it is not.
+    skewed = Path(__file__).parent / "data" / "skewed.csv"
+    code = main([
+        "anonymize", "--input", str(skewed), "--timestamp-format", "number", "--timestamp-unit", "ns",
+        "--mape", "1e308", "--agg", "frequency",
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "dpdfg: error: edge weight 2.0 times error target 1e+308 is not finite\n"
+
+
 def test_cli_determinism_across_runs_and_threads(clinic_path, tmp_path):
     outputs = []
     for threads, name in ((1, "a.json"), (1, "b.json"), (8, "c.json")):

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from dpdfg import (
     CANONICAL_MAPPING,
     ColumnMapping,
+    Event,
+    EventLog,
     IngestError,
     parse_csv,
     parse_xes,
@@ -287,6 +289,17 @@ def test_round_trip_preserves_extra_attrs():
     text = "case,activity,timestamp,resource\nP1,A,1,S1\nP1,B,2,S2\nP2,A,3,S1\n"
     log = parse_csv(text)
     assert parse_csv(to_canonical_csv(log), CANONICAL_MAPPING) == log
+
+
+def test_round_trip_quotes_line_breaks_in_fields():
+    # Each field holding a CR, an LF or a CRLF is quoted, so no row splits.
+    log = EventLog({
+        f"P{i}{brk}x": (Event(f"A{brk}B", i, {"note": f"x{brk}y"}), Event("C", i + 1, {"note": "plain"}))
+        for i, brk in enumerate(("\r", "\n", "\r\n"))
+    })
+    text = to_canonical_csv(log)
+    for parse in (parse_csv, parse_csv_reference):
+        assert parse(text, CANONICAL_MAPPING) == log
 
 
 def test_parse_csv_skips_utf8_byte_order_mark(clinic_csv, clinic_log):

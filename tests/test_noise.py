@@ -107,24 +107,34 @@ def bits(value: float) -> bytes:
     return struct.pack("<d", value)
 
 
-KEYS = st.tuples(st.integers(-(2**70), 2**70), st.text(max_size=6), st.text(max_size=6), st.integers(0, 10**6))
+# A noise key (seed, source, target); the memo keeps one list of unit draws
+# per key, indexed by run.
+KEYS = st.tuples(st.integers(-(2**70), 2**70), st.text(max_size=6), st.text(max_size=6))
 SCALES = st.one_of(
     st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.0, 1e300, sys.float_info.max]),
     st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
 )
 
 
-@given(key=KEYS, scale=SCALES)
-def test_scaled_unit_draw_is_bitwise_the_reference_draw(key, scale):
-    # A sweep draws each key's unit-scale Laplace value once and scales it
-    # per cell; that must give the bits sample_laplace gives at that scale,
-    # sign of zero included.
-    reference = sample_laplace(scale, NoiseStream(*key))
+def reference_bits(scale: float, key: tuple, runs: int) -> list[bytes]:
+    return [bits(sample_laplace(scale, NoiseStream(*key, run))) for run in range(runs)]
+
+
+@given(key=KEYS, scale=SCALES, runs=st.integers(1, 4))
+def test_scaled_unit_draw_is_bitwise_the_reference_draw(key, scale, runs):
+    # A sweep draws each stream's unit-scale Laplace value once and scales
+    # it per cell; every run of the column must have the bits sample_laplace
+    # gives at that scale, sign of zero included.
+    reference = reference_bits(scale, key, runs)
     if scale > 0.0:
-        assert bits(scale * sample_laplace(1.0, NoiseStream(*key))) == bits(reference)
+        assert [bits(scale * sample_laplace(1.0, NoiseStream(*key, run))) for run in range(runs)] == reference
     draws = {}
-    assert bits(_noise(scale, key, draws)) == bits(reference)
-    # Scale 0 draws nothing; any other scale stores the key's unit draw.
+    assert list(map(bits, _noise(scale, key, runs, draws))) == reference
+    # Scale 0 draws nothing; any other scale stores the key's unit draws.
     assert list(draws) == ([key] if scale > 0.0 else [])
-    # A second scale reads the stored draw and still matches its reference.
-    assert bits(_noise(scale / 3, key, draws)) == bits(sample_laplace(scale / 3, NoiseStream(*key)))
+    assert all(len(units) == runs for units in draws.values())
+    # A second scale reads the stored draws and still matches its reference;
+    # a longer column draws only the runs the memo lacks.
+    assert list(map(bits, _noise(scale / 3, key, runs, draws))) == reference_bits(scale / 3, key, runs)
+    assert list(map(bits, _noise(scale / 3, key, runs + 2, draws))) == reference_bits(scale / 3, key, runs + 2)
+    assert list(map(bits, _noise(scale, key, 1, draws))) == reference[:1]

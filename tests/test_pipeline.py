@@ -1,22 +1,38 @@
+import csv
+import io
 import json
 import math
 import random
+from statistics import median
 
 import pyparsing as pp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpdfg import START_END, AggregationKind, Mode, RiskParams, UtilityParams, build_dfg, parse_csv
+from dpdfg import START_END, AggregationKind, Event, EventLog, Mode, RiskParams, UtilityParams, build_dfg, parse_csv
 from dpdfg.pipeline import (
     DisclosureRequest,
     disclose,
     emit_csv,
     emit_dot,
     emit_json,
+    prepare,
+    release,
     report_to_dict,
+    show_epsilon,
 )
-from dpdfg.bench import PROFILES, LogSource, SweepSpec, SyntheticLogSpec, generate_log, profile_spec
+from dpdfg.bench import (
+    GRID_HEADER,
+    PROFILES,
+    LogSource,
+    SweepSpec,
+    SyntheticLogSpec,
+    _se,
+    generate_log,
+    profile_spec,
+    run_sweep,
+)
 from dpdfg.risk import (
     UNBOUNDED,
     delta_from_epsilon_freq,
@@ -371,40 +387,90 @@ def test_p2_edge_delta_equals_the_prior_oracle():
 
 
 def test_shared_draw_memo_matches_fresh_draws_cell_by_cell():
-    # run_sweep shares one memo of unit draws across every log and cell of a
-    # grid; each cell must come out as a disclose call with no memo does.
-    spec = SweepSpec(
-        logs=(
-            LogSource("unique", synthetic=profile_spec("unique", 12), gen_seed=4),
-            LogSource("skewed", synthetic=profile_spec("skewed", 25), gen_seed=5),
-        ),
-        deltas=(0.1, 0.6),
-        mapes=(0.2, 1.0),
-        aggregations=(FREQ, MAX),
-        runs=3,
-        seed=41,
+    # run_sweep prepares each (log, aggregation) once and shares one memo of
+    # unit draws across every log and cell of a grid; each row must come out
+    # as a disclose call with no memo gives it, in every column but the clock.
+    logs = (
+        LogSource("unique", synthetic=profile_spec("unique", 12), gen_seed=4),
+        LogSource("skewed", synthetic=profile_spec("skewed", 25), gen_seed=5),
     )
-    draws, cells, noised = {}, 0, 0
-    for source in spec.logs:
-        dfg = build_dfg(source.load(spec.seed))
-        for request in spec.requests:
-            annotated, report = disclose(dfg, request, draws=draws)
-            fresh_annotated, fresh = disclose(dfg, request)
-            assert report == fresh and annotated == fresh_annotated, (source.name, request)
-            assert emit_json(report) == emit_json(fresh)
-            # Every run's noise is the reference draw of its own stream.
-            true_values = [e.true_value for e in report.edges]
-            for run in range(request.runs):
-                noisy = [
-                    e.true_value + sample_laplace(e.noise_scale, NoiseStream(spec.seed, e.source, e.target, run))
-                    for e in report.edges
-                ]
-                assert report.run_mapes[run] == mape(true_values, noisy)
-            cells += 1
-            noised += sum(e.noise_scale > 0.0 for e in report.edges) * request.runs
-    assert cells == 2 * len(spec.requests) == 16
-    # Each key is drawn once, however many cells scale it.
-    assert 0 < len(draws) < noised
+    degenerate = unbounded = 0
+    for include_boundary_time in (False, True):
+        spec = SweepSpec(
+            logs=logs, deltas=(0.1, 0.6), mapes=(0.2, 1.0), aggregations=tuple(AggregationKind), runs=3, seed=41,
+            include_boundary_time=include_boundary_time,
+        )
+        grid = list(csv.reader(io.StringIO(run_sweep(spec))))
+        assert grid[0] == GRID_HEADER
+        clock = GRID_HEADER.index("wall_clock_ms")
+        expected, draws, noised = [], {}, 0
+        for source in spec.logs:
+            dfg = build_dfg(source.load(spec.seed))
+            for request in spec.requests:
+                fresh_annotated, fresh = disclose(dfg, request)
+                annotated, report = disclose(dfg, request, draws=draws)
+                assert report == fresh and annotated == fresh_annotated, (source.name, request)
+                assert emit_json(report) == emit_json(fresh)
+                # Every run's noise is the reference draw of its own stream;
+                # boundary-constant edges are released exactly, outside MAPE.
+                edges = [e for e in fresh.edges if not e.boundary_constant]
+                for run in range(request.runs):
+                    noisy = [
+                        e.true_value + sample_laplace(e.noise_scale, NoiseStream(spec.seed, e.source, e.target, run))
+                        for e in edges
+                    ]
+                    assert fresh.run_mapes[run] == mape([e.true_value for e in edges], noisy)
+                param = request.risk.delta if request.mode is Mode.P1 else request.utility.mape_target
+                expected.append([
+                    source.name, request.aggregation.value, request.mode.value, repr(param),
+                    show_epsilon(fresh.median_epsilon, repr), repr(fresh.mape), repr(_se(fresh.run_mapes)),
+                    repr(fresh.smape), repr(_se(fresh.run_smapes)), repr(median(e.edge_delta for e in fresh.edges)),
+                    repr(fresh.overall_delta), "", "",
+                ])
+                noised += sum(e.noise_scale > 0.0 for e in fresh.edges) * request.runs
+                degenerate += sum(e.degenerate for e in fresh.edges)
+                unbounded += sum(e.epsilon == UNBOUNDED and not e.boundary_constant for e in fresh.edges)
+        for row in grid[1:]:
+            row[clock] = ""
+        assert grid[1:] == expected
+        assert len(expected) == 2 * len(spec.requests) == 2 * 5 * 4
+        # Each stream is drawn once, however many cells scale it.
+        assert 0 < sum(map(len, draws.values())) < noised
+    assert degenerate > 0 and unbounded > 0
+
+
+def test_release_rejects_a_request_the_preparation_did_not_see(clinic_dfg):
+    prepared = prepare(clinic_dfg, p1(MAX, 0.4))
+    for request in (
+        p1(FREQ, 0.4),
+        p1(MAX, 0.4, precision=0.1),
+        p1(MAX, 0.4, include_boundary_time=True),
+        p1(MAX, 0.4, time_unit="h"),
+    ):
+        with pytest.raises(ValueError, match="differs from the prepared"):
+            release(prepared, request)
+    # Mode, targets, seed and runs are the release's own.
+    _, report = release(prepared, p2(MAX, 0.3, seed=3, runs=2))
+    assert report == disclose(clinic_dfg, p2(MAX, 0.3, seed=3, runs=2))[1]
+
+
+def test_one_memo_serves_dfgs_with_the_same_edges_and_other_durations():
+    # The memo holds unit draws only: a DFG disclosed after another with the
+    # same edge keys gets its own weights, priors and units, not the first's.
+    log = generate_log(profile_spec("skewed", 20), 7)
+    stretched = EventLog({
+        case: tuple(Event(e.activity, e.timestamp_ns + i * i * 3_600_000_000_000) for i, e in enumerate(events))
+        for case, events in log.traces.items()
+    })
+    first, second = build_dfg(log), build_dfg(stretched)
+    assert first.edges.keys() == second.edges.keys() and first != second
+    draws = {}
+    for kind in AggregationKind:
+        for request in (p1(kind, 0.3, runs=2), p2(kind, 0.4, runs=2)):
+            reports = [disclose(dfg, request, draws=draws) for dfg in (first, second)]
+            assert reports == [disclose(dfg, request) for dfg in (first, second)]
+            # Frequencies match; every time weight differs.
+            assert (reports[0][1].edges != reports[1][1].edges) == kind.is_time
 
 
 # Small generated logs of every profile, as a (name, trace count, generation

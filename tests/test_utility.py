@@ -53,6 +53,10 @@ def test_alpha_per_edge_examples():
     assert alpha_per_edge(7.25, 1.0) == pytest.approx(7.25)
     with pytest.raises(ValueError):
         alpha_per_edge(0.0, 0.3)
+    # A finite weight and target whose product overflows give no noise bound.
+    assert alpha_per_edge(1.0, 1e308) == 1e308
+    with pytest.raises(ValueError, match=r"^edge weight 2\.0 times error target 1e\+308 is not finite$"):
+        alpha_per_edge(2.0, 1e308)
 
 
 def test_epsilon_from_alpha_closed_form():

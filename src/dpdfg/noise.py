@@ -1,11 +1,17 @@
 """Laplace noise generation with deterministic per-edge substreams, query
 sensitivities, and positivity post-processing of released weights.
+
+``NoiseStream``, ``sample_laplace`` and ``post_process`` are the reference
+definitions. A release uses their column forms, which compute one edge's
+runs at a time with the same bits.
 """
 from __future__ import annotations
 
 import hashlib
 import math
 import random
+
+from _random import Random as _CRandom
 
 from .dfg import AggregationKind
 
@@ -62,6 +68,37 @@ def sample_laplace(scale: float, stream) -> float:
     return -scale * math.copysign(1.0, u) * math.log(1.0 - 2.0 * abs(u))
 
 
+def unit_laplace_column(root_seed: int, source: str, target: str, start: int, stop: int) -> list[float]:
+    """``sample_laplace(1.0, NoiseStream(root_seed, source, target, run))``
+    for each ``run`` in ``range(start, stop)``, bit for bit.
+
+    The length-prefixed ``(root_seed, source, target)`` key is hashed once;
+    each run copies that digest and adds its own index. One generator serves
+    the column: built from the first run's seed and re-seeded in C for the
+    others (``random.Random()`` without a seed would read ``os.urandom``).
+    """
+    prefix = hashlib.sha256()
+    for part in (str(root_seed), source, target):
+        raw = part.encode("utf-8")
+        prefix.update(len(raw).to_bytes(4, "big") + raw)
+    column: list[float] = []
+    rng = None
+    for run in range(start, stop):
+        raw = str(run).encode("utf-8")
+        digest = prefix.copy()
+        digest.update(len(raw).to_bytes(4, "big") + raw)
+        seed = int.from_bytes(digest.digest()[:8], "big")
+        if rng is None:
+            rng = random.Random(seed)
+        else:
+            _CRandom.seed(rng, seed)
+        u = rng.random() - 0.5
+        while u == -0.5:
+            u = rng.random() - 0.5
+        column.append(-1.0 * math.copysign(1.0, u) * math.log(1.0 - 2.0 * abs(u)))
+    return column
+
+
 def post_process(noisy: float, kind: AggregationKind) -> float:
     """Make a noisy weight publishable: frequencies become integers >= 1,
     time weights are clamped to a small positive floor. Value-independent,
@@ -71,3 +108,11 @@ def post_process(noisy: float, kind: AggregationKind) -> float:
         return float(max(1, math.floor(noisy + 0.5)))
     return max(TIME_FLOOR, noisy)
 
+
+def post_process_column(values: list[float], kind: AggregationKind) -> list[float]:
+    """``post_process`` of each value, with the branch taken once per column.
+    ``v if v > TIME_FLOOR else TIME_FLOOR`` is ``max(TIME_FLOOR, v)``, NaN
+    included."""
+    if kind is AggregationKind.FREQUENCY:
+        return [float(max(1, math.floor(v + 0.5))) for v in values]
+    return [v if v > TIME_FLOOR else TIME_FLOOR for v in values]

@@ -16,7 +16,6 @@ import json
 import statistics
 import time
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import NamedTuple
 
 from .dfg import (
@@ -31,7 +30,7 @@ from .dfg import (
     filter_for_disclosure,
     ordered_sum,
 )
-from .noise import DEFAULT_SEED, NoiseStream, post_process, sample_laplace, sensitivity
+from .noise import DEFAULT_SEED, post_process_column, sensitivity, unit_laplace_column
 from .risk import (
     DEFAULT_PRECISION,
     UNBOUNDED,
@@ -43,7 +42,7 @@ from .risk import (
     time_priors,
     worst_case_delta_time,
 )
-from .utility import UtilityParams, alpha_per_edge, ape, epsilon_from_alpha, sape
+from .utility import UtilityParams, alpha_per_edge, ape, ape_column, epsilon_from_alpha, sape_column
 
 SCHEMA_VERSION = 1
 
@@ -93,8 +92,14 @@ class DisclosureRequest:
             raise ValueError(f"precision must be in [0,1], got {self.precision}")
 
 
-@dataclass(frozen=True)
-class EdgeDisclosure:
+class EdgeDisclosure(NamedTuple):
+    """One released edge: its true and released weight, the epsilon, noise
+    scale and guessing advantage it was released with, and the APE of its
+    first run's noisy and released values (None for a boundary-constant
+    edge). A named tuple, not a frozen dataclass: it is as immutable, and
+    builds in a fraction of the time, once per edge and request.
+    """
+
     source: str
     target: str
     true_value: float
@@ -234,13 +239,14 @@ def _noise(scale: float, key: tuple[int, str, str], runs: int, draws: dict) -> l
     ``draws`` keeps the unit draws of a key as one list, indexed by run.
     ``sample_laplace`` only flips the sign of ``scale`` before its one
     rounding multiply, so scaling the unit draw afterwards rounds the same
-    product to the same bits. Scale 0 draws nothing.
+    product to the same bits. The missing unit draws come as one
+    ``unit_laplace_column``. Scale 0 draws nothing.
     """
     if scale == 0.0:
         return [0.0] * runs
     units = draws.setdefault(key, [])
     if len(units) < runs:
-        units.extend(sample_laplace(1.0, NoiseStream(*key, run)) for run in range(len(units), runs))
+        units.extend(unit_laplace_column(*key, len(units), runs))
     return [scale * unit for unit in units[:runs]]
 
 
@@ -281,8 +287,8 @@ def release(
             continue
         eps, scale, edge_delta = _calibrate(edge, request)
         noisy = [true_value + n for n in _noise(scale, (request.seed, edge.source, edge.target), runs, draws)]
-        released = list(map(post_process, noisy, repeat(kind)))
-        apes = list(map(ape, repeat(true_value), noisy))
+        released = post_process_column(noisy, kind)
+        apes = ape_column(true_value, noisy)
         disclosures.append(EdgeDisclosure(
             source=edge.source,
             target=edge.target,
@@ -301,7 +307,7 @@ def release(
     # sums its edges left to right in sorted order, as utility.mape and
     # utility.smape do.
     if noised:
-        smapes = [list(map(sape, repeat(true_value), released)) for true_value, _, released in noised]
+        smapes = [sape_column(true_value, released) for true_value, _, released in noised]
         run_mapes = [ordered_sum(run) / len(noised) for run in zip(*(apes for _, apes, _ in noised))]
         run_smapes = [ordered_sum(run) / len(noised) for run in zip(*smapes)]
     else:
@@ -383,7 +389,7 @@ def report_to_dict(report: DisclosureReport) -> dict:
         "overall_delta": report.overall_delta,
         "mape": report.mape,
         "smape": report.smape,
-        "edges": [{**vars(e), "epsilon": show_epsilon(e.epsilon)} for e in report.edges],
+        "edges": [{**e._asdict(), "epsilon": show_epsilon(e.epsilon)} for e in report.edges],
     }
 
 

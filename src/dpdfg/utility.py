@@ -1,5 +1,7 @@
 """Utility-loss metrics (APE/MAPE/SMAPE) and the error-target calibration
-epsilon = sensitivity/alpha * ln(1/beta).
+epsilon = sensitivity/alpha * ln(1/beta). ``ape`` and ``sape`` are the
+reference definitions; ``ape_column`` and ``sape_column`` give the same bits
+for one edge's runs at a time.
 """
 from __future__ import annotations
 
@@ -33,6 +35,14 @@ def ape(actual: float, noisy: float) -> float:
     return abs(actual - noisy) / abs(actual)
 
 
+def ape_column(actual: float, values: Sequence[float]) -> list[float]:
+    """``ape(actual, v)`` for each value: the zero check is made once."""
+    if actual == 0.0:
+        raise ValueError("APE undefined for actual value 0")
+    denominator = abs(actual)
+    return [abs(actual - v) / denominator for v in values]
+
+
 def mape(actuals: Sequence[float], noisies: Sequence[float]) -> float:
     """Mean APE across edges, summed left to right (``ordered_sum``)."""
     if len(actuals) != len(noisies):
@@ -58,6 +68,16 @@ def sape(actual: float, noisy: float) -> float:
     if actual + noisy == 0.0:
         raise ValueError("SMAPE undefined when actual + noisy is 0")
     return abs(actual - noisy) / abs(actual + noisy)
+
+
+def sape_column(actual: float, values: Sequence[float]) -> list[float]:
+    """``sape(actual, v)`` for each value. A float division raises
+    ``ZeroDivisionError`` exactly when its divisor is 0, which here is
+    ``sape``'s own error case."""
+    try:
+        return [abs(actual - v) / abs(actual + v) for v in values]
+    except ZeroDivisionError:
+        raise ValueError("SMAPE undefined when actual + noisy is 0") from None
 
 
 def alpha_per_edge(actual_weight: float, mape_target: float) -> float:

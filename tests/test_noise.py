@@ -1,15 +1,17 @@
 import math
+import random
 import statistics
 import struct
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dpdfg import AggregationKind, NoiseStream, sample_laplace, sensitivity
-from dpdfg.noise import TIME_FLOOR, post_process
+from dpdfg.noise import TIME_FLOOR, post_process, post_process_column, unit_laplace_column
 from dpdfg.pipeline import _noise
+from dpdfg.utility import ape, ape_column, sape, sape_column
 
 F = AggregationKind.FREQUENCY
 
@@ -138,3 +140,82 @@ def test_scaled_unit_draw_is_bitwise_the_reference_draw(key, scale, runs):
     assert list(map(bits, _noise(scale / 3, key, runs, draws))) == reference_bits(scale / 3, key, runs)
     assert list(map(bits, _noise(scale / 3, key, runs + 2, draws))) == reference_bits(scale / 3, key, runs + 2)
     assert list(map(bits, _noise(scale, key, 1, draws))) == reference[:1]
+
+
+# Column kernels against their scalar oracles. An outcome is the bits of
+# every value, or the type and text of the first error.
+def outcome(compute) -> tuple:
+    try:
+        return ("ok", list(map(bits, compute())))
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+TIME_FLOOR_NEIGHBOURS = [math.nextafter(TIME_FLOOR, -math.inf), TIME_FLOOR, math.nextafter(TIME_FLOOR, math.inf)]
+EDGE_VALUES = [
+    0.5, -0.5, 1.5, 2.5, -1.5, -2.5, 0.49999999999999994, 0.0, -0.0, -7.2, 3.41,
+    5e-324, 1e300, -1e300, sys.float_info.max, -sys.float_info.max, 2.0**53 + 1.0,
+    math.nan, math.inf, -math.inf, *TIME_FLOOR_NEIGHBOURS,
+]
+VALUES = st.one_of(st.sampled_from(EDGE_VALUES), st.floats())
+
+
+@given(values=st.lists(VALUES, max_size=8), kind=st.sampled_from(list(AggregationKind)))
+@example(values=[math.nan, -0.0, -7.2, *TIME_FLOOR_NEIGHBOURS, 2.5, math.inf], kind=AggregationKind.MAX)
+@example(values=[0.5, -0.5, 1.5, 2.5, 0.49999999999999994, -0.0, 1e300], kind=F)
+@example(values=[1.0, math.nan], kind=F)
+@example(values=[math.inf], kind=F)
+def test_post_process_column_is_bitwise_post_process(values, kind):
+    # Rounding ties, signed zeros, TIME_FLOOR itself, and NaN/inf (which the
+    # frequency branch rejects with the oracle's error) included.
+    assert outcome(lambda: post_process_column(values, kind)) == outcome(
+        lambda: [post_process(v, kind) for v in values]
+    )
+
+
+ACTUALS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.0, 3.5, 5e-324, 1e300, math.nan, math.inf]), st.floats())
+
+
+@given(actual=ACTUALS, data=st.data())
+def test_error_columns_are_bitwise_ape_and_sape(actual, data):
+    # -actual makes actual + v exactly 0, SMAPE's error case.
+    values = data.draw(st.lists(st.one_of(VALUES, st.just(-actual)), min_size=1, max_size=8))
+    assert outcome(lambda: ape_column(actual, values)) == outcome(lambda: [ape(actual, v) for v in values])
+    assert outcome(lambda: sape_column(actual, values)) == outcome(lambda: [sape(actual, v) for v in values])
+
+
+def test_error_columns_raise_the_oracle_errors():
+    with pytest.raises(ValueError, match="^APE undefined for actual value 0$"):
+        ape_column(-0.0, [1.0, 2.0])
+    with pytest.raises(ValueError, match="^SMAPE undefined when actual \\+ noisy is 0$"):
+        sape_column(2.0, [1.0, -2.0])
+    assert list(map(bits, sape_column(2.0, [1.0, 3.0]))) == [bits(sape(2.0, 1.0)), bits(sape(2.0, 3.0))]
+
+
+@given(key=KEYS, start=st.integers(0, 6), length=st.integers(0, 4))
+@example(key=(-1, "Ä", "→ end"), start=0, length=3)
+@example(key=(2**64 + 5, "", "日本"), start=4, length=2)
+def test_unit_laplace_column_is_bitwise_the_reference_draw(key, start, length):
+    # A column may start past run 0, as when a memo is extended.
+    stop = start + length
+    assert list(map(bits, unit_laplace_column(*key, start, stop))) == [
+        bits(sample_laplace(1.0, NoiseStream(*key, run))) for run in range(start, stop)
+    ]
+
+
+def test_unit_laplace_column_redraws_an_excluded_uniform(monkeypatch):
+    # Every generator's odd calls return 0.0, the excluded -1/2 after the
+    # shift: each run must draw again, as NoiseStream does, and take the
+    # generator's next value.
+    class Stuttering(random.Random):
+        calls = 0
+
+        def random(self):
+            self.calls += 1
+            return 0.0 if self.calls % 2 else super().random()
+
+    monkeypatch.setattr(random, "Random", Stuttering)
+    key = (7, "A", "B")
+    column = unit_laplace_column(*key, 0, 3)
+    assert all(math.isfinite(v) for v in column)
+    assert list(map(bits, column)) == [bits(sample_laplace(1.0, NoiseStream(*key, run))) for run in range(3)]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from dpdfg import START_END, AggregationKind, Event, EventLog, Mode, RiskParams, UtilityParams, build_dfg, parse_csv
 from dpdfg.pipeline import (
     DisclosureRequest,
+    EdgeDisclosure,
     disclose,
     emit_csv,
     emit_dot,
@@ -304,6 +305,33 @@ def test_emit_json_round_trip(clinic_dfg):
     assert parsed["schema_version"] == 1
     unbounded = [e for e in parsed["edges"] if e["epsilon"] == "unbounded"]
     assert unbounded  # vacuous-risk edges serialize as the string marker
+
+
+EDGE_FIELDS = [
+    "source", "target", "true_value", "epsilon", "noise_scale", "noisy_value", "released_value",
+    "ape", "released_ape", "edge_delta", "degenerate", "boundary_constant",
+]
+
+
+def test_edge_disclosure_contract(clinic_dfg):
+    import dpdfg
+
+    assert dpdfg.EdgeDisclosure is EdgeDisclosure
+    edge = EdgeDisclosure(
+        source="A", target="B", true_value=3.0, epsilon=0.5, noise_scale=2.0, noisy_value=4.5,
+        released_value=5.0, ape=0.5, released_ape=2.0 / 3.0, edge_delta=0.1,
+    )
+    assert (edge.degenerate, edge.boundary_constant) == (False, False)
+    twin = EdgeDisclosure(*edge)
+    assert twin == edge and hash(twin) == hash(edge) and len({edge, twin}) == 1
+    with pytest.raises(AttributeError):
+        edge.epsilon = 1.0
+    # Each JSON edge object holds the fields in declaration order, with the
+    # epsilon marker in place.
+    _, report = disclose(clinic_dfg, p1(MAX, 0.99, precision=0.1, include_boundary_time=True))
+    edges = report_to_dict(report)["edges"]
+    assert [list(e) for e in edges] == [EDGE_FIELDS] * len(report.edges)
+    assert {e["epsilon"] for e in edges if e["boundary_constant"]} == {"unbounded"}
 
 
 DOT_IDENT = pp.QuotedString('"', esc_char="\\") | pp.Word(pp.alphanums + "_.")

@@ -33,13 +33,11 @@ from .pipeline import (
     report_to_dict,
 )
 from .risk import (
-    EdgeEpsilon,
     RiskParams,
     UNBOUNDED,
     delta_from_epsilon_freq,
     delta_from_epsilon_time,
     dfg_delta,
-    edge_epsilon_time,
     empirical_prior,
     epsilon_freq,
     epsilon_from_delta,

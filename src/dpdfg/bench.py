@@ -15,8 +15,8 @@ from .dfg import AggregationKind, build_dfg, ordered_sum
 from .eventlog import NS_PER_UNIT, Event, EventLog, read_log
 from .noise import DEFAULT_SEED
 from .pipeline import DisclosureRequest, Mode, PreparedDfg, prepare, release, show_epsilon
-from .risk import RiskParams
-from .utility import UtilityParams
+from .risk import DEFAULT_PRECISION, RiskParams
+from .utility import DEFAULT_BETA, UtilityParams
 
 DEFAULT_DELTAS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_MAPES = (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0)
@@ -190,8 +190,8 @@ class SweepSpec:
     aggregations: tuple[AggregationKind, ...] = tuple(AggregationKind)
     runs: int = 10
     seed: int = DEFAULT_SEED
-    precision: float = 0.5
-    beta: float = 0.05
+    precision: float = DEFAULT_PRECISION
+    beta: float = DEFAULT_BETA
     include_boundary_time: bool = False
     # The request of each grid cell, in row order, built (and so checked)
     # with the spec, before any log loads.

@@ -22,8 +22,8 @@ from .pipeline import (
     emit_dot,
     emit_json,
 )
-from .risk import RiskParams
-from .utility import UtilityParams
+from .risk import DEFAULT_PRECISION, RiskParams
+from .utility import DEFAULT_BETA, UtilityParams
 
 # exit codes: 0 success, 1 data/domain error, 2 usage error (argparse)
 DATA_ERROR = 1
@@ -78,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     anon.add_argument("--agg", default="frequency", help="frequency|sum|min|max|avg")
     anon.add_argument("--delta", type=float, help="guessing-advantage target (P1)")
     anon.add_argument("--mape", type=float, help="percentage-error target (P2)")
-    anon.add_argument("--beta", type=float, default=0.05, help="noise-exceedance probability (P2)")
-    anon.add_argument("--precision", type=float, default=0.5,
+    anon.add_argument("--beta", type=float, default=DEFAULT_BETA, help="noise-exceedance probability (P2)")
+    anon.add_argument("--precision", type=float, default=DEFAULT_PRECISION,
                       help="guess window as a fraction of the edge range")
     anon.add_argument("--seed", type=_seed_flag, default=None, help="integer seed, or 'random'")
     anon.add_argument("--runs", type=int, default=1)

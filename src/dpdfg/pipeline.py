@@ -23,6 +23,7 @@ from .dfg import (
     AnnotatedDfg,
     Dfg,
     DfgEdge,
+    NS_PER_UNIT,
     START_END,
     aggregate,
     choose_time_unit,
@@ -90,6 +91,8 @@ class DisclosureRequest:
             object.__setattr__(self, "precision", precision)
         if not 0.0 <= self.precision <= 1.0:
             raise ValueError(f"precision must be in [0,1], got {self.precision}")
+        if self.time_unit is not None and self.time_unit not in NS_PER_UNIT:
+            raise ValueError(f"unknown time unit {self.time_unit!r}")
 
 
 class EdgeDisclosure(NamedTuple):
@@ -135,21 +138,20 @@ class DisclosureReport:
 class PreparedEdge(NamedTuple):
     """One edge of a :class:`PreparedDfg`: its aggregated weight and what
     calibrating it needs besides the request's targets. A time edge carries
-    the range ``r`` and occurrence ``priors`` of ``risk.time_priors``
-    (``priors`` is None if it is degenerate), a frequency edge range 1 and
-    no priors. A boundary-constant edge is released exactly and carries
-    only its weight. A named tuple, not a dataclass: it is as immutable,
-    and its class takes a fraction of a dataclass's time to build at import.
+    the range ``r`` of ``risk.time_priors`` and the distinct priors of its
+    occurrences, sorted (``priors`` is None if it is degenerate), a
+    frequency edge range 1 and no priors. A boundary-constant edge is
+    released exactly and carries only its weight. A named tuple, not a
+    dataclass: it is as immutable, and its class takes a fraction of a
+    dataclass's time to build at import.
     """
 
     source: str
     target: str
     true_value: float
     sensitivity: float = 1.0
-    occurrences: int = 0
     r: float = 1.0
     priors: tuple[float, ...] | None = None
-    degenerate: bool = False
     boundary_constant: bool = False
 
 
@@ -197,10 +199,10 @@ def _prepare_edge(edge: DfgEdge, kind: AggregationKind, precision: float) -> Pre
         # released exactly.
         return PreparedEdge(edge.source, edge.target, true_value, boundary_constant=True)
     r, priors = time_priors(edge, kind, precision) if kind.is_time else (1.0, None)
-    return PreparedEdge(
-        edge.source, edge.target, true_value, sensitivity(kind, edge.frequency), edge.frequency, r, priors,
-        degenerate=kind.is_time and priors is None,
-    )
+    if priors is not None:
+        # Epsilon and advantage depend on an occurrence only through its prior.
+        priors = tuple(sorted(set(priors)))
+    return PreparedEdge(edge.source, edge.target, true_value, sensitivity(kind, edge.frequency), r, priors)
 
 
 def _calibrate(edge: PreparedEdge, request: DisclosureRequest) -> tuple[float, float, float]:
@@ -213,8 +215,7 @@ def _calibrate(edge: PreparedEdge, request: DisclosureRequest) -> tuple[float, f
         utility = request.utility
         eps = epsilon_from_alpha(edge.sensitivity, alpha_per_edge(edge.true_value, utility.mape_target), utility.beta)
     elif request.aggregation.is_time:
-        result = epsilon_time(request.risk, r, priors, edge.occurrences)
-        eps, priors = result.epsilon, result.priors
+        eps, priors = epsilon_time(request.risk.delta, r, priors)
     else:
         eps = epsilon_freq(request.risk.delta)
     if priors is None:
@@ -225,9 +226,8 @@ def _calibrate(edge: PreparedEdge, request: DisclosureRequest) -> tuple[float, f
         # bits, so each mode keeps its own.
         edge_delta = worst_case_delta_time(eps, r)
     else:
-        # Occurrences every guess hits (prior 1) carry no advantage. The
-        # advantage depends on the occurrence only through its prior.
-        edge_delta = max([0.0, *(delta_from_epsilon_time(p, eps, r) for p in set(priors) if p < 1.0)])
+        # Occurrences every guess hits (prior 1) carry no advantage.
+        edge_delta = max([0.0, *(delta_from_epsilon_time(p, eps, r) for p in priors if p < 1.0)])
     scale = 0.0 if eps == UNBOUNDED else edge.sensitivity / eps
     return eps, scale, edge_delta
 
@@ -300,7 +300,7 @@ def release(
             ape=apes[0],
             released_ape=ape(true_value, released[0]),
             edge_delta=edge_delta,
-            degenerate=edge.degenerate,
+            degenerate=kind.is_time and edge.priors is None,
         ))
         noised.append((true_value, apes, released))
     # Each run's MAPE (of the noisy values) and SMAPE (of the released ones)

@@ -35,18 +35,6 @@ class RiskParams:
             raise ValueError(f"precision must be in [0,1], got {self.precision}")
 
 
-@dataclass(frozen=True)
-class EdgeEpsilon:
-    """``priors`` holds the prior of every occurrence and ``r`` the range
-    the edge is calibrated over (see :func:`time_priors`).
-    """
-
-    epsilon: float
-    priors: tuple[float, ...]
-    r: float
-    degenerate: bool = False
-
-
 def worst_case_prior(delta: float) -> float:
     """The prior that maximizes the noise needed for advantage delta: (1-delta)/2."""
     if not 0.0 < delta < 1.0:
@@ -133,29 +121,20 @@ def time_priors(edge: DfgEdge, kind: AggregationKind, precision: float) -> tuple
     return r, edge_priors(edge.durations, precision, r)
 
 
-def edge_epsilon_time(edge: DfgEdge, params: RiskParams, kind: AggregationKind = AggregationKind.MAX) -> EdgeEpsilon:
-    """Epsilon of a time-annotated edge: the smallest that any of its
-    occurrences' priors allows (maximum noise protects every occurrence).
-    Degenerate edges fall back to the worst-case prior.
+def epsilon_time(delta: float, r: float, priors: tuple[float, ...] | None) -> tuple[float, tuple[float, ...]]:
+    """Epsilon of a time edge whose :func:`time_priors` are ``r`` and
+    ``priors``, and the priors that bind its advantage. The epsilon is the
+    smallest that any prior allows (maximum noise protects every
+    occurrence); a degenerate edge (``priors`` None) binds the worst-case
+    prior alone. The priors do not depend on delta, so they can be computed
+    once for many deltas.
     """
-    r, priors = time_priors(edge, kind, params.precision)
-    return epsilon_time(params, r, priors, edge.frequency)
-
-
-def epsilon_time(params: RiskParams, r: float, priors: tuple[float, ...] | None, occurrences: int) -> EdgeEpsilon:
-    """:func:`edge_epsilon_time` of an edge of ``occurrences`` occurrences
-    whose :func:`time_priors` are ``r`` and ``priors``, so that the priors,
-    which do not depend on delta, can be computed once for many deltas.
-    """
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0,1), got {delta}")
     if priors is None:
-        prior = worst_case_prior(params.delta)
-        eps = epsilon_from_delta(prior, params.delta, r)
-        return EdgeEpsilon(eps, (prior,) * occurrences, r, degenerate=True)
-    epsilon = min(
-        UNBOUNDED if params.delta + prior >= 1.0 else epsilon_from_delta(prior, params.delta, r)
-        for prior in set(priors)
-    )
-    return EdgeEpsilon(epsilon, priors, r)
+        priors = (worst_case_prior(delta),)
+    epsilon = min(UNBOUNDED if delta + prior >= 1.0 else epsilon_from_delta(prior, delta, r) for prior in priors)
+    return epsilon, priors
 
 
 def epsilon_freq(delta: float) -> float:
@@ -163,7 +142,7 @@ def epsilon_freq(delta: float) -> float:
 
     The result is the same for every edge of the graph.
     """
-    return epsilon_from_delta(worst_case_prior(delta), delta, 1.0)
+    return epsilon_time(delta, 1.0, None)[0]
 
 
 def delta_from_epsilon_time(prior: float, epsilon: float, r: float) -> float:

@@ -11,6 +11,8 @@ from typing import Sequence
 
 from .dfg import ordered_sum
 
+DEFAULT_BETA = 0.05
+
 
 @dataclass(frozen=True)
 class UtilityParams:
@@ -19,7 +21,7 @@ class UtilityParams:
     """
 
     mape_target: float
-    beta: float = 0.05
+    beta: float = DEFAULT_BETA
 
     def __post_init__(self) -> None:
         if not 0.0 < self.mape_target < math.inf:

@@ -19,10 +19,11 @@ from dpdfg.risk import (
     UNBOUNDED,
     delta_from_epsilon_freq,
     delta_from_epsilon_time,
-    edge_epsilon_time,
     empirical_prior,
     epsilon_freq,
     epsilon_from_delta,
+    epsilon_time,
+    time_priors,
     worst_case_delta_time,
     worst_case_prior,
 )
@@ -47,15 +48,16 @@ def test_c01_p1_frequency_worked_example():
 
 def test_c02_p1_time_worked_example():
     edge = DfgEdge("A", "C", (1.0, 6.0, 15.0))
-    result = edge_epsilon_time(edge, RiskParams(delta=0.4, precision=0.1))
-    priors_ok = all(abs(p - 1 / 3) < 1e-12 for p in result.priors)
-    eps_ok = abs(result.epsilon - 0.114) <= 1e-3
+    r, priors = time_priors(edge, MAX, precision=0.1)
+    epsilon, priors = epsilon_time(delta=0.4, r=r, priors=priors)
+    priors_ok = all(abs(p - 1 / 3) < 1e-12 for p in priors)
+    eps_ok = abs(epsilon - 0.114) <= 1e-3
     ok = priors_ok and eps_ok
     assert check(
         "C2", ok,
-        f"priors={tuple(round(p, 6) for p in result.priors)} epsilon={result.epsilon:.6f} "
+        f"priors={tuple(round(p, 6) for p in priors)} epsilon={epsilon:.6f} "
         f"(targets: all 1/3, 0.114 +- 0.001)",
-    ), result
+    ), (epsilon, priors)
 
 
 def test_c03_p2_time_worked_example():

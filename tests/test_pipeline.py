@@ -40,7 +40,9 @@ from dpdfg.risk import (
     delta_from_epsilon_time,
     empirical_prior,
     epsilon_freq,
+    epsilon_from_delta,
     worst_case_delta_time,
+    worst_case_prior,
 )
 from dpdfg.dfg import Dfg
 from dpdfg.noise import NoiseStream, sample_laplace
@@ -263,6 +265,14 @@ def test_time_unit_override(clinic_dfg):
     assert by_key(report)[("A", "C")].true_value == pytest.approx(900.0)
 
 
+def test_request_rejects_an_unknown_time_unit():
+    # Rejected when the request is built, for a frequency request too, which
+    # never converts a unit and would otherwise echo the name in its JSON.
+    for aggregation in (FREQ, MAX):
+        with pytest.raises(ValueError, match="unknown time unit 'weeks'"):
+            p1(aggregation, 0.4, time_unit="weeks")
+
+
 def test_empty_dfg_rejected():
     with pytest.raises(ValueError, match="empty"):
         disclose(Dfg(frozenset(), {}, "ns"), p1(FREQ, 0.4))
@@ -383,9 +393,13 @@ def test_disclose_dispatches_on_mode(clinic_dfg):
 
 
 def test_p2_edge_delta_equals_the_prior_oracle():
-    # P2 reports the advantage its epsilon leaves; recompute it occurrence by
-    # occurrence from empirical_prior, as C9 does for P1.
+    # Each mode reports the advantage its epsilon leaves, and P1 derives that
+    # epsilon from the advantage target; recompute both occurrence by
+    # occurrence from empirical_prior, bit for bit. A degenerate edge takes
+    # the worst-case prior in P1 and the advantage maximized over all priors
+    # in P2, over range 1 where its range is not positive.
     rng = random.Random(20240917)
+    deltas = random.Random(20240918)
     checked = degenerate = 0
     for i in range(30):
         spec = SyntheticLogSpec(
@@ -399,18 +413,35 @@ def test_p2_edge_delta_equals_the_prior_oracle():
         dfg = build_dfg(generate_log(spec, seed=i))
         for kind in (k for k in AggregationKind if k.is_time):
             for precision in (0.1, 0.5):
-                annotated, report = disclose(dfg, p2(kind, rng.uniform(0.05, 1.5), precision, seed=i))
-                for e in report.edges:
-                    durations = annotated.dfg.edges[(e.source, e.target)].durations
-                    r = max(durations)
-                    if len(durations) == 1 or r <= 0.0:
-                        expected = worst_case_delta_time(e.epsilon, r if r > 0.0 else 1.0)
-                        degenerate += 1
-                    else:
-                        priors = [empirical_prior(durations, t, precision, r) for t in durations]
-                        expected = max([0.0, *(delta_from_epsilon_time(p, e.epsilon, r) for p in priors if p < 1.0)])
-                    assert e.edge_delta == expected, (i, kind, precision, e)
-                    checked += 1
+                requests = (
+                    p2(kind, rng.uniform(0.05, 1.5), precision, seed=i),
+                    p1(kind, deltas.uniform(0.05, 0.95), precision, seed=i),
+                )
+                for request in requests:
+                    annotated, report = disclose(dfg, request)
+                    delta = request.risk.delta if request.mode is Mode.P1 else None
+                    for e in report.edges:
+                        durations = annotated.dfg.edges[(e.source, e.target)].durations
+                        r = max(durations)
+                        assert e.degenerate == (len(durations) == 1 or r <= 0.0), (i, request, e)
+                        if e.degenerate:
+                            r_eff = r if r > 0.0 else 1.0
+                            if delta is None:
+                                expected = worst_case_delta_time(e.epsilon, r_eff)
+                            else:
+                                prior = worst_case_prior(delta)
+                                assert e.epsilon == epsilon_from_delta(prior, delta, r_eff), (i, request, e)
+                                expected = delta_from_epsilon_time(prior, e.epsilon, r_eff)
+                            degenerate += 1
+                        else:
+                            priors = [empirical_prior(durations, t, precision, r) for t in durations]
+                            if delta is not None:
+                                assert e.epsilon == min(
+                                    UNBOUNDED if delta + p >= 1.0 else epsilon_from_delta(p, delta, r) for p in priors
+                                ), (i, request, e)
+                            expected = max([0.0, *(delta_from_epsilon_time(p, e.epsilon, r) for p in priors if p < 1.0)])
+                        assert e.edge_delta == expected, (i, request, e)
+                        checked += 1
     assert 0 < degenerate < checked
 
 

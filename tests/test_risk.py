@@ -11,11 +11,11 @@ from dpdfg.risk import (
     delta_from_epsilon_freq,
     delta_from_epsilon_time,
     dfg_delta,
-    edge_epsilon_time,
     edge_priors,
     empirical_prior,
     epsilon_freq,
     epsilon_from_delta,
+    epsilon_time,
     posterior_bound,
     time_priors,
     worst_case_delta_time,
@@ -29,6 +29,7 @@ EPS_TIME_AC = 0.11364987281589501  # -ln(0.5*(1/(0.4+1/3)-1))/15
 EPS_DEGEN_AD = 0.24208510296777246  # -ln((0.3/0.7)*(1/0.7-1))/7
 
 AC = DfgEdge("A", "C", (1.0, 6.0, 15.0))
+MAX = AggregationKind.MAX
 
 
 def test_worst_case_prior_examples():
@@ -61,7 +62,7 @@ def test_edge_priors_hand_counted():
     # window +-0.6: the three short durations see each other, the rest only themselves
     assert edge_priors(cd, 0.1, 6.0) == (3 / 8,) * 3 + (1 / 8,) * 5
     assert edge_priors(cd, 0.1, 6.0) == tuple(empirical_prior(cd, t, 0.1, 6.0) for t in cd)
-    assert edge_epsilon_time(DfgEdge("C", "D", cd), RiskParams(0.4, 0.1)).priors == edge_priors(cd, 0.1, 6.0)
+    assert epsilon_time(0.4, *time_priors(DfgEdge("C", "D", cd), MAX, 0.1))[1] == edge_priors(cd, 0.1, 6.0)
 
 
 def test_empirical_prior_degenerate_range():
@@ -106,10 +107,11 @@ def test_edge_priors_at_ten_thousand_occurrences():
     priors = edge_priors(durations, 0.1, r)
     for i in rng.sample(range(len(durations)), 50):
         assert priors[i] == empirical_prior(durations, durations[i], 0.1, r)
-    result = edge_epsilon_time(DfgEdge("A", "B", durations), RiskParams(0.4, 0.1))
-    assert result.priors == priors
-    assert result.epsilon == min(epsilon_from_delta(p, 0.4, r) for p in priors)
-    assert result.r == r
+    edge_r, edge_p = time_priors(DfgEdge("A", "B", durations), MAX, 0.1)
+    epsilon, bound = epsilon_time(0.4, edge_r, edge_p)
+    assert bound == priors
+    assert epsilon == min(epsilon_from_delta(p, 0.4, r) for p in priors)
+    assert edge_r == r
 
 
 def test_epsilon_from_delta_paper_values():
@@ -134,37 +136,46 @@ def test_epsilon_from_delta_domain():
 
 
 def test_edge_epsilon_time_clinic_ac():
-    result = edge_epsilon_time(AC, RiskParams(0.4, 0.1))
-    assert result.priors == pytest.approx((1 / 3, 1 / 3, 1 / 3))
-    assert [epsilon_from_delta(p, 0.4, result.r) for p in result.priors] == pytest.approx([EPS_TIME_AC] * 3)
-    assert result.epsilon == pytest.approx(0.114, abs=1e-3)
-    assert not result.degenerate
+    r, priors = time_priors(AC, MAX, 0.1)
+    epsilon, bound = epsilon_time(0.4, r, priors)
+    assert bound == pytest.approx((1 / 3, 1 / 3, 1 / 3))
+    assert [epsilon_from_delta(p, 0.4, r) for p in bound] == pytest.approx([EPS_TIME_AC] * 3)
+    assert epsilon == pytest.approx(0.114, abs=1e-3)
+    assert priors is not None
 
 
 def test_edge_epsilon_time_is_min_over_occurrences():
     edge = DfgEdge("C", "D", (0.2, 0.25, 0.4, 1.5, 2.6, 3.65, 4.7, 6.0))
-    result = edge_epsilon_time(edge, RiskParams(0.4, 0.1))
-    assert result.epsilon == min(epsilon_from_delta(p, 0.4, result.r) for p in result.priors)
+    r, priors = time_priors(edge, MAX, 0.1)
+    epsilon, bound = epsilon_time(0.4, r, priors)
+    assert epsilon == min(epsilon_from_delta(p, 0.4, r) for p in bound)
 
 
 def test_edge_epsilon_time_single_occurrence_falls_back():
-    result = edge_epsilon_time(DfgEdge("A", "D", (7.0,)), RiskParams(0.4, 0.1))
-    assert result.degenerate
-    assert result.priors == (0.3,)
-    assert result.epsilon == pytest.approx(EPS_DEGEN_AD, rel=1e-12)
+    r, priors = time_priors(DfgEdge("A", "D", (7.0,)), MAX, 0.1)
+    epsilon, bound = epsilon_time(0.4, r, priors)
+    assert priors is None
+    assert bound == (0.3,)
+    assert epsilon == pytest.approx(EPS_DEGEN_AD, rel=1e-12)
 
 
 def test_edge_epsilon_time_zero_range_falls_back():
-    result = edge_epsilon_time(DfgEdge("X", "Y", (0.0, 0.0)), RiskParams(0.4, 0.1))
-    assert result.degenerate
+    r, priors = time_priors(DfgEdge("X", "Y", (0.0, 0.0)), MAX, 0.1)
+    epsilon, _ = epsilon_time(0.4, r, priors)
+    assert priors is None
     # range treated as one time unit
-    assert result.epsilon == pytest.approx(EPS_FREQ_04, rel=1e-12)
+    assert epsilon == pytest.approx(EPS_FREQ_04, rel=1e-12)
 
 
 def test_edge_epsilon_time_vacuous_delta_unbounded():
-    result = edge_epsilon_time(AC, RiskParams(0.99, 0.1))
-    assert all(epsilon_from_delta(p, 0.99, result.r) == UNBOUNDED for p in result.priors)
-    assert result.epsilon == UNBOUNDED
+    r, priors = time_priors(AC, MAX, 0.1)
+    epsilon, bound = epsilon_time(0.99, r, priors)
+    assert all(epsilon_from_delta(p, 0.99, r) == UNBOUNDED for p in bound)
+    assert epsilon == UNBOUNDED
+    # A delta of 1 or more is out of range, not vacuous.
+    for bad in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match="delta must be in"):
+            epsilon_time(bad, r, priors)
 
 
 def test_epsilon_freq_examples():
@@ -310,9 +321,9 @@ def test_risk_params_validation():
 
 
 def test_edge_epsilon_time_kind_range():
-    eps_max = edge_epsilon_time(AC, RiskParams(0.4, 0.1), AggregationKind.MAX)
-    eps_sum = edge_epsilon_time(AC, RiskParams(0.4, 0.1), AggregationKind.SUM)
-    assert eps_max.epsilon == eps_sum.epsilon  # range is the max duration either way
+    eps_max, _ = epsilon_time(0.4, *time_priors(AC, AggregationKind.MAX, 0.1))
+    eps_sum, _ = epsilon_time(0.4, *time_priors(AC, AggregationKind.SUM, 0.1))
+    assert eps_max == eps_sum  # range is the max duration either way
 
 
 def test_time_priors_range_and_degenerate_fallback():
@@ -320,4 +331,4 @@ def test_time_priors_range_and_degenerate_fallback():
     # Degenerate edges get no priors; a zero range is calibrated as range 1.
     assert time_priors(DfgEdge("A", "D", (7.0,)), AggregationKind.MAX, 0.1) == (7.0, None)
     assert time_priors(DfgEdge("X", "Y", (0.0, 0.0)), AggregationKind.MIN, 0.1) == (1.0, None)
-    assert edge_epsilon_time(DfgEdge("X", "Y", (0.0, 0.0)), RiskParams(0.4, 0.1)).r == 1.0
+    assert time_priors(DfgEdge("X", "Y", (0.0, 0.0)), MAX, 0.1)[0] == 1.0

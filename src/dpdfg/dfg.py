@@ -83,7 +83,6 @@ def build_dfg(log: EventLog) -> Dfg:
     trace also contributes a zero-duration occurrence to the virtual
     ("--", first) and (last, "--") edges.
     """
-    activities: set[str] = set()
     occurrences: dict[tuple[str, str], list[float]] = {}
     lookup = occurrences.get
     traces = log.traces
@@ -102,12 +101,13 @@ def build_dfg(log: EventLog) -> Dfg:
                 occurrences[prev_activity, activity] = [float(ts - prev_ts)]
             else:
                 durations.append(float(ts - prev_ts))
-            activities.add(activity)
             prev_activity, prev_ts = activity, ts
         occurrences.setdefault((prev_activity, START_END), []).append(0.0)
 
     edges = {key: DfgEdge(key[0], key[1], tuple(vals)) for key, vals in occurrences.items()}
-    return Dfg(frozenset(activities), edges, time_unit="ns")
+    # Each event is the target of exactly one edge.
+    activities = frozenset(target for _, target in occurrences) - {START_END}
+    return Dfg(activities, edges, time_unit="ns")
 
 
 def aggregate(edge: DfgEdge, kind: AggregationKind) -> float:

@@ -15,6 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
+from itertools import repeat
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -36,6 +37,9 @@ _ONE_US = timedelta(microseconds=1)
 # Products of a decimal and a unit are exact at this precision.
 _EXACT = Context(prec=MAX_PREC, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
 _BY_TIME = operator.attrgetter("timestamp_ns")
+# Rows whose timestamps parse_csv converts at once: enough to spread the
+# per-call cost, few enough to keep the peak memory of a large log flat.
+_CHUNK = 1_024
 
 
 class IngestError(Exception):
@@ -171,6 +175,54 @@ def _read_errors(text: io.TextIOBase, reader):
         raise
 
 
+def _timestamps_ns(texts, fmt: str, unit: str, first_row: int) -> list[int]:
+    """The :func:`parse_timestamp_ns` of each of ``texts``, the timestamps of
+    consecutive rows from ``first_row``; the first error names its row.
+
+    Where that call would read every text with ``datetime.fromisoformat``
+    and one epoch fits all the datetimes, the column is converted in one
+    pass; else, or if the pass fails, text by text.
+    """
+    if texts and fmt in ("auto", "iso") and unit in NS_PER_UNIT and (
+        fmt == "iso" or all(map(operator.contains, texts, repeat(":")))
+    ):
+        try:
+            dts = list(map(datetime.fromisoformat, texts))
+            # The first datetime picks the epoch, so a chunk of aware and
+            # naive datetimes raises TypeError.
+            epoch = _NAIVE_EPOCH if dts[0].tzinfo is None else _EPOCH
+            gaps = map(operator.sub, dts, repeat(epoch))
+            stamps = list(map((1_000).__mul__, map(operator.floordiv, gaps, repeat(_ONE_US))))
+        except (ValueError, TypeError):
+            pass
+        else:
+            if -(2**63) <= min(stamps) and max(stamps) < 2**63:
+                return stamps
+    stamps = []
+    for row_no, text in enumerate(texts, first_row):
+        try:
+            stamps.append(parse_timestamp_ns(text, fmt, unit))
+        except IngestError as exc:
+            raise IngestError(f"row {row_no}: {exc}") from None
+    return stamps
+
+
+def _add_events(
+    by_case: dict[str, list[Event]], pending: tuple[list, ...], last_row: int, fmt: str, unit: str
+) -> None:
+    """Add the events of the rows in ``pending``, its case ids, activities,
+    timestamp texts and extra attributes, which end at row ``last_row``, to
+    ``by_case``, and empty ``pending``."""
+    cases, activities, texts, extras = pending
+    if not texts:
+        return
+    stamps = _timestamps_ns(texts, fmt, unit, last_row - len(texts) + 1)
+    for case_id, event in zip(cases, map(Event, activities, stamps, extras)):
+        by_case[case_id].append(event)
+    for column in pending:
+        column.clear()
+
+
 def parse_csv(source, mapping: ColumnMapping | None = None) -> EventLog:
     """Parse a comma-separated event log into a normalized :class:`EventLog`.
 
@@ -180,8 +232,10 @@ def parse_csv(source, mapping: ColumnMapping | None = None) -> EventLog:
     missing cells of a short row read as empty, and a repeated header name
     reads its last column. Lines may end in LF, CRLF or CR. Bytes that are
     not UTF-8, or a field longer than ``csv.field_size_limit()``, raise an
-    :class:`IngestError` that names the line. :func:`parse_csv_reference`
-    is the oracle.
+    :class:`IngestError` that names the line. Timestamps are converted one
+    chunk of rows at a time, with :func:`parse_timestamp_ns` as the
+    per-value fallback and oracle, and errors are raised in row order.
+    :func:`parse_csv_reference` is the oracle.
     """
     mapping = mapping or ColumnMapping()
     text = _as_text(source)
@@ -201,28 +255,37 @@ def parse_csv(source, mapping: ColumnMapping | None = None) -> EventLog:
         fmt, unit = mapping.timestamp_format, mapping.number_unit
 
         by_case: defaultdict[str, list[Event]] = defaultdict(list)
+        # The rows read since the events were last added, one list per field.
+        pending = cases, activities, texts, extras = [], [], [], []
         row_no = 1
-        for row in rows:
-            if not row:
-                continue
-            row_no += 1
-            if len(row) < width:
-                row += [""] * (width - len(row))
-            case_id = row[case_i].strip()
-            if not case_id:
-                raise IngestError(f"row {row_no}: empty case id")
-            activity = row[activity_i].strip()
-            if not activity or activity == START_END:
-                _validate_activity(activity, f"row {row_no}")
-            ts_text = row[ts_i].strip()
-            if not ts_text:
-                raise IngestError(f"row {row_no}: missing timestamp")
-            try:
-                ts = parse_timestamp_ns(ts_text, fmt, unit)
-            except IngestError as exc:
-                raise IngestError(f"row {row_no}: {exc}") from None
-            extras = {name: row[i] for name, i in extra_cols if row[i]} if extra_cols else {}
-            by_case[case_id].append(Event(activity, ts, extras))
+        try:
+            for row in rows:
+                if not row:
+                    continue
+                row_no += 1
+                if len(row) < width:
+                    row += [""] * (width - len(row))
+                case_id = row[case_i].strip()
+                activity = row[activity_i].strip()
+                ts_text = row[ts_i].strip()
+                if not (case_id and activity and ts_text) or activity == START_END:
+                    # A bad timestamp in an earlier row is reported first.
+                    _add_events(by_case, pending, row_no - 1, fmt, unit)
+                    if not case_id:
+                        raise IngestError(f"row {row_no}: empty case id")
+                    _validate_activity(activity, f"row {row_no}")
+                    raise IngestError(f"row {row_no}: missing timestamp")
+                cases.append(case_id)
+                activities.append(activity)
+                texts.append(ts_text)
+                extras.append({name: row[i] for name, i in extra_cols if row[i]} if extra_cols else {})
+                if len(texts) == _CHUNK:
+                    _add_events(by_case, pending, row_no, fmt, unit)
+        except (csv.Error, UnicodeDecodeError):
+            # A bad timestamp in a row read before the error is reported first.
+            _add_events(by_case, pending, row_no, fmt, unit)
+            raise
+        _add_events(by_case, pending, row_no, fmt, unit)
     return _sorted_log(by_case)
 
 

@@ -1,14 +1,16 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpdfg import START_END, AggregationKind, build_dfg, parse_csv
+from dpdfg import CANONICAL_MAPPING, START_END, AggregationKind, build_dfg, parse_csv, read_log
 from dpdfg.dfg import aggregate, choose_time_unit, convert_unit, edge_range, filter_for_disclosure
 from dpdfg.eventlog import NS_PER_UNIT, Event, EventLog
 
 F = AggregationKind.FREQUENCY
+DATA = Path(__file__).parent / "data"
 
 
 def _log(rows: str) -> "EventLog":
@@ -81,6 +83,13 @@ def test_build_dfg_equals_definition(cases):
     assert (dfg.activities, {key: e.durations for key, e in dfg.edges.items()}) == expected
     assert list(dfg.edges) == list(expected[1])
     assert dfg.time_unit == "ns"
+
+
+def test_activities_are_the_logged_labels(clinic_log):
+    logs = [clinic_log] + [read_log(path, mapping=CANONICAL_MAPPING) for path in sorted(DATA.glob("*.csv"))]
+    assert len(logs) == 6
+    for log in logs:
+        assert build_dfg(log).activities == {e.activity for events in log.traces.values() for e in events}
 
 
 def test_clinic_ac_durations(clinic_dfg_hours):

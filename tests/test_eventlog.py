@@ -19,7 +19,8 @@ from dpdfg import (
     read_log,
     to_canonical_csv,
 )
-from dpdfg.eventlog import NS_PER_UNIT, parse_csv_reference, parse_timestamp_ns
+from dpdfg import eventlog
+from dpdfg.eventlog import _CHUNK, NS_PER_UNIT, _timestamps_ns, parse_csv_reference, parse_timestamp_ns
 
 HOUR_NS = NS_PER_UNIT["h"]
 
@@ -370,6 +371,22 @@ def test_invalid_utf8_names_its_line():
                 parse(source)
 
 
+@pytest.mark.parametrize(
+    "source",
+    [
+        # The bad byte comes after the first 8 KiB that the decode reads.
+        b"case,activity,timestamp\nP1,A,noon\n" + b"P1,BBBBBBBBBBBB,1\n" * 600 + b"P1,\xff,1\n",
+        "case,activity,timestamp\nP1,A,noon\nP1," + "x" * (csv.field_size_limit() + 1) + ",1\n",
+        "case,activity,timestamp\nP1,A,noon\n,B,1\n",
+    ],
+    ids=["not-utf8", "oversize-field", "empty-case-id"],
+)
+def test_an_earlier_bad_timestamp_is_reported_first(source):
+    for parse in (parse_csv, parse_csv_reference):
+        with pytest.raises(IngestError, match=r"^row 2: unparseable timestamp 'noon'$"):
+            parse(source)
+
+
 def test_canonical_csv_rejects_attributes_named_like_its_columns():
     # Re-parsed, the attribute column would be read in place of the case id.
     log = parse_csv("id,activity,timestamp,case\nc1,A,1,x\nc1,B,2,y\n", ColumnMapping(case_col="id"))
@@ -661,3 +678,66 @@ def test_parse_csv_equals_reference(log_and_mapping):
 def test_parse_csv_edge_cases_equal_reference(text):
     for mapping in (ColumnMapping(), ColumnMapping(timestamp_format="number", number_unit="ns")):
         assert _outcome(parse_csv, text, mapping) == _outcome(parse_csv_reference, text, mapping)
+
+
+def _chunk_rows(rows: int, seed: int) -> list[str]:
+    """``rows`` CSV rows over 40 cases, with naive ISO-8601 stamps to the
+    microsecond."""
+    rng = random.Random(seed)
+    return [
+        f"c{rng.randrange(40)},{rng.choice('ABCDE')},"
+        f"2021-03-{rng.randint(1, 28):02d}T10:{rng.randint(0, 59):02d}:00.{rng.randrange(10**6):06d}"
+        for _ in range(rows)
+    ]
+
+
+def _csv(rows: list[str]) -> str:
+    return "case,activity,timestamp\n" + "".join(row + "\n" for row in rows)
+
+
+ODD_ROWS = [
+    "c1,A,noon",  # unparseable
+    "c1,A,2300-01-01T00:00:00",  # out of int64 range
+    "c1,A,20210301",  # numeric under auto, though an ISO basic-format date too
+    "c1,A,2021-03-01T10:00:00+01:00",  # aware among naive
+    ",A,2021-03-01T10:00:00",  # empty case id
+]
+
+
+@pytest.mark.parametrize("size", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK])
+def test_parse_csv_equals_reference_across_chunks(size, monkeypatch):
+    rows = _chunk_rows(size, seed=size)
+    expected = parse_csv_reference(_csv(rows))
+    # A log of ISO stamps is converted a chunk at a time, never text by text.
+    with monkeypatch.context() as patch:
+        patch.setattr(eventlog, "parse_timestamp_ns", None)
+        assert parse_csv(_csv(rows)) == expected
+    assert parse_csv(_csv(rows).encode()) == expected
+    fortnights = ColumnMapping(number_unit="fortnight")
+    for parse in (parse_csv, parse_csv_reference):
+        assert _outcome(parse, _csv(rows), fortnights) == "IngestError: row 2: unknown time unit 'fortnight'"
+    for position in {1, _CHUNK, _CHUNK + 1, size} & set(range(1, size + 1)):
+        for odd in ODD_ROWS:
+            text = _csv(rows[: position - 1] + [odd] + rows[position:])
+            assert _outcome(parse_csv, text, None) == _outcome(parse_csv_reference, text, None)
+
+
+@given(
+    texts=st.lists(ISO_TIMESTAMPS, min_size=1, max_size=8) | st.lists(ANY_TIMESTAMP, max_size=8),
+    fmt=st.sampled_from(["auto", "iso", "number"]),
+    unit=st.sampled_from(["h", "ns", "fortnight"]),
+    first_row=st.integers(2, 10**6),
+)
+@settings(max_examples=400)
+def test_timestamps_ns_equals_parse_timestamp_ns(texts, fmt, unit, first_row):
+    expected = []
+    for row_no, text in enumerate(texts, first_row):
+        try:
+            expected.append(parse_timestamp_ns(text, fmt, unit))
+        except IngestError as exc:
+            expected = f"row {row_no}: {exc}"
+            break
+    try:
+        assert _timestamps_ns(texts, fmt, unit, first_row) == expected
+    except IngestError as exc:
+        assert str(exc) == expected

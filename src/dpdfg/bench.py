@@ -320,7 +320,7 @@ def _se(values: list[float]) -> float:
 def _measure(prepared: PreparedDfg, request: DisclosureRequest, draws: dict) -> list[str]:
     """The measured columns of one grid row, from ``median_epsilon`` to an
     empty ``error``; ``draws`` is the sweep's memo of unit noise draws."""
-    _, report = release(prepared, request, draws)
+    report = release(prepared, request, draws)
     return [
         show_epsilon(report.median_epsilon, repr),
         repr(report.mape),
@@ -364,15 +364,17 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> str:
         for request in spec.requests:
             param = request.risk.delta if request.mode is Mode.P1 else request.utility.mape_target
             row = [source.name, request.aggregation.value, request.mode.value, repr(param)]
-            try:
-                if failure is not None:
-                    raise failure
-                if prepared is None or prepared.aggregation is not request.aggregation:
-                    prepared = None  # drop the last aggregation's before preparing the next
-                    prepared = prepare(dfg, request)
-                row += _measure(prepared, request, draws)
-            except Exception as exc:
-                row += [""] * (len(GRID_HEADER) - len(row) - 1) + [f"ERROR: {exc}"]
+            error = failure
+            if error is None:
+                try:
+                    if prepared is None or prepared.aggregation is not request.aggregation:
+                        prepared = None  # drop the last aggregation's before preparing the next
+                        prepared = prepare(dfg, request)
+                    row += _measure(prepared, request, draws)
+                except Exception as exc:
+                    error = exc
+            if error is not None:
+                row += [""] * (len(GRID_HEADER) - len(row) - 1) + [f"ERROR: {error}"]
             writer.writerow(row)
         dfg = prepared = None
     return out.getvalue()

@@ -119,19 +119,18 @@ class EdgeDisclosure(NamedTuple):
 
 @dataclass
 class DisclosureReport:
-    mode: str
-    aggregation: str
-    parameters: dict
+    """One release of ``request``: its edges in sorted order, the disclosed
+    time unit (None for frequency), and each run's MAPE and SMAPE."""
+
+    request: DisclosureRequest
     time_unit: str | None
     edges: list[EdgeDisclosure]
     mape: float
     smape: float
     median_epsilon: float
     overall_delta: float
-    seed: int
-    runs: int
-    run_mapes: list[float] = field(default_factory=list)
-    run_smapes: list[float] = field(default_factory=list)
+    run_mapes: list[float]
+    run_smapes: list[float]
     runtime_ms: float = field(default=0.0, compare=False)
 
 
@@ -250,9 +249,7 @@ def _noise(scale: float, key: tuple[int, str, str], runs: int, draws: dict) -> l
     return [scale * unit for unit in units[:runs]]
 
 
-def release(
-    prepared: PreparedDfg, request: DisclosureRequest, draws: dict | None = None
-) -> tuple[AnnotatedDfg, DisclosureReport]:
+def release(prepared: PreparedDfg, request: DisclosureRequest, draws: dict | None = None) -> DisclosureReport:
     """Calibrate, noise and report every edge of ``prepared`` as ``request``
     asks, in sorted edge order. ``request`` must agree with the
     preparation on ``PREPARATION_FIELDS``.
@@ -313,43 +310,36 @@ def release(
     else:
         run_mapes, run_smapes = [0.0] * runs, [0.0] * runs
 
-    working = prepared.dfg
-    weights = {(d.source, d.target): d.released_value for d in disclosures}
-    annotated = AnnotatedDfg(Dfg(working.activities, dict(working.edges), time_unit=working.time_unit), kind, weights)
-    report = DisclosureReport(
-        mode=request.mode.value,
-        aggregation=kind.value,
-        parameters=_echo_parameters(request),
-        time_unit=working.time_unit if kind.is_time else None,
+    return DisclosureReport(
+        request=request,
+        time_unit=prepared.dfg.time_unit if kind.is_time else None,
         edges=disclosures,
         mape=ordered_sum(run_mapes) / len(run_mapes),
         smape=ordered_sum(run_smapes) / len(run_smapes),
         median_epsilon=statistics.median(d.epsilon for d in disclosures),
         overall_delta=dfg_delta({(d.source, d.target): d.edge_delta for d in disclosures}),
-        seed=request.seed,
-        runs=runs,
         run_mapes=run_mapes,
         run_smapes=run_smapes,
         runtime_ms=(time.perf_counter() - started) * 1e3,
     )
-    return annotated, report
 
 
-def disclose(
-    dfg: Dfg, request: DisclosureRequest, threads: int = 1, *, draws: dict | None = None
-) -> tuple[AnnotatedDfg, DisclosureReport]:
-    """``release(prepare(dfg, request), request, draws)``: calibrate, noise
-    and report every edge of ``dfg`` as ``request`` asks, in sorted edge
-    order. ``runtime_ms`` times both steps.
+def disclose(dfg: Dfg, request: DisclosureRequest, threads: int = 1) -> tuple[AnnotatedDfg, DisclosureReport]:
+    """``release(prepare(dfg, request), request)``, with the released graph:
+    calibrate, noise and report every edge of ``dfg`` as ``request`` asks,
+    in sorted edge order. ``runtime_ms`` times both steps. The graph view
+    shares the prepared (filtered, unit-converted) ``Dfg``.
 
     ``threads`` is accepted for compatibility and ignored: evaluation is
     serial, and the output would not depend on it anyway, because every
     edge and run draws from its own keyed noise stream.
     """
     started = time.perf_counter()
-    annotated, report = release(prepare(dfg, request), request, draws)
+    prepared = prepare(dfg, request)
+    report = release(prepared, request)
     report.runtime_ms = (time.perf_counter() - started) * 1e3
-    return annotated, report
+    weights = {(e.source, e.target): e.released_value for e in report.edges}
+    return AnnotatedDfg(prepared.dfg, request.aggregation, weights), report
 
 
 def _echo_parameters(request: DisclosureRequest) -> dict:
@@ -377,14 +367,15 @@ def report_to_dict(report: DisclosureReport) -> dict:
     so identical seeded runs serialize byte-identically. Each edge object
     holds its ``EdgeDisclosure`` fields, in field order.
     """
+    request = report.request
     return {
         "schema_version": SCHEMA_VERSION,
-        "mode": report.mode,
-        "aggregation": report.aggregation,
-        "parameters": report.parameters,
+        "mode": request.mode.value,
+        "aggregation": request.aggregation.value,
+        "parameters": _echo_parameters(request),
         "time_unit": report.time_unit,
-        "seed": report.seed,
-        "runs": report.runs,
+        "seed": request.seed,
+        "runs": request.runs,
         "median_epsilon": show_epsilon(report.median_epsilon),
         "overall_delta": report.overall_delta,
         "mape": report.mape,

@@ -1,5 +1,6 @@
 import csv
 import io
+import traceback
 from collections import Counter
 
 import pytest
@@ -17,6 +18,8 @@ from dpdfg.bench import (
 )
 from dpdfg.dfg import aggregate, convert_unit
 from dpdfg.eventlog import CANONICAL_MAPPING, parse_csv, to_canonical_csv
+
+from conftest import clinic_csv_text
 
 
 def rows_of(grid_csv: str) -> list[dict]:
@@ -141,6 +144,42 @@ def test_run_sweep_records_per_log_failures_and_continues(tmp_path):
     assert len(rows) == 2
     assert rows[0]["log"] == "broken" and rows[0]["error"].startswith("ERROR")
     assert rows[1]["log"] == "ok" and rows[1]["error"] == ""
+
+
+def test_run_sweep_reports_a_failed_load_without_re_raising_it():
+    # A log that fails to load gives one ERROR row per cell; its one
+    # exception is not raised again per cell, which would add a traceback
+    # entry each time.
+    class MissingLog(LogSource):
+        def load(self, default_seed):
+            raise error
+
+    for deltas in ((0.1, 0.4), (0.1, 0.2, 0.4, 0.8)):
+        error = OSError("no such log")
+        spec = SweepSpec(
+            logs=(MissingLog("gone"),), deltas=deltas, mapes=(0.3, 0.5),
+            aggregations=(AggregationKind.FREQUENCY, AggregationKind.MAX),
+        )
+        rows = list(csv.reader(io.StringIO(run_sweep(spec))))[1:]
+        assert len(rows) == 2 * (len(deltas) + 2)
+        assert all(row[-1] == "ERROR: no such log" and not any(row[4:-1]) for row in rows)
+        assert len(list(traceback.walk_tb(error.__traceback__))) <= 2
+
+
+def test_sweep_config_takes_a_log_object_with_a_path(tmp_path):
+    # {"path": ...} names its rows after "name", or the file's stem without it.
+    path = tmp_path / "clinic.csv"
+    path.write_text(clinic_csv_text(), encoding="utf-8")
+    spec = SweepSpec.from_dict({
+        "logs": [{"path": str(path), "name": "ward"}, {"path": str(path)}],
+        "deltas": [0.4], "mapes": [], "aggregations": ["frequency"], "runs": 1,
+    })
+    assert [(s.name, s.path) for s in spec.logs] == [("ward", str(path)), ("clinic", str(path))]
+    rows = rows_of(run_sweep(spec))
+    assert [(r["log"], r["error"]) for r in rows] == [("ward", ""), ("clinic", "")]
+    assert {k: v for k, v in rows[0].items() if k not in ("log", "wall_clock_ms")} == {
+        k: v for k, v in rows[1].items() if k not in ("log", "wall_clock_ms")
+    }
 
 
 def test_run_sweep_threads_deterministic():

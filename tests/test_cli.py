@@ -1,7 +1,10 @@
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -153,6 +156,21 @@ def test_cli_inspect(clinic_path, capsys):
     assert "traces: 11" in out
     assert "events: 33" in out
     assert "time unit (max): h" in out
+
+
+def test_cli_inspect_frequency(clinic_path, capsys):
+    assert main(["inspect", "--input", str(clinic_path), "--agg", "frequency"]) == 0
+    assert capsys.readouterr().out.split("\n")[4:] == [
+        "  -- -> A: n=11",
+        "  A -> --: n=2",
+        "  A -> B: n=5",
+        "  A -> C: n=3",
+        "  A -> D: n=1",
+        "  B -> C: n=5",
+        "  C -> D: n=8",
+        "  D -> --: n=9",
+        "",
+    ]
 
 
 def test_cli_sweep_subcommand(clinic_path, tmp_path, capsys):
@@ -319,6 +337,73 @@ def _env_importing_dpdfg() -> dict:
     package_root = str(Path(dpdfg.__file__).resolve().parent.parent)
     paths = [package_root, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+
+def test_cli_outputs_do_not_depend_on_the_string_hash_seed(tmp_path):
+    # Each command runs in its own interpreter under two PYTHONHASHSEEDs. A
+    # sweep of two profiles over three aggregations and three runs, with
+    # boundary time, prepares each (log, aggregation) once for several cells
+    # and shares one memo of noise draws across logs and cells; its grids
+    # agree in every column but wall_clock_ms. The skewed log's P1 JSON and
+    # P2 five-run CSV, and a P1 avg release of the sparse unique log with
+    # boundary time (degenerate, boundary-constant and multi-prior edges),
+    # are byte-identical.
+    data = Path(__file__).parent / "data"
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({
+        "logs": [{"profile": "skewed", "traces": 20}, {"profile": "unique", "traces": 12}], "deltas": [0.4],
+        "mapes": [0.3], "aggregations": ["frequency", "max", "avg"], "runs": 3, "include_boundary_time": True,
+    }), encoding="utf-8")
+    number = ["--timestamp-format", "number", "--timestamp-unit", "ns"]
+    commands = {
+        "grid.csv": ["sweep", "--config", str(config)],
+        "skewed.json": ["anonymize", "--input", str(data / "skewed.csv"), *number, "--delta", "0.4", "--agg", "max"],
+        "skewed-p2.csv": [
+            "anonymize", "--input", str(data / "skewed.csv"), *number, "--mape", "0.3", "--runs", "5", "--format", "csv",
+        ],
+        "unique.json": [
+            "anonymize", "--input", str(data / "unique.csv"), *number, "--delta", "0.4", "--agg", "avg",
+            "--include-boundary-time", "--runs", "3",
+        ],
+    }
+    outputs = {}
+    for hash_seed in ("0", "20200510"):
+        env = {**_env_importing_dpdfg(), "PYTHONHASHSEED": hash_seed}
+        for name, command in commands.items():
+            out = tmp_path / f"{hash_seed}-{name}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "dpdfg", *command, "--out", str(out)], capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, (name, proc.stderr)
+            outputs.setdefault(name, []).append(out.read_bytes())
+    grids = [list(csv.DictReader(io.StringIO(grid.decode("utf-8")))) for grid in outputs.pop("grid.csv")]
+    assert len(grids[0]) == len(grids[1]) == 12
+    for a, b in zip(*grids):
+        assert not a["error"], a
+        del a["wall_clock_ms"], b["wall_clock_ms"]
+        assert a == b
+    for name, (first, second) in outputs.items():
+        assert first == second, name
+
+
+def test_cli_inspect_of_an_iso_log_matches_its_numeric_log(tmp_path, capsys):
+    # An ISO-8601 rendering of a numeric log, truncated to the microsecond,
+    # keeps each case's order, so its DFG has the same edges and counts.
+    numeric = Path(__file__).parent / "data" / "skewed.csv"
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    with numeric.open(newline="", encoding="utf-8") as src:
+        rows = csv.reader(src)
+        lines = [",".join(next(rows))]
+        lines += [f"{case},{activity},{(epoch + timedelta(microseconds=int(ns) // 1000)).isoformat()}"
+                  for case, activity, ns in rows]
+    iso = tmp_path / "skewed-iso.csv"
+    iso.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["inspect", "--input", str(iso), "--agg", "frequency"]) == 0
+    from_iso = capsys.readouterr().out
+    number = ["--timestamp-format", "number", "--timestamp-unit", "ns"]
+    assert main(["inspect", "--input", str(numeric), "--agg", "frequency", *number]) == 0
+    assert from_iso == capsys.readouterr().out
+    assert "edges: " in from_iso and "n=" in from_iso
 
 
 def test_cli_xes_input(tmp_path):

@@ -467,6 +467,25 @@ def test_parse_xes_missing_timestamp():
         parse_xes(xml)
 
 
+def test_parse_xes_missing_activity():
+    xml = """<log><trace><string key="concept:name" value="t"/>
+      <event><date key="time:timestamp" value="2021-01-01T08:00:00Z"/></event>
+    </trace></log>"""
+    with pytest.raises(IngestError, match=r"^trace 1, event 1: missing activity \(concept:name\)$"):
+        parse_xes(xml)
+
+
+def test_parse_xes_skips_attributes_without_a_key_or_value():
+    xml = """<log><trace><string key="concept:name" value="t"/>
+      <event><string value="ignored"/><string key="org:resource"/>
+      <string key="concept:name" value="A"/><date key="time:timestamp" value="2021-01-01T08:00:00Z"/>
+      <string key="lifecycle:transition" value="complete"/></event>
+    </trace></log>"""
+    (event,) = parse_xes(xml).traces["t"]
+    assert event.activity == "A"
+    assert event.extra_attrs == {"lifecycle:transition": "complete"}
+
+
 def test_parse_xes_missing_trace_name():
     xml = """<log><trace>
       <event><string key="concept:name" value="A"/>

@@ -44,7 +44,7 @@ from dpdfg.risk import (
     worst_case_delta_time,
     worst_case_prior,
 )
-from dpdfg.dfg import Dfg
+from dpdfg.dfg import Dfg, aggregate
 from dpdfg.noise import NoiseStream, sample_laplace
 from dpdfg.utility import mape
 
@@ -223,7 +223,7 @@ def test_precision_has_one_value_in_p1(clinic_dfg):
     unset = DisclosureRequest(mode=Mode.P1, aggregation=MAX, risk=RiskParams(0.4, 0.1))
     assert unset.precision == 0.1
     _, report = disclose(clinic_dfg, unset)
-    assert report.parameters["precision"] == 0.1
+    assert report.request.precision == 0.1
     assert report.median_epsilon == pytest.approx(EPS_TIME_AC, rel=1e-12)
     _, matching = disclose(clinic_dfg, p1(MAX, 0.4, precision=0.1))
     assert emit_json(matching) == emit_json(report)
@@ -257,6 +257,29 @@ def test_include_boundary_time_constant_release(clinic_dfg):
     _, plain = disclose(clinic_dfg, p1(MAX, 0.4, precision=0.1))
     for key, edge in by_key(plain).items():
         assert edges[key] == edge
+
+
+def test_a_release_with_only_boundary_constant_edges():
+    # Single-event cases have only virtual edges, whose time weights are
+    # released exactly: no edge is noised, and every run's error is 0.
+    dfg = build_dfg(parse_csv("case,activity,timestamp\nc1,A,1\nc2,B,2\nc3,A,5\n"))
+    annotated, report = disclose(dfg, p1(MAX, 0.4, include_boundary_time=True, runs=3))
+    assert len(report.edges) == 4 and all(e.boundary_constant for e in report.edges)
+    assert report.run_mapes == report.run_smapes == [0.0] * 3
+    assert report.mape == report.smape == report.overall_delta == 0.0
+    assert report_to_dict(report)["median_epsilon"] == "unbounded"
+    assert annotated.weights == {(e.source, e.target): 0.0 for e in report.edges}
+    with pytest.raises(ValueError, match="cannot disclose an empty DFG"):
+        disclose(dfg, p1(MAX, 0.4, runs=3))
+
+
+def test_a_time_unit_equal_to_the_dfg_unit_keeps_its_durations(clinic_dfg):
+    assert clinic_dfg.time_unit == "ns"
+    annotated, report = disclose(clinic_dfg, p1(MAX, 0.4, time_unit="ns"))
+    assert report.time_unit == annotated.dfg.time_unit == "ns"
+    assert [(e.source, e.target, e.true_value) for e in report.edges] == [
+        (e.source, e.target, aggregate(e, MAX)) for e in clinic_dfg.sorted_edges() if not e.is_boundary
+    ]
 
 
 def test_time_unit_override(clinic_dfg):
@@ -389,7 +412,7 @@ def test_emit_dot_escapes_label_characters():
 def test_disclose_dispatches_on_mode(clinic_dfg):
     _, a = disclose(clinic_dfg, p1(FREQ, 0.4))
     _, b = disclose(clinic_dfg, p2(FREQ, 0.3))
-    assert a.mode == "P1" and b.mode == "P2"
+    assert a.request.mode is Mode.P1 and b.request.mode is Mode.P2
 
 
 def test_p2_edge_delta_equals_the_prior_oracle():
@@ -448,7 +471,7 @@ def test_p2_edge_delta_equals_the_prior_oracle():
 def test_shared_draw_memo_matches_fresh_draws_cell_by_cell():
     # run_sweep prepares each (log, aggregation) once and shares one memo of
     # unit draws across every log and cell of a grid; each row must come out
-    # as a disclose call with no memo gives it, in every column but the clock.
+    # as a release with no memo gives it, in every column but the clock.
     logs = (
         LogSource("unique", synthetic=profile_spec("unique", 12), gen_seed=4),
         LogSource("skewed", synthetic=profile_spec("skewed", 25), gen_seed=5),
@@ -466,9 +489,9 @@ def test_shared_draw_memo_matches_fresh_draws_cell_by_cell():
         for source in spec.logs:
             dfg = build_dfg(source.load(spec.seed))
             for request in spec.requests:
-                fresh_annotated, fresh = disclose(dfg, request)
-                annotated, report = disclose(dfg, request, draws=draws)
-                assert report == fresh and annotated == fresh_annotated, (source.name, request)
+                fresh = disclose(dfg, request)[1]
+                report = release(prepare(dfg, request), request, draws)
+                assert report == fresh, (source.name, request)
                 assert emit_json(report) == emit_json(fresh)
                 # Every run's noise is the reference draw of its own stream;
                 # boundary-constant edges are released exactly, outside MAPE.
@@ -509,7 +532,7 @@ def test_release_rejects_a_request_the_preparation_did_not_see(clinic_dfg):
         with pytest.raises(ValueError, match="differs from the prepared"):
             release(prepared, request)
     # Mode, targets, seed and runs are the release's own.
-    _, report = release(prepared, p2(MAX, 0.3, seed=3, runs=2))
+    report = release(prepared, p2(MAX, 0.3, seed=3, runs=2))
     assert report == disclose(clinic_dfg, p2(MAX, 0.3, seed=3, runs=2))[1]
 
 
@@ -526,10 +549,10 @@ def test_one_memo_serves_dfgs_with_the_same_edges_and_other_durations():
     draws = {}
     for kind in AggregationKind:
         for request in (p1(kind, 0.3, runs=2), p2(kind, 0.4, runs=2)):
-            reports = [disclose(dfg, request, draws=draws) for dfg in (first, second)]
-            assert reports == [disclose(dfg, request) for dfg in (first, second)]
+            reports = [release(prepare(dfg, request), request, draws) for dfg in (first, second)]
+            assert reports == [disclose(dfg, request)[1] for dfg in (first, second)]
             # Frequencies match; every time weight differs.
-            assert (reports[0][1].edges != reports[1][1].edges) == kind.is_time
+            assert (reports[0].edges != reports[1].edges) == kind.is_time
 
 
 # Small generated logs of every profile, as a (name, trace count, generation

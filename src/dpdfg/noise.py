@@ -1,6 +1,15 @@
 """Laplace noise generation with deterministic per-edge substreams, query
 sensitivities, and positivity post-processing of released weights.
 
+A stream is keyed by ``(seed, source, target, run)``: each part as UTF-8
+bytes, preceded by its length as 4 big-endian bytes. Draw ``i`` of a stream
+is the SHA-256 of that key followed by ``i`` as 8 big-endian bytes. The
+digest's first 52 bits are an integer ``k``, and the uniform is
+``u = (2k+1)·2**-53 - 1/2``: exact in binary64, symmetric about 0 (``k`` and
+``2**52-1-k`` give ``u`` and ``-u``), and never 0 or ±1/2, so no draw is
+ever retried. Version 0.1.x seeded a Mersenne Twister from the key's digest
+instead, so the same seed gave different noise there.
+
 ``NoiseStream``, ``sample_laplace`` and ``post_process`` are the reference
 definitions. A release uses their column forms, which compute one edge's
 runs at a time with the same bits.
@@ -9,9 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import random
-
-from _random import Random as _CRandom
 
 from .dfg import AggregationKind
 
@@ -19,6 +25,9 @@ TIME_FLOOR = 1e-3
 
 DEFAULT_SEED = 20200510
 SEED_ENV_VAR = "DPDFG_SEED"
+
+# The counter of a stream's first draw, as 8 big-endian bytes.
+FIRST_DRAW = bytes(8)
 
 
 def sensitivity(kind: AggregationKind, occurrence_count: int) -> float:
@@ -32,6 +41,13 @@ def sensitivity(kind: AggregationKind, occurrence_count: int) -> float:
     return 1.0
 
 
+def uniform_from_digest(digest: bytes) -> float:
+    """The uniform of one draw's SHA-256 ``digest``: its first 52 bits as
+    ``k``, then ``(2k+1)·2**-53 - 1/2``, in the open interval (-1/2, 1/2)."""
+    k = int.from_bytes(digest[:7], "big") >> 4
+    return (2 * k + 1) * 2.0**-53 - 0.5
+
+
 class NoiseStream:
     """Uniform stream keyed by (root seed, edge, run index).
 
@@ -40,19 +56,20 @@ class NoiseStream:
     """
 
     def __init__(self, root_seed: int, source: str, target: str, run_index: int = 0):
-        digest = hashlib.sha256()
+        self._key = hashlib.sha256()
         for part in (str(root_seed), source, target, str(run_index)):
             raw = part.encode("utf-8")
-            digest.update(len(raw).to_bytes(4, "big"))
-            digest.update(raw)
-        self._rng = random.Random(int.from_bytes(digest.digest()[:8], "big"))
+            self._key.update(len(raw).to_bytes(4, "big"))
+            self._key.update(raw)
+        self._count = 0
 
     def next_uniform(self) -> float:
-        """Uniform draw in the open interval (-1/2, 1/2)."""
-        u = self._rng.random() - 0.5
-        while u == -0.5:
-            u = self._rng.random() - 0.5
-        return u
+        """Draw ``i``, counting from 0: ``uniform_from_digest`` of the
+        SHA-256 of the key followed by ``i`` as 8 big-endian bytes."""
+        digest = self._key.copy()
+        digest.update(self._count.to_bytes(8, "big"))
+        self._count += 1
+        return uniform_from_digest(digest.digest())
 
 
 def sample_laplace(scale: float, stream) -> float:
@@ -73,28 +90,19 @@ def unit_laplace_column(root_seed: int, source: str, target: str, start: int, st
     for each ``run`` in ``range(start, stop)``, bit for bit.
 
     The length-prefixed ``(root_seed, source, target)`` key is hashed once;
-    each run copies that digest and adds its own index. One generator serves
-    the column: built from the first run's seed and re-seeded in C for the
-    others (``random.Random()`` without a seed would read ``os.urandom``).
+    each run copies that digest and adds its own index and the counter of
+    the stream's first draw, 0.
     """
     prefix = hashlib.sha256()
     for part in (str(root_seed), source, target):
         raw = part.encode("utf-8")
         prefix.update(len(raw).to_bytes(4, "big") + raw)
     column: list[float] = []
-    rng = None
     for run in range(start, stop):
         raw = str(run).encode("utf-8")
         digest = prefix.copy()
-        digest.update(len(raw).to_bytes(4, "big") + raw)
-        seed = int.from_bytes(digest.digest()[:8], "big")
-        if rng is None:
-            rng = random.Random(seed)
-        else:
-            _CRandom.seed(rng, seed)
-        u = rng.random() - 0.5
-        while u == -0.5:
-            u = rng.random() - 0.5
+        digest.update(len(raw).to_bytes(4, "big") + raw + FIRST_DRAW)
+        u = uniform_from_digest(digest.digest())
         column.append(-1.0 * math.copysign(1.0, u) * math.log(1.0 - 2.0 * abs(u)))
     return column
 

@@ -238,8 +238,10 @@ def _noise(scale: float, key: tuple[int, str, str], runs: int, draws: dict) -> l
     ``draws`` keeps the unit draws of a key as one list, indexed by run.
     ``sample_laplace`` only flips the sign of ``scale`` before its one
     rounding multiply, so scaling the unit draw afterwards rounds the same
-    product to the same bits. The missing unit draws come as one
-    ``unit_laplace_column``. Scale 0 draws nothing.
+    product to the same bits. A unit draw takes the stream's first uniform,
+    from the SHA-256 of the stream's key and counter 0 (see ``noise``). The
+    missing unit draws come as one ``unit_laplace_column``. Scale 0 draws
+    nothing.
     """
     if scale == 0.0:
         return [0.0] * runs
@@ -256,11 +258,14 @@ def release(prepared: PreparedDfg, request: DisclosureRequest, draws: dict | Non
 
     Each edge and run has its own keyed noise stream, ``NoiseStream(seed,
     source, target, run)``; its noise is the stream's unit-scale Laplace
-    draw times the edge's noise scale. ``draws`` memoizes those unit draws,
-    one list per ``(seed, source, target)``: calls that share one dict (as
-    the cells of a sweep do) draw each stream once, with output
-    byte-identical to calls that do not. Left unset, the call uses a fresh
-    dict of its own. ``runtime_ms`` times this call alone.
+    draw, whose uniform comes straight from one SHA-256 digest of the key
+    and a draw counter, times the edge's noise scale. Seeded noise differs
+    from version 0.1.x, whose streams were Mersenne Twisters seeded from
+    the key's digest. ``draws`` memoizes the unit draws, one list per
+    ``(seed, source, target)``: calls that share one dict (as the cells of
+    a sweep do) draw each stream once, with output byte-identical to calls
+    that do not. Left unset, the call uses a fresh dict of its own.
+    ``runtime_ms`` times this call alone.
     """
     for name in PREPARATION_FIELDS:
         wanted, held = getattr(request, name), getattr(prepared, name)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tomllib
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -304,6 +305,11 @@ def test_cli_module_entry_point(clinic_path, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text(encoding="utf-8"))["mode"] == "P1"
+
+
+def test_package_version_matches_pyproject():
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    assert dpdfg.__version__ == pyproject["project"]["version"]
 
 
 @pytest.mark.parametrize("module", ["dpdfg", "dpdfg.cli", "dpdfg.bench"])

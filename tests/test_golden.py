@@ -6,7 +6,13 @@ The seeded outputs are the invariant a refactor must keep byte-identical
 pair over all five aggregations, with the virtual start/end edges kept and
 dropped, at ``runs=3``. A change that alters these bytes on purpose must
 say which bytes change and why, and re-pin the digests with
-``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py``, which prints the current
+digests and then each pinned one that differs, with its old and new value.
+
+One more digest pins the calibration alone: the same JSON reports with
+every noise-derived field dropped (``NOISE_FIELDS`` of each edge and the
+report's ``mape`` and ``smape``). A change to the noise draws moves the
+release and sweep digests but must leave this one as it is.
 
 The synthetic logs are read from canonical CSVs in ``tests/data``, so a
 change to the generator moves no digest here. They were written by the
@@ -23,13 +29,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import json
 from pathlib import Path
 
 import pytest
 
 from dpdfg import CANONICAL_MAPPING, AggregationKind, Mode, RiskParams, UtilityParams, build_dfg, parse_csv, read_log
 from dpdfg.bench import GRID_HEADER, LogSource, SweepSpec, run_sweep
-from dpdfg.pipeline import DisclosureRequest, disclose, emit_csv, emit_dot, emit_json
+from dpdfg.pipeline import DisclosureRequest, disclose, emit_csv, emit_dot, emit_json, report_to_dict
 
 from conftest import clinic_csv_text
 
@@ -47,28 +54,29 @@ MODES = {
 }
 
 GOLDEN = {
-    ("clinic", "P1-0.05"): "19a66ceeea0158f0bd6848a2a44e09762c91d21ed7e53231b2f04f59c0410d62",
-    ("clinic", "P1-0.4"): "9a42a27b1046b8f010bf0d399a83a3a62569dd504ae70d6112f288d8dd06b5b1",
-    ("clinic", "P1-0.99"): "03cd295712d913724162841e0473aaf1225d7f6fd6002e00cfd4f0e8c06e2f11",
-    ("clinic", "P2-0.1"): "31bff049c407dff9e780ba44a6f5e6fe3dbcc4b9d44f8ea6e7096217b9aa49a1",
-    ("clinic", "P2-0.5"): "d526fb60900d45bdf2c2d1a5595b98f8505f57b360596eadf11fc829c03d5250",
-    ("simple", "P1-0.05"): "cd34e03a503b6f24c68ab568b29ea7d1232542ebdc456fb34d6ceae2ec5d1568",
-    ("simple", "P1-0.4"): "db1459c53860d456e1d61d778ad93a3bb6ccc2439fe056ac7236f0e823514e9a",
-    ("simple", "P1-0.99"): "2cbb86e0c55fc63b8ea85e62f96d0ee2d383ad1e4b75cf9505f8e1ab45679201",
-    ("simple", "P2-0.1"): "f2ea4eb61012368f028ef8281f240ab41e03be98f5667d0f624886b7dbd16bc5",
-    ("simple", "P2-0.5"): "9ea15deee65bd7c3da1e928974e1fcabbeec631216f0dd6884ec83952cee433c",
-    ("skewed", "P1-0.05"): "2732cd444beff022c571300364f41bebe0767f907c1d3bc0998b2fd4876c4f00",
-    ("skewed", "P1-0.4"): "5424d1ce55d9bd46cc602d40ff02cb7db58992934bf62b901c19f9bbe371383a",
-    ("skewed", "P1-0.99"): "7fefcdfd584de8e3ae1b6d0fd6b03b7c7a68f35ca86b0d42746a2a2b95f1be0e",
-    ("skewed", "P2-0.1"): "fcd6c9f80add835c360fbbc48b7a2d5dcf846f561de5adb2b4259f3b3ba40165",
-    ("skewed", "P2-0.5"): "dd034b9c72abd30b0f36d0fca9ac447c690e8135c68cec220f316f2eaa624851",
-    ("unique", "P1-0.05"): "8c3569e51d9bc50033aff4dcbb8f68c1f4550140f9d174148283252f6f74613e",
-    ("unique", "P1-0.4"): "3cd5d349a1da668ba1efc945b90cc0451eb1fb0eedcc1eaeaed003ff6d23f8a3",
-    ("unique", "P1-0.99"): "565eb7fe7b561be6b8f90a3e2fda978a418bbf7b51131ec6e09c2b37cb47209e",
-    ("unique", "P2-0.1"): "b4dc139b717fc1387b6a0278f4e5a9972d144d7efa195c649940c15c7ca152eb",
-    ("unique", "P2-0.5"): "dbef4a41dbcd58647e7037201e5dc9fe138bdf4fb2b0795f431393a9d3984957",
+    ("clinic", "P1-0.05"): "d76f55f316b62ab3625addc84312db087e880d3933058bb0e2778a5a59f0eeea",
+    ("clinic", "P1-0.4"): "d1cfec20ac70469b2a95d23e5e76818438091beb9ee3cdbef25d934e29899838",
+    ("clinic", "P1-0.99"): "4abc32b1d5d7953d2ba8f05e2a4eaa7812325c8dc4e800dc74be84d0b5766419",
+    ("clinic", "P2-0.1"): "e063512f00490428d7a92224ec360ddf3c8d31e022071ec7c93dac4211174b85",
+    ("clinic", "P2-0.5"): "ba9b1defccb08451d0a94847a2609f49df2136551cce44215a032bba2bbdf351",
+    ("simple", "P1-0.05"): "9b480002d2e808ed25b40c5fcd7ca8f42fefe136bd1636dd8e9aaf532f4fd481",
+    ("simple", "P1-0.4"): "63f7e51221ece4ae46f48cb6c9b132e57eafa49f7ef9972739bf9f36702a8690",
+    ("simple", "P1-0.99"): "20bca90f07801fc7182230638dd84d2131ac6f1fc466b72fc29bb3ce4894cafd",
+    ("simple", "P2-0.1"): "100598c0fec14f2a79c125c5ae2ba668ef268a43af37fb0ba5288961f362483e",
+    ("simple", "P2-0.5"): "b0b5e51868e54cfa4178e649390b314da9bd406a39f66c403a2fed99f45c7293",
+    ("skewed", "P1-0.05"): "f2b045464ff9c7af8efd72509f82b34f7f678ba2325239aeadb7226f44c064f7",
+    ("skewed", "P1-0.4"): "f8e2c77dad97d9d62758e38502409e0f79d17623512a1bd928cd9e6b4e0d112a",
+    ("skewed", "P1-0.99"): "80b495eeae2ed800cf274f91d7541aa5fa0950361090f785bcff0d7a43ed722c",
+    ("skewed", "P2-0.1"): "697451ae630b4ee501f251ca83a3b3c2b12fc5196213cc48572d1991b5f33153",
+    ("skewed", "P2-0.5"): "668572a4055635e1d5993d4fbd6ef396c54948bcc2e28d397c2f0997b4b920b2",
+    ("unique", "P1-0.05"): "3bb589d01d592cb7501dcd4ae4388b2d1b89370410861a7405ee8f889d4a6256",
+    ("unique", "P1-0.4"): "fd3b5a014ab915365201ffcb8d9b238a2dfbdd9815db2a93692f6fc8dc1413b3",
+    ("unique", "P1-0.99"): "4ba71942ac62c84484830426d80fefc0c17cb634346ac83d288a30084ddad952",
+    ("unique", "P2-0.1"): "d5eba29e08a06a94745c43a8518d37f7bbc28ec6bdee8f52692574b598babf6d",
+    ("unique", "P2-0.5"): "64467581e91f1c5a8e72d2f26635cdb3746ef32661e1bc4de1b5d10e0c0e4921",
 }
-GOLDEN_SWEEP = "ee25e87c0f5fa94113bcd340d0a5849a7f2ff4ed7115f8530209d877425c0a1a"
+GOLDEN_SWEEP = "bbc3b106143542f6d4fefcba8101cabfcc020706d45cd762a65863117ef9cd48"
+GOLDEN_CALIBRATION = "441d812196ce8c0cf0ebbf12be2f93d184d55517b951f9f72dcfcf4558289b52"
 
 
 def _dfg(name: str):
@@ -91,23 +99,58 @@ def _request(mode: Mode, param: float, kind: AggregationKind, include_boundary_t
     )
 
 
-def release_digest(dfg, mode: Mode, param: float) -> str:
-    digest = hashlib.sha256()
+def disclosures(dfg, mode: Mode, param: float):
+    """Each aggregation and boundary choice of one (log, mode) pair: its
+    header line and what ``disclose`` returned, or the ``ValueError`` it
+    raised."""
     for kind in AggregationKind:
         for include_boundary_time in (False, True):
-            digest.update(f"## {kind.value} boundary={include_boundary_time}\n".encode())
+            header = f"## {kind.value} boundary={include_boundary_time}\n"
             try:
-                annotated, report = disclose(dfg, _request(mode, param, kind, include_boundary_time))
+                result = disclose(dfg, _request(mode, param, kind, include_boundary_time))
             except ValueError as exc:
-                digest.update(f"ERROR: {exc}\n".encode())
-                continue
-            for text in (
-                emit_json(report),
-                emit_csv(report),
-                emit_dot(annotated),
-                emit_dot(annotated, report, annotate_debug=True),
-            ):
-                digest.update(text.encode())
+                result = exc
+            yield header, result
+
+
+def release_digest(dfg, mode: Mode, param: float) -> str:
+    digest = hashlib.sha256()
+    for header, result in disclosures(dfg, mode, param):
+        digest.update(header.encode())
+        if isinstance(result, ValueError):
+            digest.update(f"ERROR: {result}\n".encode())
+            continue
+        annotated, report = result
+        for text in (
+            emit_json(report),
+            emit_csv(report),
+            emit_dot(annotated),
+            emit_dot(annotated, report, annotate_debug=True),
+        ):
+            digest.update(text.encode())
+    return digest.hexdigest()
+
+
+# The per-edge fields that the noise draws decide.
+NOISE_FIELDS = ("noisy_value", "released_value", "ape", "released_ape")
+
+
+def calibration_json(report) -> str:
+    """The JSON report without its noise-derived fields."""
+    data = report_to_dict(report)
+    del data["mape"], data["smape"]
+    data["edges"] = [{k: v for k, v in edge.items() if k not in NOISE_FIELDS} for edge in data["edges"]]
+    return json.dumps(data, indent=2) + "\n"
+
+
+def calibration_digest(dfgs: dict) -> str:
+    digest = hashlib.sha256()
+    for log_name in LOGS:
+        for label, (mode, param) in MODES.items():
+            digest.update(f"# {log_name} {label}\n".encode())
+            for header, result in disclosures(dfgs[log_name], mode, param):
+                text = f"ERROR: {result}\n" if isinstance(result, ValueError) else calibration_json(result[1])
+                digest.update((header + text).encode())
     return digest.hexdigest()
 
 
@@ -154,11 +197,27 @@ def test_golden_sweep_digest():
     assert sweep_digest() == GOLDEN_SWEEP
 
 
+def test_golden_calibration_digest(dfgs):
+    assert calibration_digest(dfgs) == GOLDEN_CALIBRATION
+
+
 if __name__ == "__main__":
+    dfgs = {name: _dfg(name) for name in LOGS}
+    current = {
+        (log_name, label): release_digest(dfgs[log_name], mode, param)
+        for log_name in LOGS
+        for label, (mode, param) in MODES.items()
+    }
     print("GOLDEN = {")
-    for log_name in LOGS:
-        dfg = _dfg(log_name)
-        for label, (mode, param) in MODES.items():
-            print(f'    ("{log_name}", "{label}"): "{release_digest(dfg, mode, param)}",')
+    for key, value in current.items():
+        print(f'    ("{key[0]}", "{key[1]}"): "{value}",')
     print("}")
-    print(f'GOLDEN_SWEEP = "{sweep_digest()}"')
+    sweep, calibration = sweep_digest(), calibration_digest(dfgs)
+    print(f'GOLDEN_SWEEP = "{sweep}"')
+    print(f'GOLDEN_CALIBRATION = "{calibration}"')
+    pinned = [(f"{log_name} {label}", GOLDEN[log_name, label], value) for (log_name, label), value in current.items()]
+    pinned += [("sweep", GOLDEN_SWEEP, sweep), ("calibration", GOLDEN_CALIBRATION, calibration)]
+    moved = [(name, old, new) for name, old, new in pinned if old != new]
+    print(f"# {len(moved)} of {len(pinned)} pinned digests differ")
+    for name, old, new in moved:
+        print(f"# {name}: {old} -> {new}")

@@ -1,15 +1,16 @@
+import hashlib
 import math
-import random
 import statistics
 import struct
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dpdfg import AggregationKind, NoiseStream, sample_laplace, sensitivity
-from dpdfg.noise import TIME_FLOOR, post_process, post_process_column, unit_laplace_column
+from dpdfg.noise import TIME_FLOOR, post_process, post_process_column, uniform_from_digest, unit_laplace_column
 from dpdfg.pipeline import _noise
 from dpdfg.utility import ape, ape_column, sape, sape_column
 
@@ -203,19 +204,51 @@ def test_unit_laplace_column_is_bitwise_the_reference_draw(key, start, length):
     ]
 
 
-def test_unit_laplace_column_redraws_an_excluded_uniform(monkeypatch):
-    # Every generator's odd calls return 0.0, the excluded -1/2 after the
-    # shift: each run must draw again, as NoiseStream does, and take the
-    # generator's next value.
-    class Stuttering(random.Random):
-        calls = 0
+# The draw rule, exactly: the first 52 bits of a draw's digest are k, and
+# the uniform is (2k+1)*2**-53 - 1/2.
+K_MAX = 2**52 - 1
+LAPLACE_END = 52 * math.log(2.0)
 
-        def random(self):
-            self.calls += 1
-            return 0.0 if self.calls % 2 else super().random()
 
-    monkeypatch.setattr(random, "Random", Stuttering)
-    key = (7, "A", "B")
-    column = unit_laplace_column(*key, 0, 3)
-    assert all(math.isfinite(v) for v in column)
-    assert list(map(bits, column)) == [bits(sample_laplace(1.0, NoiseStream(*key, run))) for run in range(3)]
+def digest_of(k: int) -> bytes:
+    """A digest whose first 52 bits are ``k``; its other bits are ones."""
+    return ((k << 204) | (2**204 - 1)).to_bytes(32, "big")
+
+
+def test_uniform_ends_are_2_to_the_minus_53_inside_one_half():
+    assert uniform_from_digest(bytes(32)) == -0.5 + 2.0**-53
+    assert uniform_from_digest(b"\xff" * 32) == 0.5 - 2.0**-53
+    assert uniform_from_digest(digest_of(0)) == -0.5 + 2.0**-53
+    assert uniform_from_digest(digest_of(K_MAX)) == 0.5 - 2.0**-53
+
+
+@given(k=st.integers(0, K_MAX))
+@example(k=0)
+@example(k=2**51 - 1)
+@example(k=2**51)
+@example(k=K_MAX)
+def test_uniform_is_symmetric_and_never_zero(k):
+    u = uniform_from_digest(digest_of(k))
+    assert bits(uniform_from_digest(digest_of(K_MAX - k))) == bits(-u)
+    assert u != 0.0 and -0.5 < u < 0.5
+    # Exact: the float is the rational (2k+1)/2**53 - 1/2 itself.
+    assert Fraction(u) == Fraction(2 * k + 1, 2**53) - Fraction(1, 2)
+
+
+def test_unit_laplace_at_both_ends_is_finite_with_magnitude_52_ln_2():
+    low, high = (sample_laplace(1.0, FixedStream(uniform_from_digest(digest_of(k)))) for k in (0, K_MAX))
+    assert math.isfinite(low) and math.isfinite(high)
+    assert low == -LAPLACE_END and high == LAPLACE_END
+
+
+@given(key=KEYS, run=st.integers(0, 5), count=st.integers(1, 5))
+@example(key=(-1, "Ä", "→ end"), run=0, count=3)
+def test_noise_stream_draw_i_is_the_digest_rule_at_counter_i(key, run, count):
+    stream_key = b"".join(
+        len(raw).to_bytes(4, "big") + raw
+        for raw in (part.encode("utf-8") for part in (str(key[0]), key[1], key[2], str(run)))
+    )
+    stream = NoiseStream(*key, run)
+    for i in range(count):
+        k = int.from_bytes(hashlib.sha256(stream_key + i.to_bytes(8, "big")).digest()[:7], "big") >> 4
+        assert bits(stream.next_uniform()) == bits((2 * k + 1) * 2.0**-53 - 0.5)

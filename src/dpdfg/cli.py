@@ -78,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     anon.add_argument("--agg", default="frequency", help="frequency|sum|min|max|avg")
     anon.add_argument("--delta", type=float, help="guessing-advantage target (P1)")
     anon.add_argument("--mape", type=float, help="percentage-error target (P2)")
-    anon.add_argument("--beta", type=float, default=DEFAULT_BETA, help="noise-exceedance probability (P2)")
+    anon.add_argument("--beta", type=float, default=None,
+                      help=f"noise-exceedance probability (P2 only; default: {DEFAULT_BETA})")
     anon.add_argument("--precision", type=float, default=DEFAULT_PRECISION,
                       help="guess window as a fraction of the edge range")
     anon.add_argument("--seed", type=_seed_flag, default=None, help="integer seed, or 'random'")
@@ -109,6 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_anonymize(args, parser) -> int:
     if (args.delta is None) == (args.mape is None):
         parser.error("--delta and --mape are mutually exclusive; provide exactly one")
+    if args.delta is not None and args.beta is not None:
+        parser.error("--beta applies to --mape (P2) only")
     try:
         kind = AggregationKind.parse(args.agg)
         seed = _env_seed() if args.seed is None else args.seed
@@ -117,7 +120,7 @@ def _run_anonymize(args, parser) -> int:
             mode=Mode.P1 if p1 else Mode.P2,
             aggregation=kind,
             risk=RiskParams(args.delta, args.precision) if p1 else None,
-            utility=None if p1 else UtilityParams(args.mape, args.beta),
+            utility=None if p1 else UtilityParams(args.mape, DEFAULT_BETA if args.beta is None else args.beta),
             precision=args.precision,
             seed=seed,
             runs=args.runs,

@@ -12,7 +12,7 @@ import operator
 import xml.etree.ElementTree as ET
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from itertools import repeat
@@ -50,7 +50,6 @@ class IngestError(Exception):
 class Event:
     activity: str
     timestamp_ns: int
-    extra_attrs: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -210,14 +209,14 @@ def _timestamps_ns(texts, fmt: str, unit: str, first_row: int) -> list[int]:
 def _add_events(
     by_case: dict[str, list[Event]], pending: tuple[list, ...], last_row: int, fmt: str, unit: str
 ) -> None:
-    """Add the events of the rows in ``pending``, its case ids, activities,
-    timestamp texts and extra attributes, which end at row ``last_row``, to
-    ``by_case``, and empty ``pending``."""
-    cases, activities, texts, extras = pending
+    """Add the events of the rows in ``pending``, its case ids, activities
+    and timestamp texts, which end at row ``last_row``, to ``by_case``, and
+    empty ``pending``."""
+    cases, activities, texts = pending
     if not texts:
         return
     stamps = _timestamps_ns(texts, fmt, unit, last_row - len(texts) + 1)
-    for case_id, event in zip(cases, map(Event, activities, stamps, extras)):
+    for case_id, event in zip(cases, map(Event, activities, stamps)):
         by_case[case_id].append(event)
     for column in pending:
         column.clear()
@@ -226,11 +225,10 @@ def _add_events(
 def parse_csv(source, mapping: ColumnMapping | None = None) -> EventLog:
     """Parse a comma-separated event log into a normalized :class:`EventLog`.
 
-    The first row is the header; unknown columns are preserved per event in
-    ``extra_attrs``. Empty cells of unknown columns are treated as absent.
-    Blank lines are skipped and not counted in the ``row N`` of an error,
-    missing cells of a short row read as empty, and a repeated header name
-    reads its last column. Lines may end in LF, CRLF or CR. Bytes that are
+    The first row is the header; unknown columns are ignored. Blank lines
+    are skipped and not counted in the ``row N`` of an error, missing cells
+    of a short row read as empty, and a repeated header name reads its last
+    column. Lines may end in LF, CRLF or CR. Bytes that are
     not UTF-8, or a field longer than ``csv.field_size_limit()``, raise an
     :class:`IngestError` that names the line. Timestamps are converted one
     chunk of rows at a time, with :func:`parse_timestamp_ns` as the
@@ -250,13 +248,12 @@ def parse_csv(source, mapping: ColumnMapping | None = None) -> EventLog:
                 raise IngestError(f"row 1: missing mapped column {col!r}")
         column = {name: i for i, name in enumerate(header)}
         case_i, activity_i, ts_i = (column[col] for col in mapped)
-        extra_cols = [(name, column[name]) for name in dict.fromkeys(header) if name not in mapped]
         width = len(header)
         fmt, unit = mapping.timestamp_format, mapping.number_unit
 
         by_case: defaultdict[str, list[Event]] = defaultdict(list)
         # The rows read since the events were last added, one list per field.
-        pending = cases, activities, texts, extras = [], [], [], []
+        pending = cases, activities, texts = [], [], []
         row_no = 1
         try:
             for row in rows:
@@ -278,7 +275,6 @@ def parse_csv(source, mapping: ColumnMapping | None = None) -> EventLog:
                 cases.append(case_id)
                 activities.append(activity)
                 texts.append(ts_text)
-                extras.append({name: row[i] for name, i in extra_cols if row[i]} if extra_cols else {})
                 if len(texts) == _CHUNK:
                     _add_events(by_case, pending, row_no, fmt, unit)
         except (csv.Error, UnicodeDecodeError):
@@ -304,7 +300,6 @@ def parse_csv_reference(source, mapping: ColumnMapping | None = None) -> EventLo
         for col in (mapping.case_col, mapping.activity_col, mapping.timestamp_col):
             if col not in header:
                 raise IngestError(f"row 1: missing mapped column {col!r}")
-        extra_cols = [c for c in header if c not in (mapping.case_col, mapping.activity_col, mapping.timestamp_col)]
 
         by_case: defaultdict[str, list[Event]] = defaultdict(list)
         for row_no, row in enumerate(reader, start=2):
@@ -320,8 +315,7 @@ def parse_csv_reference(source, mapping: ColumnMapping | None = None) -> EventLo
                 ts = parse_timestamp_ns(ts_text, mapping.timestamp_format, mapping.number_unit)
             except IngestError as exc:
                 raise IngestError(f"{where}: {exc}") from None
-            extras = {c: row[c] for c in extra_cols if c in row and row[c] not in (None, "")}
-            by_case[case_id].append(Event(activity, ts, extras))
+            by_case[case_id].append(Event(activity, ts))
     return _sorted_log(by_case)
 
 
@@ -332,9 +326,8 @@ def _children(elem: ET.Element, tag: str):
 
 def parse_xes(source) -> EventLog:
     """Parse the IEEE 1849 XES subset: traces with concept:name, events with
-    concept:name and time:timestamp. Other non-empty event attributes
-    (lifecycle etc.) are passed through in ``extra_attrs``, never
-    interpreted. Case ids and activity labels are stripped, as in
+    concept:name and time:timestamp. Other attributes (lifecycle etc.) are
+    ignored. Case ids and activity labels are stripped, as in
     :func:`parse_csv`, so the canonical CSV of the log re-parses to it.
     """
     data = source if isinstance(source, (bytes, str)) else source.read()
@@ -355,7 +348,6 @@ def parse_xes(source) -> EventLog:
             where = f"trace {trace_no}, event {event_no}"
             activity = None
             ts = None
-            extras: dict[str, str] = {}
             for attr in ev_elem:
                 key = attr.get("key")
                 value = attr.get("value")
@@ -368,14 +360,12 @@ def parse_xes(source) -> EventLog:
                         ts = parse_timestamp_ns(value, "iso")
                     except IngestError as exc:
                         raise IngestError(f"{where}: {exc}") from None
-                elif value:
-                    extras[key] = value
             if activity is None:
                 raise IngestError(f"{where}: missing activity (concept:name)")
             if ts is None:
                 raise IngestError(f"{where}: missing timestamp")
             _validate_activity(activity, where)
-            by_case[case_id].append(Event(activity, ts, extras))
+            by_case[case_id].append(Event(activity, ts))
     return _sorted_log(by_case)
 
 
@@ -389,29 +379,21 @@ def read_log(path, fmt: str = "auto", mapping: ColumnMapping | None = None) -> E
 
 
 def to_canonical_csv(log: EventLog) -> str:
-    """Serialize to the canonical CSV format (timestamps as integer ns).
+    """Serialize to the canonical CSV format: the columns ``case``,
+    ``activity`` and ``timestamp`` (integer ns).
 
     Re-parsing with ``ColumnMapping(number_unit="ns")`` reproduces the log
-    exactly. An extra attribute named like a canonical column would be read
-    back in its place, so it raises ``ValueError``.
+    exactly.
     """
-    header = ["case", "activity", "timestamp"]
-    extra_keys = sorted({k for events in log.traces.values() for e in events for k in e.extra_attrs})
-    for key in header:
-        if key in extra_keys:
-            raise ValueError(f"extra attribute {key!r} collides with the canonical {key!r} column")
     rows: list[str] = []
     # Rows end in CRLF so that the writer quotes a field holding a CR or an
     # LF: Python 3.11 quotes only the characters of its line terminator.
     # Each row's CRLF then becomes the canonical LF.
     writer = csv.writer(SimpleNamespace(write=rows.append), lineterminator="\r\n")
-    writer.writerow(header + extra_keys)
+    writer.writerow(["case", "activity", "timestamp"])
     for case_id in sorted(log.traces):
         for ev in log.traces[case_id]:
-            writer.writerow(
-                [case_id, ev.activity, str(ev.timestamp_ns)]
-                + [ev.extra_attrs.get(k, "") for k in extra_keys]
-            )
+            writer.writerow([case_id, ev.activity, str(ev.timestamp_ns)])
     return "".join(row[:-2] + "\n" for row in rows)
 
 

@@ -82,6 +82,8 @@ class DisclosureRequest:
                 raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
+        if isinstance(self.precision, bool):
+            raise TypeError(f"precision must be a number, got {self.precision!r}")
         if self.risk is not None and self.precision not in (None, self.risk.precision):
             raise ValueError(
                 f"precision {self.precision} disagrees with risk.precision {self.risk.precision}"

@@ -29,6 +29,10 @@ class RiskParams:
     precision: float = DEFAULT_PRECISION
 
     def __post_init__(self) -> None:
+        for name in ("delta", "precision"):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise TypeError(f"{name} must be a number, got {value!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0,1), got {self.delta}")
         if not 0.0 <= self.precision <= 1.0:

@@ -24,6 +24,10 @@ class UtilityParams:
     beta: float = DEFAULT_BETA
 
     def __post_init__(self) -> None:
+        for name in ("mape_target", "beta"):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise TypeError(f"{name} must be a number, got {value!r}")
         if not 0.0 < self.mape_target < math.inf:
             raise ValueError(f"mape_target must be positive and finite, got {self.mape_target}")
         if not 0.0 < self.beta < 1.0:

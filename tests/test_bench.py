@@ -27,8 +27,19 @@ def rows_of(grid_csv: str) -> list[dict]:
 
 
 def test_generate_log_rejects_empty():
-    with pytest.raises(ValueError, match="empty log"):
-        SyntheticLogSpec(trace_count=0)
+    bounds = "^trace length bounds must satisfy 1 <= min <= max$"
+    for knobs, message in (
+        ({"trace_count": 0}, "^empty log: trace_count must be positive$"),
+        ({"n_activities": 0}, "^n_activities must be positive$"),
+        ({"n_variants": 0}, "^n_variants must be positive$"),
+        ({"variant_distribution": "normal"}, "^unknown variant distribution 'normal'$"),
+        ({"outlier_rate": -0.1}, r"^outlier_rate must be in \[0,1\]$"),
+        ({"outlier_rate": 1.5}, r"^outlier_rate must be in \[0,1\]$"),
+        ({"min_trace_len": 0}, bounds),
+        ({"min_trace_len": 5, "max_trace_len": 4}, bounds),
+    ):
+        with pytest.raises(ValueError, match=message):
+            SyntheticLogSpec(**{"trace_count": 5, **knobs})
 
 
 def test_generate_log_deterministic():

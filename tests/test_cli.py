@@ -46,6 +46,18 @@ def test_anonymize_mutually_exclusive_flags(clinic_path, capsys):
     assert "mutually exclusive" in capsys.readouterr().err
 
 
+def test_anonymize_beta_is_a_p2_flag(clinic_path, capsys):
+    # P1 has no beta, so one given with --delta would be silently dropped.
+    with pytest.raises(SystemExit) as exc:
+        main(["anonymize", "--input", str(clinic_path), "--delta", "0.4", "--beta", "7"])
+    assert exc.value.code == 2
+    assert "--beta applies to --mape (P2) only" in capsys.readouterr().err
+    assert main(["anonymize", "--input", str(clinic_path), "--mape", "0.3"]) == 0
+    assert json.loads(capsys.readouterr().out)["parameters"]["beta"] == 0.05
+    assert main(["anonymize", "--input", str(clinic_path), "--mape", "0.3", "--beta", "7"]) == 1
+    assert "beta must be in (0,1), got 7.0" in capsys.readouterr().err
+
+
 def test_anonymize_requires_one_target(clinic_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["anonymize", "--input", str(clinic_path), "--agg", "max"])
@@ -189,6 +201,28 @@ def test_cli_sweep_subcommand(clinic_path, tmp_path, capsys):
     assert len(lines) == 2
     row = lines[1].split(",")
     assert float(row[4]) == pytest.approx(1.695, abs=1e-3)
+
+
+def test_cli_sweep_reports_a_failed_cell_and_goes_on(tmp_path):
+    # Single-event cases have only boundary edges, which `max` drops, so
+    # each `max` cell fails in its release while the frequency cells run.
+    log = tmp_path / "single.csv"
+    log.write_text("case,activity,timestamp\nP1,A,1\nP2,B,2\nP3,A,3\n", encoding="utf-8")
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({
+        "logs": [str(log)], "deltas": [0.4], "mapes": [0.3], "aggregations": ["frequency", "max"], "runs": 2,
+    }), encoding="utf-8")
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(io.StringIO(out.read_text(encoding="utf-8"))))
+    assert [(row["aggregation"], row["mode"]) for row in rows] == [
+        ("frequency", "P1"), ("frequency", "P2"), ("max", "P1"), ("max", "P2"),
+    ]
+    for row in rows[:2]:
+        assert row["error"] == "" and float(row["median_epsilon"]) > 0 and row["mape"] and row["wall_clock_ms"]
+    for row in rows[2:]:
+        assert row["error"] == "ERROR: cannot disclose an empty DFG"
+        assert not any(list(row.values())[4:-1])
 
 
 def test_cli_sweep_with_synthetic_profile(tmp_path):

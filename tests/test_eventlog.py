@@ -73,11 +73,26 @@ def test_parse_csv_rejects_empty_activity():
         parse_csv("case,activity,timestamp\nP1,,1\n")
 
 
-def test_parse_csv_preserves_unknown_columns():
-    text = "case,activity,timestamp,resource,ward\nP1,A,1,S1,W3\n"
-    log = parse_csv(text)
-    event = log.traces["P1"][0]
-    assert event.extra_attrs == {"resource": "S1", "ward": "W3"}
+@pytest.mark.parametrize(
+    ("wide", "narrow", "mapping"),
+    [
+        ("case,activity,timestamp,resource,ward\nP1,A,1,S1,W3\n", "case,activity,timestamp\nP1,A,1\n", ColumnMapping()),
+        # Empty cells, and quoted cells holding a CRLF, an LF and a CR.
+        (
+            'note,case,activity,resource,timestamp\n"two\r\nlines",P1,A,,1\n,P1,B,S1,2\n"a\nb",P2,A,"c\rd",3\n',
+            "case,activity,timestamp\nP1,A,1\nP1,B,2\nP2,A,3\n",
+            ColumnMapping(),
+        ),
+        # A column named like a canonical one, which the canonical CSV does not write.
+        ("id,activity,timestamp,case\nc1,A,1,x\nc1,B,2,y\n", "id,activity,timestamp\nc1,A,1\nc1,B,2\n", ColumnMapping(case_col="id")),
+    ],
+    ids=["plain", "empty-and-line-break-cells", "column-named-case"],
+)
+def test_parse_csv_ignores_unknown_columns(wide, narrow, mapping):
+    for parse in (parse_csv, parse_csv_reference):
+        log = parse(wide, mapping)
+        assert log == parse(narrow, mapping)
+        assert parse(to_canonical_csv(log), CANONICAL_MAPPING) == log
 
 
 def test_parse_csv_custom_mapping_and_units():
@@ -286,16 +301,10 @@ def test_round_trip_canonical_csv(clinic_log):
         assert to_canonical_csv(read_log(path, mapping=CANONICAL_MAPPING)).encode() == path.read_bytes(), path.name
 
 
-def test_round_trip_preserves_extra_attrs():
-    text = "case,activity,timestamp,resource\nP1,A,1,S1\nP1,B,2,S2\nP2,A,3,S1\n"
-    log = parse_csv(text)
-    assert parse_csv(to_canonical_csv(log), CANONICAL_MAPPING) == log
-
-
 def test_round_trip_quotes_line_breaks_in_fields():
     # Each field holding a CR, an LF or a CRLF is quoted, so no row splits.
     log = EventLog({
-        f"P{i}{brk}x": (Event(f"A{brk}B", i, {"note": f"x{brk}y"}), Event("C", i + 1, {"note": "plain"}))
+        f"P{i}{brk}x": (Event(f"A{brk}B", i), Event("C", i + 1))
         for i, brk in enumerate(("\r", "\n", "\r\n"))
     })
     text = to_canonical_csv(log)
@@ -318,7 +327,6 @@ def test_parse_csv_reads_bare_cr_line_ends(clinic_csv, clinic_log):
             assert parse(source) == clinic_log
         for source in (quoted.replace("\n", "\r"), quoted.replace("\n", "\r").encode()):
             assert parse(source) == parse(quoted)
-            assert parse(source).traces["P1"][0].extra_attrs == {"note": "two\rlines"}
 
 
 def test_csv_errors_name_the_line():
@@ -387,24 +395,6 @@ def test_an_earlier_bad_timestamp_is_reported_first(source):
             parse(source)
 
 
-def test_canonical_csv_rejects_attributes_named_like_its_columns():
-    # Re-parsed, the attribute column would be read in place of the case id.
-    log = parse_csv("id,activity,timestamp,case\nc1,A,1,x\nc1,B,2,y\n", ColumnMapping(case_col="id"))
-    assert log.traces["c1"][0].extra_attrs == {"case": "x"}
-    with pytest.raises(ValueError, match="^extra attribute 'case' collides"):
-        to_canonical_csv(log)
-    xml = """<log><trace><string key="concept:name" value="t"/>
-      <event><string key="concept:name" value="A"/>
-      <date key="time:timestamp" value="2021-01-01T08:00:00Z"/>
-      <string key="timestamp" value="late"/></event>
-    </trace></log>"""
-    with pytest.raises(ValueError, match="^extra attribute 'timestamp' collides"):
-        to_canonical_csv(parse_xes(xml))
-    extra = parse_csv("case,step,timestamp,activity\nc1,A,1,B\n", ColumnMapping(activity_col="step"))
-    with pytest.raises(ValueError, match="^extra attribute 'activity' collides"):
-        to_canonical_csv(extra)
-
-
 def test_parse_csv_order_insensitive_within_case(clinic_csv):
     header, *rows = clinic_csv.strip().split("\n")
     rng = random.Random(7)
@@ -437,7 +427,6 @@ def test_parse_xes_one_trace_one_hour_gap():
     events = log.traces["case1"]
     assert [e.activity for e in events] == ["A", "B"]
     assert events[1].timestamp_ns - events[0].timestamp_ns == HOUR_NS
-    assert events[0].extra_attrs["lifecycle:transition"] == "complete"
 
 
 def test_parse_xes_single_event_trace():
@@ -483,7 +472,6 @@ def test_parse_xes_skips_attributes_without_a_key_or_value():
     </trace></log>"""
     (event,) = parse_xes(xml).traces["t"]
     assert event.activity == "A"
-    assert event.extra_attrs == {"lifecycle:transition": "complete"}
 
 
 def test_parse_xes_missing_trace_name():
@@ -509,6 +497,27 @@ def test_parse_xes_matches_csv_model():
     assert xes_events == csv_events
 
 
+def test_parse_xes_ignores_other_attributes():
+    # Attributes of other types, empty ones, nested ones, one holding a CRLF,
+    # and keys named like the canonical CSV's columns.
+    xml = """<log><trace><string key="concept:name" value="c1"/><string key="case" value="x"/>
+      <event><string key="org:resource" value=""/><string key="concept:name" value="A"/>
+      <int key="cost" value="3"/><date key="time:timestamp" value="2021-01-01T08:00:00Z"/>
+      <string key="timestamp" value="late"/><string key="activity" value="Z"/></event>
+      <event><string key="concept:name" value="B"/><string key="note" value="two&#13;&#10;lines"/>
+      <list key="tags"><string key="tag" value="t"/></list>
+      <date key="time:timestamp" value="2021-01-01T09:00:00Z"/><string key="case" value="c2"/></event>
+    </trace></log>"""
+    narrow = """<log><trace><string key="concept:name" value="c1"/>
+      <event><string key="concept:name" value="A"/><date key="time:timestamp" value="2021-01-01T08:00:00Z"/></event>
+      <event><string key="concept:name" value="B"/><date key="time:timestamp" value="2021-01-01T09:00:00Z"/></event>
+    </trace></log>"""
+    log = parse_xes(xml)
+    assert log == parse_xes(narrow)
+    assert log == parse_csv("case,activity,timestamp\nc1,A,2021-01-01T08:00:00Z\nc1,B,2021-01-01T09:00:00Z\n")
+    assert parse_csv(to_canonical_csv(log), CANONICAL_MAPPING) == log
+
+
 def test_parse_xes_round_trips_through_canonical_csv():
     xml = """<log><trace><string key="concept:name" value=" case1 "/>
       <event><string key="concept:name" value="A"/>
@@ -521,7 +530,6 @@ def test_parse_xes_round_trips_through_canonical_csv():
     log = parse_xes(xml)
     events = log.traces["case1"]
     assert [e.activity for e in events] == ["A", "B"]
-    assert [e.extra_attrs for e in events] == [{}, {"org:resource": " S1 "}]
     assert parse_csv(to_canonical_csv(log), CANONICAL_MAPPING) == log
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dpdfg import AggregationKind, DfgEdge, RiskParams
+from dpdfg import AggregationKind, DfgEdge, DisclosureRequest, Mode, RiskParams, UtilityParams
 from dpdfg.risk import (
     UNBOUNDED,
     delta_from_epsilon_freq,
@@ -318,6 +318,14 @@ def test_risk_params_validation():
         RiskParams(1.0)
     with pytest.raises(ValueError):
         RiskParams(0.4, precision=1.5)
+    # A bool is no number, though True == 1.0 passes the range checks.
+    for args, name in (((True,), "delta"), ((0.4, True), "precision"), ((0.4, False), "precision")):
+        with pytest.raises(TypeError, match=f"^{name} must be a number, got {args[-1]!r}$"):
+            RiskParams(*args)
+    for mode, risk in ((Mode.P1, RiskParams(0.4, 1.0)), (Mode.P2, None)):
+        utility = UtilityParams(0.3) if risk is None else None
+        with pytest.raises(TypeError, match="^precision must be a number, got True$"):
+            DisclosureRequest(mode, AggregationKind.MAX, risk=risk, utility=utility, precision=True)
 
 
 def test_edge_epsilon_time_kind_range():

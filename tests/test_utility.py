@@ -118,3 +118,6 @@ def test_utility_params_validation():
         UtilityParams(0.3, beta=0.0)
     with pytest.raises(ValueError):
         UtilityParams(0.3, beta=1.0)
+    for args, name in (((True,), "mape_target"), ((0.3, True), "beta"), ((0.3, False), "beta")):
+        with pytest.raises(TypeError, match=f"^{name} must be a number, got {args[-1]!r}$"):
+            UtilityParams(*args)

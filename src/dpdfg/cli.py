@@ -13,7 +13,7 @@ from pathlib import Path
 from .bench import SweepSpec, run_sweep
 from .dfg import AggregationKind, aggregate, build_dfg, choose_time_unit, convert_unit
 from .eventlog import NS_PER_UNIT, ColumnMapping, IngestError, read_log
-from .noise import DEFAULT_SEED, SEED_ENV_VAR
+from .noise import SEED_ENV_VAR
 from .pipeline import (
     DisclosureRequest,
     Mode,
@@ -42,7 +42,7 @@ def _seed_flag(text: str) -> int:
 def _env_seed() -> int:
     env = os.environ.get(SEED_ENV_VAR)
     try:
-        return int(env) if env else DEFAULT_SEED
+        return int(env) if env else _seed_flag("random")
     except ValueError:
         raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help=f"noise-exceedance probability (P2 only; default: {DEFAULT_BETA})")
     anon.add_argument("--precision", type=float, default=DEFAULT_PRECISION,
                       help="guess window as a fraction of the edge range")
-    anon.add_argument("--seed", type=_seed_flag, default=None, help="integer seed, or 'random'")
+    anon.add_argument("--seed", type=_seed_flag, default=None,
+                      help=f"integer seed, or 'random' (default: ${SEED_ENV_VAR}, else random)")
     anon.add_argument("--runs", type=int, default=1)
     anon.add_argument("--include-boundary-time", action="store_true",
                       help="keep virtual start/end edges in time-annotated output")
@@ -98,8 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run a parameter sweep from a config file")
     sweep.add_argument("--config", required=True, help="sweep configuration (JSON)")
     sweep.add_argument("--out", default=None, help="grid CSV path (default: stdout)")
-    sweep.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; evaluation is serial")
 
     inspect = sub.add_parser("inspect", help="summarize a log and its DFG")
     _add_input_flags(inspect)

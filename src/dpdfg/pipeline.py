@@ -36,12 +36,10 @@ from .risk import (
     DEFAULT_PRECISION,
     UNBOUNDED,
     RiskParams,
-    delta_from_epsilon_time,
     dfg_delta,
-    epsilon_freq,
+    edge_delta,
     epsilon_time,
     time_priors,
-    worst_case_delta_time,
 )
 from .utility import UtilityParams, alpha_per_edge, ape, ape_column, epsilon_from_alpha, sape_column
 
@@ -211,26 +209,13 @@ def _calibrate(edge: PreparedEdge, request: DisclosureRequest) -> tuple[float, f
     P1 derives epsilon from the advantage target, P2 from the error target;
     the rest is shared.
     """
-    r, priors = edge.r, edge.priors
     if request.mode is Mode.P2:
         utility = request.utility
         eps = epsilon_from_alpha(edge.sensitivity, alpha_per_edge(edge.true_value, utility.mape_target), utility.beta)
-    elif request.aggregation.is_time:
-        eps, priors = epsilon_time(request.risk.delta, r, priors)
     else:
-        eps = epsilon_freq(request.risk.delta)
-    if priors is None:
-        # A frequency, or P2 on a degenerate time edge, has no empirical
-        # prior: take the advantage maximized over all priors. P1 on a
-        # degenerate time edge carries the worst-case prior from
-        # epsilon_time instead; the two forms agree only up to the last
-        # bits, so each mode keeps its own.
-        edge_delta = worst_case_delta_time(eps, r)
-    else:
-        # Occurrences every guess hits (prior 1) carry no advantage.
-        edge_delta = max([0.0, *(delta_from_epsilon_time(p, eps, r) for p in priors if p < 1.0)])
+        eps = epsilon_time(request.risk.delta, edge.r, edge.priors)[0]
     scale = 0.0 if eps == UNBOUNDED else edge.sensitivity / eps
-    return eps, scale, edge_delta
+    return eps, scale, edge_delta(eps, edge.r, edge.priors)
 
 
 def _noise(scale: float, key: tuple[int, str, str], runs: int, draws: dict) -> list[float]:
@@ -240,10 +225,8 @@ def _noise(scale: float, key: tuple[int, str, str], runs: int, draws: dict) -> l
     ``draws`` keeps the unit draws of a key as one list, indexed by run.
     ``sample_laplace`` only flips the sign of ``scale`` before its one
     rounding multiply, so scaling the unit draw afterwards rounds the same
-    product to the same bits. A unit draw takes the stream's first uniform,
-    from the SHA-256 of the stream's key and counter 0 (see ``noise``). The
-    missing unit draws come as one ``unit_laplace_column``. Scale 0 draws
-    nothing.
+    product to the same bits. The missing unit draws come as one
+    ``unit_laplace_column``. Scale 0 draws nothing.
     """
     if scale == 0.0:
         return [0.0] * runs
@@ -261,13 +244,11 @@ def release(prepared: PreparedDfg, request: DisclosureRequest, draws: dict | Non
     Each edge and run has its own keyed noise stream, ``NoiseStream(seed,
     source, target, run)``; its noise is the stream's unit-scale Laplace
     draw, whose uniform comes straight from one SHA-256 digest of the key
-    and a draw counter, times the edge's noise scale. Seeded noise differs
-    from version 0.1.x, whose streams were Mersenne Twisters seeded from
-    the key's digest. ``draws`` memoizes the unit draws, one list per
-    ``(seed, source, target)``: calls that share one dict (as the cells of
-    a sweep do) draw each stream once, with output byte-identical to calls
-    that do not. Left unset, the call uses a fresh dict of its own.
-    ``runtime_ms`` times this call alone.
+    and a draw counter, times the edge's noise scale. ``draws`` memoizes
+    the unit draws, one list per ``(seed, source, target)``: calls that
+    share one dict (as the cells of a sweep do) draw each stream once, with
+    output byte-identical to calls that do not. Left unset, the call uses a
+    fresh dict of its own. ``runtime_ms`` times this call alone.
     """
     for name in PREPARATION_FIELDS:
         wanted, held = getattr(request, name), getattr(prepared, name)
@@ -289,7 +270,7 @@ def release(prepared: PreparedDfg, request: DisclosureRequest, draws: dict | Non
                 edge_delta=0.0, boundary_constant=True,
             ))
             continue
-        eps, scale, edge_delta = _calibrate(edge, request)
+        eps, scale, advantage = _calibrate(edge, request)
         noisy = [true_value + n for n in _noise(scale, (request.seed, edge.source, edge.target), runs, draws)]
         released = post_process_column(noisy, kind)
         apes = ape_column(true_value, noisy)
@@ -303,7 +284,7 @@ def release(prepared: PreparedDfg, request: DisclosureRequest, draws: dict | Non
             released_value=released[0],
             ape=apes[0],
             released_ape=ape(true_value, released[0]),
-            edge_delta=edge_delta,
+            edge_delta=advantage,
             degenerate=kind.is_time and edge.priors is None,
         ))
         noised.append((true_value, apes, released))

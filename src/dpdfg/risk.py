@@ -9,6 +9,7 @@ advantage bound is vacuous and the value may be released without noise.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -125,27 +126,51 @@ def time_priors(edge: DfgEdge, kind: AggregationKind, precision: float) -> tuple
     return r, edge_priors(edge.durations, precision, r)
 
 
+# Most advantage evaluations in epsilon_time: 1, 63 galloping, 63 bisecting.
+CERTIFY_EVALUATIONS = 127
+_FLOAT, _BITS = struct.Struct("<d"), struct.Struct("<q")
+
+
 def epsilon_time(delta: float, r: float, priors: tuple[float, ...] | None) -> tuple[float, tuple[float, ...]]:
-    """Epsilon of a time edge whose :func:`time_priors` are ``r`` and
-    ``priors``, and the priors that bind its advantage. The epsilon is the
-    smallest that any prior allows (maximum noise protects every
-    occurrence); a degenerate edge (``priors`` None) binds the worst-case
-    prior alone. The priors do not depend on delta, so they can be computed
-    once for many deltas.
+    """Epsilon of an edge whose :func:`time_priors` are ``r`` and ``priors``
+    (a frequency edge is range 1 with no priors), and the priors it is
+    inverted at: the edge's, or the worst-case prior alone. The priors do
+    not depend on delta, so they can be computed once for many deltas.
+
+    The epsilon is the smallest that any prior allows (maximum noise
+    protects every occurrence), certified: where :func:`edge_delta` at the
+    float inverse exceeds delta (by an ulp or two, by millions for a prior
+    just below 1 - delta, or by 1 - p - delta at an unbounded epsilon), the
+    search steps down 1, 2, 4, ... bit patterns, to pattern 1 (the least
+    positive float) at most, until the advantage fits, then bisects the
+    last step, to an epsilon where it fits and at the next float up does not.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0,1), got {delta}")
-    if priors is None:
-        priors = (worst_case_prior(delta),)
-    epsilon = min(UNBOUNDED if delta + prior >= 1.0 else epsilon_from_delta(prior, delta, r) for prior in priors)
-    return epsilon, priors
+    bound = (worst_case_prior(delta),) if priors is None else priors
+    epsilon = min(UNBOUNDED if delta + prior >= 1.0 else epsilon_from_delta(prior, delta, r) for prior in bound)
+    if edge_delta(epsilon, r, priors) <= delta:
+        return epsilon, bound
+    above, step = _BITS.unpack(_FLOAT.pack(epsilon))[0], 1
+    while edge_delta(_float(below := max(above - step, 1)), r, priors) > delta:
+        if below == 1:
+            raise ValueError(f"no epsilon keeps the advantage at or below delta {delta}")
+        above, step = below, 2 * step
+    while above - below > 1:
+        middle = (above + below) // 2
+        if edge_delta(_float(middle), r, priors) <= delta:
+            below = middle
+        else:
+            above = middle
+    return _float(below), bound
+
+
+def _float(bits: int) -> float:
+    return _FLOAT.unpack(_BITS.pack(bits))[0]
 
 
 def epsilon_freq(delta: float) -> float:
-    """Epsilon for frequency-annotated edges: worst-case prior, range 1.
-
-    The result is the same for every edge of the graph.
-    """
+    """Epsilon for frequency-annotated edges, the same for every edge."""
     return epsilon_time(delta, 1.0, None)[0]
 
 
@@ -161,19 +186,13 @@ def delta_from_epsilon_time(prior: float, epsilon: float, r: float) -> float:
 
 
 def delta_from_epsilon_freq(epsilon: float) -> float:
-    """Guessing advantage of a frequency-annotated edge released with
-    epsilon: the worst case over all priors at range 1, as in
-    :func:`epsilon_freq`.
-    """
+    """Guessing advantage of a frequency-annotated edge released with epsilon."""
     return worst_case_delta_time(epsilon, 1.0)
 
 
 def worst_case_delta_time(epsilon: float, r: float) -> float:
-    """Advantage maximized over all priors for a release over range r; used
-    where the prior cannot be estimated: frequencies (r = 1) and degenerate
-    time edges.
-
-    The maximizing prior is sqrt(x)/(1+sqrt(x)) with x = exp(-epsilon*r),
+    """Advantage maximized over all priors for a release over range r. The
+    maximizing prior is sqrt(x)/(1+sqrt(x)) with x = exp(-epsilon*r),
     giving (1-sqrt(x))/(1+sqrt(x)).
     """
     if epsilon <= 0.0:
@@ -182,6 +201,17 @@ def worst_case_delta_time(epsilon: float, r: float) -> float:
         raise ValueError(f"range must be positive, got {r}")
     root = math.sqrt(math.exp(-epsilon * r))
     return (1.0 - root) / (1.0 + root)
+
+
+def edge_delta(epsilon: float, r: float, priors: tuple[float, ...] | None) -> float:
+    """Guessing advantage of an edge released with epsilon over range r:
+    the maximum over its priors, or over all priors where it has none (a
+    frequency or a degenerate time edge). Occurrences every guess hits
+    (prior 1) carry no advantage.
+    """
+    if priors is None:
+        return worst_case_delta_time(epsilon, r)
+    return max([0.0, *(delta_from_epsilon_time(p, epsilon, r) for p in priors if p < 1.0)])
 
 
 def posterior_bound(prior: float, epsilon: float, r: float) -> float:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tomllib
@@ -141,6 +142,31 @@ def test_cli_seed_env_var(clinic_path, tmp_path, monkeypatch):
     assert out1.read_bytes() != out3.read_bytes()
 
 
+def test_cli_seedless_anonymize_takes_a_fresh_seed(tmp_path, monkeypatch):
+    # Under a public seed, such as the 20200510 of earlier versions, anyone
+    # can redraw a frequency DOT's noise and round it away. A run with no
+    # --seed and no DPDFG_SEED draws its seed from SystemRandom, as
+    # --seed random does, and echoes it in the report.
+    class Fixed:
+        def randrange(self, stop):
+            assert stop == 2**63
+            return 987654321
+
+    monkeypatch.delenv("DPDFG_SEED", raising=False)
+    monkeypatch.setattr(random, "SystemRandom", Fixed)
+    skewed = Path(__file__).parent / "data" / "skewed.csv"
+    args = ["anonymize", "--input", str(skewed), "--timestamp-format", "number", "--timestamp-unit", "ns",
+            "--agg", "frequency", "--delta", "0.05"]
+    reports = []
+    for name, seed in (("fresh.json", []), ("public.json", ["--seed", "20200510"])):
+        out = tmp_path / name
+        assert main([*args, *seed, "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text(encoding="utf-8")))
+    fresh, public = reports
+    assert (fresh["seed"], public["seed"]) == (987654321, 20200510)
+    assert [e["noisy_value"] for e in fresh["edges"]] != [e["noisy_value"] for e in public["edges"]]
+
+
 def test_cli_unwritable_output_path(clinic_path, tmp_path, capsys):
     out = tmp_path / "no" / "such" / "dir" / "x.json"
     code = main([
@@ -236,7 +262,7 @@ def test_cli_sweep_with_synthetic_profile(tmp_path):
         "seed": 1,
     }), encoding="utf-8")
     out = tmp_path / "grid.csv"
-    assert main(["sweep", "--config", str(config), "--out", str(out), "--threads", "3"]) == 0
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
     lines = out.read_text(encoding="utf-8").strip().split("\n")
     assert len(lines) == 1 + 3
     assert all(line.endswith(",") or "ERROR" not in line for line in lines)
@@ -324,7 +350,9 @@ def test_anonymize_accepts_utf8_byte_order_mark(clinic_path, tmp_path):
     outputs = []
     for path in (clinic_path, with_bom):
         out = tmp_path / f"{path.stem}.json"
-        assert main(["anonymize", "--input", str(path), "--agg", "max", "--delta", "0.4", "--out", str(out)]) == 0
+        assert main([
+            "anonymize", "--input", str(path), "--agg", "max", "--delta", "0.4", "--seed", "9", "--out", str(out),
+        ]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
 
@@ -394,7 +422,8 @@ def test_cli_outputs_do_not_depend_on_the_string_hash_seed(tmp_path):
         "logs": [{"profile": "skewed", "traces": 20}, {"profile": "unique", "traces": 12}], "deltas": [0.4],
         "mapes": [0.3], "aggregations": ["frequency", "max", "avg"], "runs": 3, "include_boundary_time": True,
     }), encoding="utf-8")
-    number = ["--timestamp-format", "number", "--timestamp-unit", "ns"]
+    # A seedless anonymize takes a fresh seed, so each release names one.
+    number = ["--timestamp-format", "number", "--timestamp-unit", "ns", "--seed", "20200510"]
     commands = {
         "grid.csv": ["sweep", "--config", str(config)],
         "skewed.json": ["anonymize", "--input", str(data / "skewed.csv"), *number, "--delta", "0.4", "--agg", "max"],

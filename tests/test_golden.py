@@ -54,29 +54,29 @@ MODES = {
 }
 
 GOLDEN = {
-    ("clinic", "P1-0.05"): "d76f55f316b62ab3625addc84312db087e880d3933058bb0e2778a5a59f0eeea",
-    ("clinic", "P1-0.4"): "d1cfec20ac70469b2a95d23e5e76818438091beb9ee3cdbef25d934e29899838",
-    ("clinic", "P1-0.99"): "4abc32b1d5d7953d2ba8f05e2a4eaa7812325c8dc4e800dc74be84d0b5766419",
+    ("clinic", "P1-0.05"): "48852a12bbf3b33d4537c61b1421df6ffa01a60d7bd3fb58282067fe7b4476ba",
+    ("clinic", "P1-0.4"): "56ce844bafb8389af3d000e158286448f5edd8dcf0772812e07e8773ec76c046",
+    ("clinic", "P1-0.99"): "d86e48030b139d06c11303e02e0dcc45cfdc9024db75e6e57a1bb503edfa969b",
     ("clinic", "P2-0.1"): "e063512f00490428d7a92224ec360ddf3c8d31e022071ec7c93dac4211174b85",
     ("clinic", "P2-0.5"): "ba9b1defccb08451d0a94847a2609f49df2136551cce44215a032bba2bbdf351",
-    ("simple", "P1-0.05"): "9b480002d2e808ed25b40c5fcd7ca8f42fefe136bd1636dd8e9aaf532f4fd481",
-    ("simple", "P1-0.4"): "63f7e51221ece4ae46f48cb6c9b132e57eafa49f7ef9972739bf9f36702a8690",
-    ("simple", "P1-0.99"): "20bca90f07801fc7182230638dd84d2131ac6f1fc466b72fc29bb3ce4894cafd",
+    ("simple", "P1-0.05"): "ffb49938a753625e18cb7f0f9bb9e2223d00bb50decbce072cee0bc2b5a7e3a3",
+    ("simple", "P1-0.4"): "ef9140d362939ae3c9354e284724a30722dc9e22421642173910876c254932e2",
+    ("simple", "P1-0.99"): "5b16bb7d8eeee4064705cb8f4dc04bc50ee0e69596aaa407670805a31cdd0cab",
     ("simple", "P2-0.1"): "100598c0fec14f2a79c125c5ae2ba668ef268a43af37fb0ba5288961f362483e",
     ("simple", "P2-0.5"): "b0b5e51868e54cfa4178e649390b314da9bd406a39f66c403a2fed99f45c7293",
-    ("skewed", "P1-0.05"): "f2b045464ff9c7af8efd72509f82b34f7f678ba2325239aeadb7226f44c064f7",
-    ("skewed", "P1-0.4"): "f8e2c77dad97d9d62758e38502409e0f79d17623512a1bd928cd9e6b4e0d112a",
-    ("skewed", "P1-0.99"): "80b495eeae2ed800cf274f91d7541aa5fa0950361090f785bcff0d7a43ed722c",
+    ("skewed", "P1-0.05"): "521695ce06f553243f5ab3b3b9d72bd2c26ac3a1b1c6cd5a64c4cb2d91932745",
+    ("skewed", "P1-0.4"): "2395262fde39e0a0306699bff5b84707179bf12190cf2a91134a380e29248bc4",
+    ("skewed", "P1-0.99"): "ad9164c8d975b2ed3f6e2860c5391702d6a39edb113b2cbd5d4ba26fcd45c1b8",
     ("skewed", "P2-0.1"): "697451ae630b4ee501f251ca83a3b3c2b12fc5196213cc48572d1991b5f33153",
     ("skewed", "P2-0.5"): "668572a4055635e1d5993d4fbd6ef396c54948bcc2e28d397c2f0997b4b920b2",
-    ("unique", "P1-0.05"): "3bb589d01d592cb7501dcd4ae4388b2d1b89370410861a7405ee8f889d4a6256",
-    ("unique", "P1-0.4"): "fd3b5a014ab915365201ffcb8d9b238a2dfbdd9815db2a93692f6fc8dc1413b3",
-    ("unique", "P1-0.99"): "4ba71942ac62c84484830426d80fefc0c17cb634346ac83d288a30084ddad952",
+    ("unique", "P1-0.05"): "734a89df108ad92f0ee05dfb440615a612fbb206af9437d52088e7ae2fb6a3bc",
+    ("unique", "P1-0.4"): "239e01a606ec794abe3fbd82070a867afd802fdcc83762845ee1632a56d7bf1a",
+    ("unique", "P1-0.99"): "3762c47008e34e1826d8cace1cd404cc7e3ac0c0889542ec23473db7af3fb8da",
     ("unique", "P2-0.1"): "d5eba29e08a06a94745c43a8518d37f7bbc28ec6bdee8f52692574b598babf6d",
     ("unique", "P2-0.5"): "64467581e91f1c5a8e72d2f26635cdb3746ef32661e1bc4de1b5d10e0c0e4921",
 }
-GOLDEN_SWEEP = "bbc3b106143542f6d4fefcba8101cabfcc020706d45cd762a65863117ef9cd48"
-GOLDEN_CALIBRATION = "441d812196ce8c0cf0ebbf12be2f93d184d55517b951f9f72dcfcf4558289b52"
+GOLDEN_SWEEP = "f4e62c247f11739628421d55c47497140ad3757e4649d4e447165af4d10cf3bf"
+GOLDEN_CALIBRATION = "fbf8199850ed9a155908a47b8ba1341cec0a47ccf4112eca4c9a5634ee49fc5f"
 
 
 def _dfg(name: str):

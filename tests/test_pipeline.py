@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+from pathlib import Path
 from statistics import median
 
 import pyparsing as pp
@@ -10,7 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpdfg import START_END, AggregationKind, Event, EventLog, Mode, RiskParams, UtilityParams, build_dfg, parse_csv
+from dpdfg import (
+    CANONICAL_MAPPING,
+    START_END,
+    AggregationKind,
+    Event,
+    EventLog,
+    Mode,
+    RiskParams,
+    UtilityParams,
+    build_dfg,
+    parse_csv,
+    read_log,
+)
 from dpdfg.pipeline import (
     DisclosureRequest,
     EdgeDisclosure,
@@ -38,6 +51,7 @@ from dpdfg.risk import (
     UNBOUNDED,
     delta_from_epsilon_freq,
     delta_from_epsilon_time,
+    edge_delta,
     empirical_prior,
     epsilon_freq,
     epsilon_from_delta,
@@ -50,6 +64,7 @@ from dpdfg.utility import mape
 
 MAX = AggregationKind.MAX
 FREQ = AggregationKind.FREQUENCY
+DATA = Path(__file__).parent / "data"
 
 EPS_FREQ_04 = 1.69459572077440722
 EPS_TIME_AC = 0.11364987281589501
@@ -415,15 +430,32 @@ def test_disclose_dispatches_on_mode(clinic_dfg):
     assert a.request.mode is Mode.P1 and b.request.mode is Mode.P2
 
 
-def test_p2_edge_delta_equals_the_prior_oracle():
+def _oracle_delta(epsilon: float, r: float, priors: list[float] | None) -> float:
+    """The advantage over the given priors below 1, or over all priors."""
+    if priors is None:
+        return worst_case_delta_time(epsilon, r)
+    return max([0.0, *(delta_from_epsilon_time(p, epsilon, r) for p in priors if p < 1.0)])
+
+
+def _certified(epsilon: float, inverted: float, delta: float, r: float, priors: list[float] | None) -> bool:
+    """P1's certified rule: the inverted epsilon where its advantage is at
+    most delta, else a smaller epsilon whose advantage is at most delta and
+    whose next float up exceeds it."""
+    if _oracle_delta(inverted, r, priors) <= delta:
+        return epsilon == inverted
+    above = math.nextafter(epsilon, math.inf)
+    return epsilon < inverted and _oracle_delta(epsilon, r, priors) <= delta < _oracle_delta(above, r, priors)
+
+
+def test_edge_delta_equals_the_prior_oracle_and_p1_epsilon_is_certified():
     # Each mode reports the advantage its epsilon leaves, and P1 derives that
     # epsilon from the advantage target; recompute both occurrence by
     # occurrence from empirical_prior, bit for bit. A degenerate edge takes
-    # the worst-case prior in P1 and the advantage maximized over all priors
-    # in P2, over range 1 where its range is not positive.
+    # the advantage maximized over all priors in either mode, over range 1
+    # where its range is not positive.
     rng = random.Random(20240917)
     deltas = random.Random(20240918)
-    checked = degenerate = 0
+    checked = degenerate = stepped = 0
     for i in range(30):
         spec = SyntheticLogSpec(
             trace_count=rng.randint(3, 40),
@@ -442,30 +474,73 @@ def test_p2_edge_delta_equals_the_prior_oracle():
                 )
                 for request in requests:
                     annotated, report = disclose(dfg, request)
-                    delta = request.risk.delta if request.mode is Mode.P1 else None
                     for e in report.edges:
                         durations = annotated.dfg.edges[(e.source, e.target)].durations
                         r = max(durations)
                         assert e.degenerate == (len(durations) == 1 or r <= 0.0), (i, request, e)
                         if e.degenerate:
-                            r_eff = r if r > 0.0 else 1.0
-                            if delta is None:
-                                expected = worst_case_delta_time(e.epsilon, r_eff)
-                            else:
-                                prior = worst_case_prior(delta)
-                                assert e.epsilon == epsilon_from_delta(prior, delta, r_eff), (i, request, e)
-                                expected = delta_from_epsilon_time(prior, e.epsilon, r_eff)
+                            r, priors = (r if r > 0.0 else 1.0), None
                             degenerate += 1
                         else:
                             priors = [empirical_prior(durations, t, precision, r) for t in durations]
-                            if delta is not None:
-                                assert e.epsilon == min(
-                                    UNBOUNDED if delta + p >= 1.0 else epsilon_from_delta(p, delta, r) for p in priors
-                                ), (i, request, e)
-                            expected = max([0.0, *(delta_from_epsilon_time(p, e.epsilon, r) for p in priors if p < 1.0)])
-                        assert e.edge_delta == expected, (i, request, e)
+                        if request.risk is not None:
+                            delta = request.risk.delta
+                            inverted = min(
+                                UNBOUNDED if delta + p >= 1.0 else epsilon_from_delta(p, delta, r)
+                                for p in priors or [worst_case_prior(delta)]
+                            )
+                            assert _certified(e.epsilon, inverted, delta, r, priors), (i, request, e)
+                            stepped += e.epsilon != inverted
+                        assert e.edge_delta == _oracle_delta(e.epsilon, r, priors), (i, request, e)
                         checked += 1
     assert 0 < degenerate < checked
+    assert 0 < stepped
+
+
+SAMPLE_DELTAS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9, 0.99)
+
+
+def test_p1_edge_delta_is_at_most_delta_exactly(clinic_dfg):
+    # Inverting the advantage in floats lands an ulp or two above delta on
+    # about 4 in 10 of these edges; the certified epsilon leaves none above.
+    dfgs = [clinic_dfg]
+    for name in ("simple", "simple-30", "skewed", "unique", "unique-20"):
+        dfgs.append(build_dfg(read_log(DATA / f"{name}.csv", mapping=CANONICAL_MAPPING)))
+    edges = 0
+    for dfg in dfgs:
+        for kind in AggregationKind:
+            for precision in (0.1, 0.5):
+                for delta in SAMPLE_DELTAS:
+                    _, report = disclose(dfg, p1(kind, delta, precision))
+                    over = [e for e in report.edges if e.edge_delta > delta]
+                    assert not over, (kind, precision, delta, over)
+                    edges += len(report.edges)
+    assert edges == 20_940
+
+
+def test_p1_unbounded_epsilon_needs_the_forward_advantage_within_delta():
+    # Priors {0.99, 1.0} at precision 0.5: 0.01 + 0.99 rounds to 1, which
+    # once released this edge's max exactly, though the advantage 1 - 0.99
+    # at an unbounded epsilon is 0.010000000000000009 > 0.01.
+    durations = (5.0,) * 98 + (0.0, 10.0)
+    rows = ["case,activity,timestamp"]
+    for i, duration in enumerate(durations):
+        rows += [f"c{i},A,0", f"c{i},B,{duration}"]
+    dfg = build_dfg(parse_csv("\n".join(rows) + "\n"))
+    request = p1(MAX, 0.01, 0.5, seed=1)
+    (prepared,) = prepare(dfg, request).edges
+    assert (prepared.r, prepared.priors) == (10.0, (0.99, 1.0))
+    assert 1.0 - 0.99 > 0.01 and 0.01 + 0.99 >= 1.0
+    _, report = disclose(dfg, request)
+    (edge,) = report.edges
+    assert edge.true_value == 10.0
+    assert edge.epsilon < UNBOUNDED and edge.noise_scale > 0.0
+    assert edge.released_value != 10.0
+    assert edge.edge_delta <= 0.01
+    assert edge_delta(math.nextafter(edge.epsilon, math.inf), 10.0, (0.99, 1.0)) > 0.01
+    # A vacuous target still releases the edge exactly.
+    _, report = disclose(dfg, p1(MAX, 0.02, 0.5, seed=1))
+    assert report.edges[0].epsilon == UNBOUNDED and report.edges[0].released_value == 10.0
 
 
 def test_shared_draw_memo_matches_fresh_draws_cell_by_cell():

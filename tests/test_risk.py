@@ -6,11 +6,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dpdfg import AggregationKind, DfgEdge, DisclosureRequest, Mode, RiskParams, UtilityParams
+from dpdfg import risk
 from dpdfg.risk import (
+    CERTIFY_EVALUATIONS,
     UNBOUNDED,
     delta_from_epsilon_freq,
     delta_from_epsilon_time,
     dfg_delta,
+    edge_delta,
     edge_priors,
     empirical_prior,
     epsilon_freq,
@@ -176,6 +179,64 @@ def test_edge_epsilon_time_vacuous_delta_unbounded():
     for bad in (0.0, 1.0, 1.5):
         with pytest.raises(ValueError, match="delta must be in"):
             epsilon_time(bad, r, priors)
+
+
+def test_edge_delta_is_the_worst_case_without_priors_and_the_prior_maximum_with_them():
+    assert edge_delta(0.8, 5.0, None) == worst_case_delta_time(0.8, 5.0)
+    priors = (0.2, 1 / 3, 1.0)
+    assert edge_delta(0.8, 5.0, priors) == max(delta_from_epsilon_time(p, 0.8, 5.0) for p in priors[:2])
+    # Occurrences every guess hits carry no advantage.
+    assert edge_delta(0.8, 5.0, (1.0,)) == 0.0
+
+
+@pytest.mark.parametrize("gap", [1e-8, 1e-6])
+@pytest.mark.parametrize("r", [1e-3, 1.0, 1e3])
+def test_certified_epsilon_of_a_near_vacuous_prior_takes_a_bounded_search(monkeypatch, gap, r):
+    # A prior just below 1 - delta: inverting the advantage there overshoots
+    # by up to millions of ulps, which stepping down one ulp at a time would
+    # evaluate one by one.
+    calls = []
+    forward = risk.edge_delta
+    monkeypatch.setattr(risk, "edge_delta", lambda *args: calls.append(args) or forward(*args))
+    prior = 0.7 - gap
+    epsilon, _ = epsilon_time(0.3, r, (prior, 1.0))
+    inverted = epsilon_from_delta(prior, 0.3, r)
+    assert len(calls) <= CERTIFY_EVALUATIONS
+    assert forward(epsilon, r, (prior,)) <= 0.3
+    assert epsilon == inverted or forward(math.nextafter(epsilon, math.inf), r, (prior,)) > 0.3
+    assert inverted * (1 - 1e-9) <= epsilon <= inverted
+
+
+def test_certified_epsilon_of_an_unbounded_inversion_is_finite_where_one_minus_the_prior_exceeds_delta(monkeypatch):
+    calls = []
+    forward = risk.edge_delta
+    monkeypatch.setattr(risk, "edge_delta", lambda *args: calls.append(args) or forward(*args))
+    assert epsilon_from_delta(0.99, 0.01, 10.0) == UNBOUNDED
+    epsilon, _ = epsilon_time(0.01, 10.0, (0.99, 1.0))
+    assert 0.0 < epsilon < UNBOUNDED and len(calls) <= CERTIFY_EVALUATIONS
+    assert forward(epsilon, 10.0, (0.99,)) <= 0.01 < forward(math.nextafter(epsilon, math.inf), 10.0, (0.99,))
+    # Where 1 - p is within delta, no noise is needed.
+    assert epsilon_time(0.02, 10.0, (0.99, 1.0))[0] == UNBOUNDED
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.99])
+def test_certified_search_ends_where_no_epsilon_fits(monkeypatch, delta):
+    calls = []
+    monkeypatch.setattr(risk, "edge_delta", lambda *args: calls.append(args) or 1.0)
+    with pytest.raises(ValueError, match="no epsilon keeps the advantage at or below delta"):
+        epsilon_time(delta, 2.0, (0.5,))
+    assert 60 < len(calls) <= CERTIFY_EVALUATIONS
+    assert min(args[0] for args in calls) == 5e-324
+
+
+def test_epsilon_time_is_certified_against_edge_delta():
+    rng = random.Random(5)
+    for _ in range(2000):
+        delta = rng.uniform(0.001, 0.999)
+        r = math.exp(rng.uniform(-7.0, 7.0))
+        priors = rng.choice([None, tuple(sorted({rng.randrange(1, 200) / 200 for _ in range(rng.randint(1, 5))}))])
+        epsilon, _ = epsilon_time(delta, r, priors)
+        assert edge_delta(epsilon, r, priors) <= delta, (delta, r, priors)
 
 
 def test_epsilon_freq_examples():

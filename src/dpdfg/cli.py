@@ -142,7 +142,8 @@ def _run_anonymize(args, parser) -> int:
 
     if not _write_output(payload, args.out):
         return DATA_ERROR
-    print(f"dpdfg: {len(report.edges)} edges disclosed in {report.runtime_ms:.1f} ms", file=sys.stderr)
+    # Only the JSON holds the seed; stderr names it so that any release can be rerun.
+    print(f"dpdfg: {len(report.edges)} edges disclosed in {report.runtime_ms:.1f} ms, seed {seed}", file=sys.stderr)
     return 0
 
 

@@ -48,6 +48,15 @@ def uniform_from_digest(digest: bytes) -> float:
     return (2 * k + 1) * 2.0**-53 - 0.5
 
 
+def _stream_key(*parts) -> bytes:
+    """Each part's text as UTF-8 bytes, preceded by its length as 4 big-endian bytes."""
+    key = b""
+    for part in parts:
+        raw = str(part).encode("utf-8")
+        key += len(raw).to_bytes(4, "big") + raw
+    return key
+
+
 class NoiseStream:
     """Uniform stream keyed by (root seed, edge, run index).
 
@@ -56,11 +65,7 @@ class NoiseStream:
     """
 
     def __init__(self, root_seed: int, source: str, target: str, run_index: int = 0):
-        self._key = hashlib.sha256()
-        for part in (str(root_seed), source, target, str(run_index)):
-            raw = part.encode("utf-8")
-            self._key.update(len(raw).to_bytes(4, "big"))
-            self._key.update(raw)
+        self._key = hashlib.sha256(_stream_key(root_seed, source, target, run_index))
         self._count = 0
 
     def next_uniform(self) -> float:
@@ -85,23 +90,19 @@ def sample_laplace(scale: float, stream) -> float:
     return -scale * math.copysign(1.0, u) * math.log(1.0 - 2.0 * abs(u))
 
 
-def unit_laplace_column(root_seed: int, source: str, target: str, start: int, stop: int) -> list[float]:
+def unit_laplace_column(root_seed: int, source: str, target: str, runs: int) -> list[float]:
     """``sample_laplace(1.0, NoiseStream(root_seed, source, target, run))``
-    for each ``run`` in ``range(start, stop)``, bit for bit.
+    for each ``run`` in ``range(runs)``, bit for bit.
 
-    The length-prefixed ``(root_seed, source, target)`` key is hashed once;
-    each run copies that digest and adds its own index and the counter of
-    the stream's first draw, 0.
+    The ``(root_seed, source, target)`` part of the key is hashed once; each
+    run copies that digest and adds its own index and the counter of the
+    stream's first draw, 0.
     """
-    prefix = hashlib.sha256()
-    for part in (str(root_seed), source, target):
-        raw = part.encode("utf-8")
-        prefix.update(len(raw).to_bytes(4, "big") + raw)
+    prefix = hashlib.sha256(_stream_key(root_seed, source, target))
     column: list[float] = []
-    for run in range(start, stop):
-        raw = str(run).encode("utf-8")
+    for run in range(runs):
         digest = prefix.copy()
-        digest.update(len(raw).to_bytes(4, "big") + raw + FIRST_DRAW)
+        digest.update(_stream_key(run) + FIRST_DRAW)
         u = uniform_from_digest(digest.digest())
         column.append(-1.0 * math.copysign(1.0, u) * math.log(1.0 - 2.0 * abs(u)))
     return column

@@ -137,10 +137,10 @@ class DisclosureReport:
 class PreparedEdge(NamedTuple):
     """One edge of a :class:`PreparedDfg`: its aggregated weight and what
     calibrating it needs besides the request's targets. A time edge carries
-    the range ``r`` of ``risk.time_priors`` and the distinct priors of its
-    occurrences, sorted (``priors`` is None if it is degenerate), a
-    frequency edge range 1 and no priors. A boundary-constant edge is
-    released exactly and carries only its weight. A named tuple, not a
+    the range ``r`` and the sorted distinct ``priors`` of
+    ``risk.time_priors`` (None if it is degenerate), a frequency edge range
+    1 and no priors. A boundary-constant edge is released exactly and
+    carries only its weight. A named tuple, not a
     dataclass: it is as immutable, and its class takes a fraction of a
     dataclass's time to build at import.
     """
@@ -198,9 +198,6 @@ def _prepare_edge(edge: DfgEdge, kind: AggregationKind, precision: float) -> Pre
         # released exactly.
         return PreparedEdge(edge.source, edge.target, true_value, boundary_constant=True)
     r, priors = time_priors(edge, kind, precision) if kind.is_time else (1.0, None)
-    if priors is not None:
-        # Epsilon and advantage depend on an occurrence only through its prior.
-        priors = tuple(sorted(set(priors)))
     return PreparedEdge(edge.source, edge.target, true_value, sensitivity(kind, edge.frequency), r, priors)
 
 
@@ -225,14 +222,14 @@ def _noise(scale: float, key: tuple[int, str, str], runs: int, draws: dict) -> l
     ``draws`` keeps the unit draws of a key as one list, indexed by run.
     ``sample_laplace`` only flips the sign of ``scale`` before its one
     rounding multiply, so scaling the unit draw afterwards rounds the same
-    product to the same bits. The missing unit draws come as one
-    ``unit_laplace_column``. Scale 0 draws nothing.
+    product to the same bits. A key with fewer than ``runs`` draws stored
+    gets a new ``unit_laplace_column`` of ``runs``. Scale 0 draws nothing.
     """
     if scale == 0.0:
         return [0.0] * runs
-    units = draws.setdefault(key, [])
-    if len(units) < runs:
-        units.extend(unit_laplace_column(*key, len(units), runs))
+    units = draws.get(key)
+    if units is None or len(units) < runs:
+        units = draws[key] = unit_laplace_column(*key, runs)
     return [scale * unit for unit in units[:runs]]
 
 

@@ -78,9 +78,10 @@ def epsilon_from_delta(prior: float, delta: float, r: float) -> float:
 
 
 def edge_priors(durations: Sequence[float], precision: float, r: float) -> tuple[float, ...]:
-    """The empirical prior of every occurrence of an edge with range r, in
-    occurrence order: ``empirical_prior(durations, t, precision, r)`` for
-    each t, computed in O(n log n).
+    """The distinct empirical priors of an edge with range r, ascending: the
+    set of ``empirical_prior(durations, t, precision, r)`` over its
+    occurrences t, in O(n log n). Epsilon and advantage depend on an
+    occurrence only through its prior, so calibration needs no more.
 
     The durations are sorted once and two pointers sweep the window of each
     distinct value t; both only move forward as t grows. For v below t the
@@ -97,7 +98,7 @@ def edge_priors(durations: Sequence[float], precision: float, r: float) -> tuple
     window = precision * r
     ordered = sorted(durations)
     n = len(ordered)
-    prior_of: dict[float, float] = {}
+    priors: set[float] = set()
     lo = hi = 0
     previous = None
     for t in ordered:
@@ -108,13 +109,12 @@ def edge_priors(durations: Sequence[float], precision: float, r: float) -> tuple
             lo += 1
         while hi < n and ordered[hi] - t <= window:
             hi += 1
-        prior_of[t] = (hi - lo) / n
-    return tuple(map(prior_of.__getitem__, durations))
+        priors.add((hi - lo) / n)
+    return tuple(sorted(priors))
 
 
 def time_priors(edge: DfgEdge, kind: AggregationKind, precision: float) -> tuple[float, tuple[float, ...] | None]:
-    """The range a time edge is calibrated over and the empirical prior of
-    each occurrence.
+    """The range a time edge is calibrated over and its :func:`edge_priors`.
 
     Single-occurrence and zero-range edges cannot support an empirical CDF:
     they are degenerate, get no priors (``None``), and are calibrated over

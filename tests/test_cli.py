@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tomllib
@@ -165,6 +166,29 @@ def test_cli_seedless_anonymize_takes_a_fresh_seed(tmp_path, monkeypatch):
     fresh, public = reports
     assert (fresh["seed"], public["seed"]) == (987654321, 20200510)
     assert [e["noisy_value"] for e in fresh["edges"]] != [e["noisy_value"] for e in public["edges"]]
+
+
+def test_cli_seedless_release_names_its_seed_on_stderr(monkeypatch, capsys):
+    # A CSV or DOT holds no seed, so a seedless release could be neither
+    # rerun nor audited if stderr did not name it.
+    class Fixed:
+        def randrange(self, stop):
+            return 987654321
+
+    monkeypatch.delenv("DPDFG_SEED", raising=False)
+    monkeypatch.setattr(random, "SystemRandom", Fixed)
+    skewed = Path(__file__).parent / "data" / "skewed.csv"
+    args = ["anonymize", "--input", str(skewed), "--timestamp-format", "number", "--timestamp-unit", "ns",
+            "--agg", "max", "--delta", "0.4", "--format", "csv"]
+    assert main(args) == 0
+    fresh = capsys.readouterr()
+    (seed,) = re.fullmatch(r"dpdfg: \d+ edges disclosed in \d+\.\d ms, seed (-?\d+)\n", fresh.err).groups()
+    assert seed == "987654321"
+    assert main([*args, "--seed", seed]) == 0
+    rerun = capsys.readouterr()
+    assert rerun.out == fresh.out and rerun.err.endswith(f", seed {seed}\n")
+    assert main([*args, "--seed", "20200510"]) == 0
+    assert capsys.readouterr().out != fresh.out
 
 
 def test_cli_unwritable_output_path(clinic_path, tmp_path, capsys):

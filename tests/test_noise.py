@@ -137,7 +137,7 @@ def test_scaled_unit_draw_is_bitwise_the_reference_draw(key, scale, runs):
     assert list(draws) == ([key] if scale > 0.0 else [])
     assert all(len(units) == runs for units in draws.values())
     # A second scale reads the stored draws and still matches its reference;
-    # a longer column draws only the runs the memo lacks.
+    # a longer column is drawn anew, and a shorter one reads its prefix.
     assert list(map(bits, _noise(scale / 3, key, runs, draws))) == reference_bits(scale / 3, key, runs)
     assert list(map(bits, _noise(scale / 3, key, runs + 2, draws))) == reference_bits(scale / 3, key, runs + 2)
     assert list(map(bits, _noise(scale, key, 1, draws))) == reference[:1]
@@ -193,14 +193,12 @@ def test_error_columns_raise_the_oracle_errors():
     assert list(map(bits, sape_column(2.0, [1.0, 3.0]))) == [bits(sape(2.0, 1.0)), bits(sape(2.0, 3.0))]
 
 
-@given(key=KEYS, start=st.integers(0, 6), length=st.integers(0, 4))
-@example(key=(-1, "Ä", "→ end"), start=0, length=3)
-@example(key=(2**64 + 5, "", "日本"), start=4, length=2)
-def test_unit_laplace_column_is_bitwise_the_reference_draw(key, start, length):
-    # A column may start past run 0, as when a memo is extended.
-    stop = start + length
-    assert list(map(bits, unit_laplace_column(*key, start, stop))) == [
-        bits(sample_laplace(1.0, NoiseStream(*key, run))) for run in range(start, stop)
+@given(key=KEYS, runs=st.integers(0, 10))
+@example(key=(-1, "Ä", "→ end"), runs=3)
+@example(key=(2**64 + 5, "", "日本"), runs=6)
+def test_unit_laplace_column_is_bitwise_the_reference_draw(key, runs):
+    assert list(map(bits, unit_laplace_column(*key, runs))) == [
+        bits(sample_laplace(1.0, NoiseStream(*key, run))) for run in range(runs)
     ]
 
 

@@ -500,14 +500,17 @@ def test_edge_delta_equals_the_prior_oracle_and_p1_epsilon_is_certified():
 SAMPLE_DELTAS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9, 0.99)
 
 
+def _sample_dfgs(clinic_dfg) -> list[Dfg]:
+    """The clinic DFG and those of the five checked-in CSVs."""
+    names = ("simple", "simple-30", "skewed", "unique", "unique-20")
+    return [clinic_dfg, *(build_dfg(read_log(DATA / f"{name}.csv", mapping=CANONICAL_MAPPING)) for name in names)]
+
+
 def test_p1_edge_delta_is_at_most_delta_exactly(clinic_dfg):
     # Inverting the advantage in floats lands an ulp or two above delta on
     # about 4 in 10 of these edges; the certified epsilon leaves none above.
-    dfgs = [clinic_dfg]
-    for name in ("simple", "simple-30", "skewed", "unique", "unique-20"):
-        dfgs.append(build_dfg(read_log(DATA / f"{name}.csv", mapping=CANONICAL_MAPPING)))
     edges = 0
-    for dfg in dfgs:
+    for dfg in _sample_dfgs(clinic_dfg):
         for kind in AggregationKind:
             for precision in (0.1, 0.5):
                 for delta in SAMPLE_DELTAS:
@@ -516,6 +519,66 @@ def test_p1_edge_delta_is_at_most_delta_exactly(clinic_dfg):
                     assert not over, (kind, precision, delta, over)
                     edges += len(report.edges)
     assert edges == 20_940
+
+
+def _oracle_aggregate(values: list[float], kind: AggregationKind) -> float:
+    if kind is AggregationKind.MIN:
+        return min(values)
+    if kind is AggregationKind.MAX:
+        return max(values)
+    total = math.fsum(values)
+    return total / len(values) if kind is AggregationKind.AVG else total
+
+
+def _window_advantage(durations: tuple[float, ...], i: int, kind: AggregationKind, precision: float, b: float) -> float:
+    """The adversary's largest gain on occurrence i's window |v - d_i| <=
+    precision * r, r the largest duration, by Bayes' rule. The others are
+    fixed and the target takes each observed duration d_j with weight 1/n,
+    so the release is f_j + Lap(b), f_j the aggregate with d_j in place.
+    Between two kinks y = f_j the posterior of the window is a ratio of two
+    functions a + c*exp(2y/b), hence monotone, and beyond the extremes it is
+    constant, so its supremum is at a kink. At b = 0 the release is some f_j
+    exactly.
+    """
+    window = precision * max(durations)
+    hits = [abs(d - durations[i]) <= window for d in durations]
+    prior = sum(hits) / len(durations)
+    outputs = [_oracle_aggregate([*durations[:i], d, *durations[i + 1:]], kind) for d in durations]
+    advantage = 0.0
+    for y in set(outputs):
+        weights = [float(f == y) if b == 0.0 else math.exp(-abs(y - f) / b) for f in outputs]
+        posterior = math.fsum(w for w, hit in zip(weights, hits) if hit) / math.fsum(weights)
+        advantage = max(advantage, posterior - prior)
+    return advantage
+
+
+def test_the_bayes_posterior_of_every_window_is_within_the_reported_advantage(clinic_dfg):
+    # An oracle of the chain from durations to the report that shares no
+    # code with it: units, range, sensitivity, noise scale and priors, in
+    # both modes, on every non-boundary-constant time edge of at most 12
+    # occurrences.
+    edges = close = 0
+    for dfg in _sample_dfgs(clinic_dfg):
+        for kind in (k for k in AggregationKind if k.is_time):
+            for precision in (0.1, 0.5):
+                requests = [p1(kind, delta, precision) for delta in (0.05, 0.2, 0.4, 0.7, 0.99)]
+                requests += [p2(kind, target, precision) for target in (0.1, 0.5, 1.5)]
+                for request in requests:
+                    annotated, report = disclose(dfg, request)
+                    for e in report.edges:
+                        durations = annotated.dfg.edges[(e.source, e.target)].durations
+                        if e.boundary_constant or len(durations) > 12:
+                            continue
+                        worst = max(
+                            _window_advantage(durations, i, kind, precision, e.noise_scale)
+                            for i in range(len(durations))
+                        )
+                        assert worst <= e.edge_delta, (request, e, worst)
+                        edges += 1
+                        close += worst > e.edge_delta / 2
+    assert edges == 11_392
+    # Not vacuous: on some edges the oracle comes within half of the bound.
+    assert close > 0
 
 
 def test_p1_unbounded_epsilon_needs_the_forward_advantage_within_delta():

@@ -11,8 +11,9 @@ ever retried. Version 0.1.x seeded a Mersenne Twister from the key's digest
 instead, so the same seed gave different noise there.
 
 ``NoiseStream``, ``sample_laplace`` and ``post_process`` are the reference
-definitions. A release uses their column forms, which compute one edge's
-runs at a time with the same bits.
+definitions. A release uses their list forms with the same bits:
+``unit_laplace_column`` draws one edge's runs at a time, and
+``post_process_column`` post-processes one run's row of edges.
 """
 from __future__ import annotations
 
@@ -119,7 +120,7 @@ def post_process(noisy: float, kind: AggregationKind) -> float:
 
 
 def post_process_column(values: list[float], kind: AggregationKind) -> list[float]:
-    """``post_process`` of each value, with the branch taken once per column.
+    """``post_process`` of each value, with the branch taken once per list.
     ``v if v > TIME_FLOOR else TIME_FLOOR`` is ``max(TIME_FLOOR, v)``, NaN
     included."""
     if kind is AggregationKind.FREQUENCY:

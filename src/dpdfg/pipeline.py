@@ -41,7 +41,7 @@ from .risk import (
     epsilon_time,
     time_priors,
 )
-from .utility import UtilityParams, alpha_per_edge, ape, ape_column, epsilon_from_alpha, sape_column
+from .utility import UtilityParams, alpha_per_edge, ape_row, epsilon_from_alpha, sape_row
 
 SCHEMA_VERSION = 1
 
@@ -215,22 +215,23 @@ def _calibrate(edge: PreparedEdge, request: DisclosureRequest) -> tuple[float, f
     return eps, scale, edge_delta(eps, edge.r, edge.priors)
 
 
-def _noise(scale: float, key: tuple[int, str, str], runs: int, draws: dict) -> list[float]:
-    """The noise of runs ``0 .. runs-1`` of the edge ``key`` = ``(seed,
-    source, target)``. Run i's is ``sample_laplace(scale, NoiseStream(*key,
-    i))``, bit for bit, as ``scale`` times that stream's unit-scale draw;
-    ``draws`` keeps the unit draws of a key as one list, indexed by run.
+def _unit_draws(scale: float, key: tuple[int, str, str], runs: int, draws: dict) -> list[float]:
+    """At least ``runs`` unit-scale draws of the edge ``key`` = ``(seed,
+    source, target)``, indexed by run. Run i's noise, ``scale`` times draw
+    i, is ``sample_laplace(scale, NoiseStream(*key, i))`` bit for bit:
     ``sample_laplace`` only flips the sign of ``scale`` before its one
     rounding multiply, so scaling the unit draw afterwards rounds the same
-    product to the same bits. A key with fewer than ``runs`` draws stored
-    gets a new ``unit_laplace_column`` of ``runs``. Scale 0 draws nothing.
+    product to the same bits. ``draws`` keeps the unit draws of a key as one
+    list; a key with fewer than ``runs`` stored gets a new
+    ``unit_laplace_column`` of ``runs``. Scale 0 draws nothing: its draws
+    are zeros.
     """
     if scale == 0.0:
         return [0.0] * runs
     units = draws.get(key)
     if units is None or len(units) < runs:
         units = draws[key] = unit_laplace_column(*key, runs)
-    return [scale * unit for unit in units[:runs]]
+    return units
 
 
 def release(prepared: PreparedDfg, request: DisclosureRequest, draws: dict | None = None) -> DisclosureReport:
@@ -246,6 +247,12 @@ def release(prepared: PreparedDfg, request: DisclosureRequest, draws: dict | Non
     share one dict (as the cells of a sweep do) draw each stream once, with
     output byte-identical to calls that do not. Left unset, the call uses a
     fresh dict of its own. ``runtime_ms`` times this call alone.
+
+    One pass calibrates every edge; then each run is one row over the
+    noised edges, in sorted order: their noisy and released values, APEs
+    and SAPEs, which that run's MAPE and SMAPE sum left to right, as
+    ``utility.mape`` and ``utility.smape`` do. Only run 0's row is kept,
+    for the edges' own fields.
     """
     for name in PREPARATION_FIELDS:
         wanted, held = getattr(request, name), getattr(prepared, name)
@@ -254,46 +261,59 @@ def release(prepared: PreparedDfg, request: DisclosureRequest, draws: dict | Non
     if draws is None:
         draws = {}
     started = time.perf_counter()
-    kind, runs = request.aggregation, request.runs
-    disclosures: list[EdgeDisclosure] = []
-    # Per noised edge: its true value, and per run its APE and released value.
-    noised: list[tuple[float, list[float], list[float]]] = []
+    kind, runs, seed = request.aggregation, request.runs, request.seed
+    # A P1 edge without priors calibrates from its range and sensitivity
+    # alone; every frequency edge has range 1 and sensitivity 1.
+    priorless: dict[tuple[float, float], tuple[float, float, float]] = {}
+    reuse = request.mode is Mode.P1
+    # Per noised edge: the edge and its calibration, and its row inputs.
+    calibrated: list[tuple[PreparedEdge, float, float, float]] = []
+    actuals: list[float] = []
+    noise_inputs: list[tuple[float, float, list[float]]] = []
     for edge in prepared.edges:
-        true_value = edge.true_value
         if edge.boundary_constant:
+            continue
+        if reuse and edge.priors is None:
+            key = (edge.r, edge.sensitivity)
+            if key not in priorless:
+                priorless[key] = _calibrate(edge, request)
+            calibration = priorless[key]
+        else:
+            calibration = _calibrate(edge, request)
+        scale = calibration[1]
+        calibrated.append((edge, *calibration))
+        actuals.append(edge.true_value)
+        noise_inputs.append((edge.true_value, scale, _unit_draws(scale, (seed, edge.source, edge.target), runs, draws)))
+
+    count = len(actuals) or 1  # With no noised edge, every run's errors are 0.
+    run_mapes: list[float] = []
+    run_smapes: list[float] = []
+    for run in range(runs):
+        noisy = [true_value + scale * units[run] for true_value, scale, units in noise_inputs]
+        apes = ape_row(actuals, noisy)
+        released = post_process_column(noisy, kind)
+        sapes = sape_row(actuals, released)
+        if run == 0:
+            run0 = zip(calibrated, noisy, released, apes, ape_row(actuals, released))
+        run_mapes.append(ordered_sum(apes) / count)
+        run_smapes.append(ordered_sum(sapes) / count)
+
+    disclosures: list[EdgeDisclosure] = []
+    for edge in prepared.edges:
+        if edge.boundary_constant:
+            # Released exactly, outside the error rows.
+            true_value = edge.true_value
             disclosures.append(EdgeDisclosure(
                 edge.source, edge.target, true_value, epsilon=UNBOUNDED, noise_scale=0.0,
                 noisy_value=true_value, released_value=true_value, ape=None, released_ape=None,
                 edge_delta=0.0, boundary_constant=True,
             ))
             continue
-        eps, scale, advantage = _calibrate(edge, request)
-        noisy = [true_value + n for n in _noise(scale, (request.seed, edge.source, edge.target), runs, draws)]
-        released = post_process_column(noisy, kind)
-        apes = ape_column(true_value, noisy)
+        (edge, eps, scale, advantage), noisy_value, released_value, error, released_error = next(run0)
         disclosures.append(EdgeDisclosure(
-            source=edge.source,
-            target=edge.target,
-            true_value=true_value,
-            epsilon=eps,
-            noise_scale=scale,
-            noisy_value=noisy[0],
-            released_value=released[0],
-            ape=apes[0],
-            released_ape=ape(true_value, released[0]),
-            edge_delta=advantage,
-            degenerate=kind.is_time and edge.priors is None,
+            edge.source, edge.target, edge.true_value, eps, scale, noisy_value, released_value, error,
+            released_error, advantage, kind.is_time and edge.priors is None,
         ))
-        noised.append((true_value, apes, released))
-    # Each run's MAPE (of the noisy values) and SMAPE (of the released ones)
-    # sums its edges left to right in sorted order, as utility.mape and
-    # utility.smape do.
-    if noised:
-        smapes = [sape_column(true_value, released) for true_value, _, released in noised]
-        run_mapes = [ordered_sum(run) / len(noised) for run in zip(*(apes for _, apes, _ in noised))]
-        run_smapes = [ordered_sum(run) / len(noised) for run in zip(*smapes)]
-    else:
-        run_mapes, run_smapes = [0.0] * runs, [0.0] * runs
 
     return DisclosureReport(
         request=request,

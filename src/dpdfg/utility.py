@@ -1,7 +1,7 @@
 """Utility-loss metrics (APE/MAPE/SMAPE) and the error-target calibration
 epsilon = sensitivity/alpha * ln(1/beta). ``ape`` and ``sape`` are the
-reference definitions; ``ape_column`` and ``sape_column`` give the same bits
-for one edge's runs at a time.
+reference definitions; ``ape_row`` and ``sape_row`` give the same bits for
+one run's edges at a time.
 """
 from __future__ import annotations
 
@@ -41,12 +41,14 @@ def ape(actual: float, noisy: float) -> float:
     return abs(actual - noisy) / abs(actual)
 
 
-def ape_column(actual: float, values: Sequence[float]) -> list[float]:
-    """``ape(actual, v)`` for each value: the zero check is made once."""
-    if actual == 0.0:
-        raise ValueError("APE undefined for actual value 0")
-    denominator = abs(actual)
-    return [abs(actual - v) / denominator for v in values]
+def ape_row(actuals: Sequence[float], values: Sequence[float]) -> list[float]:
+    """``ape(a, v)`` for each pair. A float division raises
+    ``ZeroDivisionError`` exactly when its divisor is 0, which here is
+    ``ape``'s own error case, so the row needs no zero check of its own."""
+    try:
+        return [abs(a - v) / abs(a) for a, v in zip(actuals, values)]
+    except ZeroDivisionError:
+        raise ValueError("APE undefined for actual value 0") from None
 
 
 def mape(actuals: Sequence[float], noisies: Sequence[float]) -> float:
@@ -76,12 +78,12 @@ def sape(actual: float, noisy: float) -> float:
     return abs(actual - noisy) / abs(actual + noisy)
 
 
-def sape_column(actual: float, values: Sequence[float]) -> list[float]:
-    """``sape(actual, v)`` for each value. A float division raises
+def sape_row(actuals: Sequence[float], values: Sequence[float]) -> list[float]:
+    """``sape(a, v)`` for each pair. A float division raises
     ``ZeroDivisionError`` exactly when its divisor is 0, which here is
     ``sape``'s own error case."""
     try:
-        return [abs(actual - v) / abs(actual + v) for v in values]
+        return [abs(a - v) / abs(a + v) for a, v in zip(actuals, values)]
     except ZeroDivisionError:
         raise ValueError("SMAPE undefined when actual + noisy is 0") from None
 

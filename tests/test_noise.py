@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from dpdfg import AggregationKind, NoiseStream, sample_laplace, sensitivity
 from dpdfg.noise import TIME_FLOOR, post_process, post_process_column, uniform_from_digest, unit_laplace_column
-from dpdfg.pipeline import _noise
-from dpdfg.utility import ape, ape_column, sape, sape_column
+from dpdfg.pipeline import _unit_draws
+from dpdfg.utility import ape, ape_row, sape, sape_row
 
 F = AggregationKind.FREQUENCY
 
@@ -123,6 +123,13 @@ def reference_bits(scale: float, key: tuple, runs: int) -> list[bytes]:
     return [bits(sample_laplace(scale, NoiseStream(*key, run))) for run in range(runs)]
 
 
+def noise(scale: float, key: tuple, runs: int, draws: dict) -> list[float]:
+    """Runs 0 .. runs-1 of the noise a release gives the edge ``key`` at
+    ``scale``: run i's is ``scale * units[i]``, as in its rows."""
+    units = _unit_draws(scale, key, runs, draws)
+    return [scale * units[run] for run in range(runs)]
+
+
 @given(key=KEYS, scale=SCALES, runs=st.integers(1, 4))
 def test_scaled_unit_draw_is_bitwise_the_reference_draw(key, scale, runs):
     # A sweep draws each stream's unit-scale Laplace value once and scales
@@ -132,18 +139,18 @@ def test_scaled_unit_draw_is_bitwise_the_reference_draw(key, scale, runs):
     if scale > 0.0:
         assert [bits(scale * sample_laplace(1.0, NoiseStream(*key, run))) for run in range(runs)] == reference
     draws = {}
-    assert list(map(bits, _noise(scale, key, runs, draws))) == reference
+    assert list(map(bits, noise(scale, key, runs, draws))) == reference
     # Scale 0 draws nothing; any other scale stores the key's unit draws.
     assert list(draws) == ([key] if scale > 0.0 else [])
     assert all(len(units) == runs for units in draws.values())
     # A second scale reads the stored draws and still matches its reference;
     # a longer column is drawn anew, and a shorter one reads its prefix.
-    assert list(map(bits, _noise(scale / 3, key, runs, draws))) == reference_bits(scale / 3, key, runs)
-    assert list(map(bits, _noise(scale / 3, key, runs + 2, draws))) == reference_bits(scale / 3, key, runs + 2)
-    assert list(map(bits, _noise(scale, key, 1, draws))) == reference[:1]
+    assert list(map(bits, noise(scale / 3, key, runs, draws))) == reference_bits(scale / 3, key, runs)
+    assert list(map(bits, noise(scale / 3, key, runs + 2, draws))) == reference_bits(scale / 3, key, runs + 2)
+    assert list(map(bits, noise(scale, key, 1, draws))) == reference[:1]
 
 
-# Column kernels against their scalar oracles. An outcome is the bits of
+# List kernels against their scalar oracles. An outcome is the bits of
 # every value, or the type and text of the first error.
 def outcome(compute) -> tuple:
     try:
@@ -178,19 +185,24 @@ ACTUALS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.0, 3.5, 5e-324, 1e300, m
 
 
 @given(actual=ACTUALS, data=st.data())
-def test_error_columns_are_bitwise_ape_and_sape(actual, data):
-    # -actual makes actual + v exactly 0, SMAPE's error case.
+def test_error_rows_are_bitwise_ape_and_sape(actual, data):
+    # -actual makes actual + v exactly 0, SMAPE's error case. Each value's
+    # actual is ``actual`` or another.
     values = data.draw(st.lists(st.one_of(VALUES, st.just(-actual)), min_size=1, max_size=8))
-    assert outcome(lambda: ape_column(actual, values)) == outcome(lambda: [ape(actual, v) for v in values])
-    assert outcome(lambda: sape_column(actual, values)) == outcome(lambda: [sape(actual, v) for v in values])
+    actuals = data.draw(st.lists(st.one_of(st.just(actual), ACTUALS), min_size=len(values), max_size=len(values)))
+    pairs = list(zip(actuals, values))
+    assert outcome(lambda: ape_row(actuals, values)) == outcome(lambda: [ape(a, v) for a, v in pairs])
+    assert outcome(lambda: sape_row(actuals, values)) == outcome(lambda: [sape(a, v) for a, v in pairs])
 
 
-def test_error_columns_raise_the_oracle_errors():
+def test_error_rows_raise_the_oracle_errors():
     with pytest.raises(ValueError, match="^APE undefined for actual value 0$"):
-        ape_column(-0.0, [1.0, 2.0])
+        ape_row([-0.0, -0.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="^APE undefined for actual value 0$"):
+        ape_row([1.0, 0.0], [1.0, 2.0])
     with pytest.raises(ValueError, match="^SMAPE undefined when actual \\+ noisy is 0$"):
-        sape_column(2.0, [1.0, -2.0])
-    assert list(map(bits, sape_column(2.0, [1.0, 3.0]))) == [bits(sape(2.0, 1.0)), bits(sape(2.0, 3.0))]
+        sape_row([2.0, 2.0], [1.0, -2.0])
+    assert list(map(bits, sape_row([2.0, 2.0], [1.0, 3.0]))) == [bits(sape(2.0, 1.0)), bits(sape(2.0, 3.0))]
 
 
 @given(key=KEYS, runs=st.integers(0, 10))

@@ -3,12 +3,14 @@ import io
 import json
 import math
 import random
+import struct
+import tracemalloc
 from pathlib import Path
 from statistics import median
 
 import pyparsing as pp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpdfg import (
@@ -25,6 +27,7 @@ from dpdfg import (
     read_log,
 )
 from dpdfg.pipeline import (
+    DisclosureReport,
     DisclosureRequest,
     EdgeDisclosure,
     disclose,
@@ -55,12 +58,13 @@ from dpdfg.risk import (
     empirical_prior,
     epsilon_freq,
     epsilon_from_delta,
+    epsilon_time,
     worst_case_delta_time,
     worst_case_prior,
 )
-from dpdfg.dfg import Dfg, aggregate
-from dpdfg.noise import NoiseStream, sample_laplace
-from dpdfg.utility import mape
+from dpdfg.dfg import Dfg, aggregate, ordered_sum
+from dpdfg.noise import NoiseStream, post_process, sample_laplace
+from dpdfg.utility import alpha_per_edge, ape, epsilon_from_alpha, mape, sape
 
 MAX = AggregationKind.MAX
 FREQ = AggregationKind.FREQUENCY
@@ -735,3 +739,197 @@ def test_p2_error_and_advantage_are_monotone_in_the_target(log, kind, targets, s
     for tight, loose in zip(reports, reports[1:]):
         assert all(a <= b for a, b in zip(tight.run_mapes, loose.run_mapes)), (tight.run_mapes, loose.run_mapes)
         assert tight.overall_delta >= loose.overall_delta
+
+
+def _reference_release(prepared, request) -> DisclosureReport:
+    """A release of ``prepared`` edge by edge, and each edge run by run,
+    from the scalar oracles: every edge calibrated on its own, each run's
+    noise a ``sample_laplace`` of its own ``NoiseStream``, then
+    ``post_process``, ``ape`` and ``sape``, and each run's MAPE and SMAPE an
+    ``ordered_sum`` over the noised edges in sorted order."""
+    kind, runs = request.aggregation, request.runs
+    edges, errors = [], []
+    for edge in prepared.edges:
+        true_value = edge.true_value
+        if edge.boundary_constant:
+            edges.append(EdgeDisclosure(
+                edge.source, edge.target, true_value, UNBOUNDED, 0.0, true_value, true_value, None, None, 0.0,
+                boundary_constant=True,
+            ))
+            continue
+        if request.mode is Mode.P2:
+            alpha = alpha_per_edge(true_value, request.utility.mape_target)
+            eps = epsilon_from_alpha(edge.sensitivity, alpha, request.utility.beta)
+        else:
+            eps = epsilon_time(request.risk.delta, edge.r, edge.priors)[0]
+        scale = 0.0 if eps == UNBOUNDED else edge.sensitivity / eps
+        noisy = [
+            true_value + sample_laplace(scale, NoiseStream(request.seed, edge.source, edge.target, run))
+            for run in range(runs)
+        ]
+        released = [post_process(value, kind) for value in noisy]
+        apes = [ape(true_value, value) for value in noisy]
+        sapes = [sape(true_value, value) for value in released]
+        edges.append(EdgeDisclosure(
+            edge.source, edge.target, true_value, eps, scale, noisy[0], released[0], apes[0],
+            ape(true_value, released[0]), edge_delta(eps, edge.r, edge.priors),
+            degenerate=kind.is_time and edge.priors is None,
+        ))
+        errors.append((apes, sapes))
+    count = len(errors)
+    run_mapes = [ordered_sum(apes[run] for apes, _ in errors) / count if count else 0.0 for run in range(runs)]
+    run_smapes = [ordered_sum(sapes[run] for _, sapes in errors) / count if count else 0.0 for run in range(runs)]
+    return DisclosureReport(
+        request, prepared.dfg.time_unit if kind.is_time else None, edges,
+        ordered_sum(run_mapes) / runs, ordered_sum(run_smapes) / runs, median(e.epsilon for e in edges),
+        max(e.edge_delta for e in edges), run_mapes, run_smapes,
+    )
+
+
+def _exact(value):
+    """``value`` with every float replaced by its bits, so that -0.0 and
+    0.0 differ and NaN equals itself."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_exact, value))
+    return value
+
+
+def _release_outcome(compute) -> tuple:
+    """Every field of the report ``compute`` returns, floats as bits, or
+    the type and text of its error."""
+    try:
+        report = compute()
+    except Exception as exc:
+        return (type(exc), str(exc))
+    return _exact((
+        report.time_unit, report.edges, report.run_mapes, report.run_smapes, report.mape, report.smape,
+        report.median_epsilon, report.overall_delta,
+    ))
+
+
+def _zero_weight_dfg() -> Dfg:
+    """Three cases, each with A and B at the same instant: every time
+    aggregation of (A, B) is 0."""
+    rows = ["case,activity,timestamp"]
+    for case, at in (("c1", 0), ("c2", 7), ("c3", 19)):
+        rows += [f"{case},A,{at}", f"{case},B,{at}"]
+    return build_dfg(parse_csv("\n".join(rows) + "\n"))
+
+
+def _assert_release_is_the_reference(dfg, request, draws) -> tuple:
+    """The outcome of ``release`` with ``draws`` must be the reference's,
+    bit for bit; returns it."""
+    prepared = prepare(dfg, request)
+    expected = _release_outcome(lambda: _reference_release(prepared, request))
+    assert _release_outcome(lambda: release(prepared, request, draws)) == expected, request
+    return expected
+
+
+RELEASE_LOGS = st.one_of(SMALL_LOGS.map(small_dfg), st.just(_zero_weight_dfg()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dfg=RELEASE_LOGS,
+    mode=st.sampled_from(Mode),
+    kind=st.sampled_from(AggregationKind),
+    delta=st.floats(0.01, 0.99),
+    target=st.floats(0.05, 2.0),
+    precision=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    runs=st.integers(1, 12),
+    include_boundary_time=st.booleans(),
+    seed=NOISE_SEEDS,
+    warm_runs=st.one_of(st.none(), st.integers(1, 12)),
+)
+@example(
+    dfg=_zero_weight_dfg(), mode=Mode.P1, kind=AggregationKind.MIN, delta=0.3, target=0.5, precision=0.5,
+    runs=3, include_boundary_time=False, seed=1, warm_runs=None,
+)
+@example(
+    dfg=_zero_weight_dfg(), mode=Mode.P2, kind=AggregationKind.MIN, delta=0.3, target=0.5, precision=0.5,
+    runs=3, include_boundary_time=True, seed=1, warm_runs=2,
+)
+def test_release_is_bitwise_the_edge_by_edge_reference(
+    dfg, mode, kind, delta, target, precision, runs, include_boundary_time, seed, warm_runs
+):
+    # warm_runs None releases with a fresh memo; otherwise the memo is
+    # shared with a release of warm_runs runs, whose columns are shorter,
+    # as long, or longer than this request reads.
+    def request(runs):
+        extra = dict(seed=seed, runs=runs, include_boundary_time=include_boundary_time)
+        return p1(kind, delta, precision, **extra) if mode is Mode.P1 else p2(kind, target, precision, **extra)
+
+    draws = {}
+    if warm_runs is not None:
+        try:
+            release(prepare(dfg, request(warm_runs)), request(warm_runs), draws)
+        except ValueError:
+            pass
+    _assert_release_is_the_reference(dfg, request(runs), draws)
+
+
+def test_release_is_the_reference_on_the_sample_logs(clinic_dfg):
+    # Fixed inputs that reach every kind of edge: boundary-constant,
+    # degenerate, unbounded (scale 0), and the zero-weight errors.
+    counts = dict.fromkeys(("boundary_constant", "degenerate", "unbounded", "noised", "error"), 0)
+    shared = {}
+    for dfg in (*_sample_dfgs(clinic_dfg), _zero_weight_dfg()):
+        for kind in AggregationKind:
+            for include_boundary_time in (False, True):
+                requests = [
+                    p1(kind, delta, seed=9, runs=runs, include_boundary_time=include_boundary_time)
+                    for delta, runs in ((0.05, 12), (0.5, 1), (0.99, 5))
+                ]
+                requests += [
+                    p2(kind, target, seed=9, runs=runs, include_boundary_time=include_boundary_time)
+                    for target, runs in ((0.1, 5), (1.5, 12))
+                ]
+                for request in requests:
+                    outcome = _assert_release_is_the_reference(dfg, request, {})
+                    assert _release_outcome(lambda: release(prepare(dfg, request), request, shared)) == outcome
+                    if outcome[0] is ValueError:
+                        counts["error"] += 1
+                        continue
+                    for e in release(prepare(dfg, request), request).edges:
+                        counts["boundary_constant"] += e.boundary_constant
+                        counts["degenerate"] += e.degenerate
+                        counts["unbounded"] += e.noise_scale == 0.0 and not e.boundary_constant
+                        counts["noised"] += e.noise_scale > 0.0
+    assert all(counts.values()), counts
+
+
+@pytest.mark.parametrize("kind", [k for k in AggregationKind if k.is_time])
+def test_a_zero_weight_time_edge_fails_the_release(kind):
+    # (A, B) has weight 0 under every time aggregation: P1 noises it and
+    # its APE has no denominator; P2 cannot scale an error target by it.
+    dfg = _zero_weight_dfg()
+    for include_boundary_time in (False, True):
+        with pytest.raises(ValueError, match="^APE undefined for actual value 0$"):
+            disclose(dfg, p1(kind, 0.4, include_boundary_time=include_boundary_time))
+        with pytest.raises(ValueError, match="^edge weight must be positive, got 0.0$"):
+            disclose(dfg, p2(kind, 0.5, include_boundary_time=include_boundary_time))
+    # Its frequency is 3 and releases in both modes.
+    for request in (p1(FREQ, 0.4), p2(FREQ, 0.5)):
+        assert by_key(disclose(dfg, request)[1])[("A", "B")].true_value == 3.0
+
+
+@pytest.mark.parametrize("kind", [FREQ, MAX])
+def test_a_long_release_holds_one_run_row_at_a_time(kind):
+    # 4000 runs of 49 frequency or 36 max edges, with the unit draws already
+    # in the memo: the release keeps run 0's row and one float per run for
+    # MAPE and SMAPE, not a column of runs per edge (14 to 19 MB).
+    dfg = build_dfg(read_log(DATA / "skewed.csv", mapping=CANONICAL_MAPPING))
+    request = p1(kind, 0.4, runs=4000)
+    prepared = prepare(dfg, request)
+    draws = {}
+    release(prepared, request, draws)
+    tracemalloc.start()
+    try:
+        report = release(prepared, request, draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.edges) == len(prepared.edges) and len(report.run_mapes) == 4000
+    assert peak < 2_000_000, peak

@@ -13,7 +13,14 @@ instead, so the same seed gave different noise there.
 ``NoiseStream``, ``sample_laplace`` and ``post_process`` are the reference
 definitions. A release uses their list forms with the same bits:
 ``unit_laplace_column`` draws one edge's runs at a time, and
-``post_process_column`` post-processes one run's row of edges.
+``post_process_column`` post-processes one run's row of edges. Run ``i``'s
+part of the key, with the counter of its first draw, is the same for every
+edge, so it is built once per process into a table of run suffixes that
+grows to the most runs any column has drawn. ``post_process_column`` rounds
+a frequency row by float floor division, ``(v + 0.5) // 1.0``, which is
+exact for finite values, so it gives ``post_process``'s bits without an
+integer round trip; a row with a value that is not finite is post-processed
+value by value, so it raises ``post_process``'s first error.
 """
 from __future__ import annotations
 
@@ -29,6 +36,11 @@ SEED_ENV_VAR = "DPDFG_SEED"
 
 # The counter of a stream's first draw, as 8 big-endian bytes.
 FIRST_DRAW = bytes(8)
+
+# ``_stream_key(run) + FIRST_DRAW`` for run 0, 1, ...: the key suffix of
+# each run's first draw, shared by every edge. Grown by rebinding to a
+# longer list, so a reader never sees a list in the middle of growing.
+_run_suffixes: list[bytes] = []
 
 
 def sensitivity(kind: AggregationKind, occurrence_count: int) -> float:
@@ -96,14 +108,20 @@ def unit_laplace_column(root_seed: int, source: str, target: str, runs: int) -> 
     for each ``run`` in ``range(runs)``, bit for bit.
 
     The ``(root_seed, source, target)`` part of the key is hashed once; each
-    run copies that digest and adds its own index and the counter of the
-    stream's first draw, 0.
+    run copies that digest and adds its suffix from the shared table: its
+    own index and the counter of the stream's first draw, 0.
     """
+    global _run_suffixes
+    suffixes = _run_suffixes
+    if len(suffixes) < runs:
+        suffixes = _run_suffixes = suffixes + [
+            _stream_key(run) + FIRST_DRAW for run in range(len(suffixes), runs)
+        ]
     prefix = hashlib.sha256(_stream_key(root_seed, source, target))
     column: list[float] = []
     for run in range(runs):
         digest = prefix.copy()
-        digest.update(_stream_key(run) + FIRST_DRAW)
+        digest.update(suffixes[run])
         u = uniform_from_digest(digest.digest())
         column.append(-1.0 * math.copysign(1.0, u) * math.log(1.0 - 2.0 * abs(u)))
     return column
@@ -122,7 +140,12 @@ def post_process(noisy: float, kind: AggregationKind) -> float:
 def post_process_column(values: list[float], kind: AggregationKind) -> list[float]:
     """``post_process`` of each value, with the branch taken once per list.
     ``v if v > TIME_FLOOR else TIME_FLOOR`` is ``max(TIME_FLOOR, v)``, NaN
-    included."""
+    included. For a finite ``v``, ``(v + 0.5) // 1.0`` is
+    ``math.floor(v + 0.5)`` as a float, exactly; the sum of a row is finite
+    unless a value is not (or the sum overflows), and such a row takes
+    ``post_process`` value by value, which raises its first error."""
     if kind is AggregationKind.FREQUENCY:
-        return [float(max(1, math.floor(v + 0.5))) for v in values]
+        if not math.isfinite(sum(values)):
+            return [post_process(v, kind) for v in values]
+        return [f if (f := (v + 0.5) // 1.0) > 1.0 else 1.0 for v in values]
     return [v if v > TIME_FLOOR else TIME_FLOOR for v in values]

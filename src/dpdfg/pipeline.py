@@ -36,9 +36,9 @@ from .risk import (
     DEFAULT_PRECISION,
     UNBOUNDED,
     RiskParams,
+    certified_epsilon,
     dfg_delta,
     edge_delta,
-    epsilon_time,
     time_priors,
 )
 from .utility import UtilityParams, alpha_per_edge, ape_row, epsilon_from_alpha, sape_row
@@ -203,16 +203,18 @@ def _prepare_edge(edge: DfgEdge, kind: AggregationKind, precision: float) -> Pre
 
 def _calibrate(edge: PreparedEdge, request: DisclosureRequest) -> tuple[float, float, float]:
     """Epsilon, noise scale and guessing advantage of one prepared edge.
-    P1 derives epsilon from the advantage target, P2 from the error target;
-    the rest is shared.
+    P1 derives epsilon from the advantage target, and its certification
+    search has already evaluated the advantage there; P2 derives epsilon
+    from the error target, then the advantage at it. The scale is shared.
     """
     if request.mode is Mode.P2:
         utility = request.utility
         eps = epsilon_from_alpha(edge.sensitivity, alpha_per_edge(edge.true_value, utility.mape_target), utility.beta)
+        advantage = edge_delta(eps, edge.r, edge.priors)
     else:
-        eps = epsilon_time(request.risk.delta, edge.r, edge.priors)[0]
+        eps, _, advantage = certified_epsilon(request.risk.delta, edge.r, edge.priors)
     scale = 0.0 if eps == UNBOUNDED else edge.sensitivity / eps
-    return eps, scale, edge_delta(eps, edge.r, edge.priors)
+    return eps, scale, advantage
 
 
 def _unit_draws(scale: float, key: tuple[int, str, str], runs: int, draws: dict) -> list[float]:
@@ -262,10 +264,11 @@ def release(prepared: PreparedDfg, request: DisclosureRequest, draws: dict | Non
         draws = {}
     started = time.perf_counter()
     kind, runs, seed = request.aggregation, request.runs, request.seed
-    # A P1 edge without priors calibrates from its range and sensitivity
-    # alone; every frequency edge has range 1 and sensitivity 1.
-    priorless: dict[tuple[float, float], tuple[float, float, float]] = {}
-    reuse = request.mode is Mode.P1
+    # An edge without priors calibrates from its range and sensitivity
+    # alone, and in P2 its weight: edges that agree on these share one
+    # calibration. Every frequency edge has range 1 and sensitivity 1.
+    priorless: dict[tuple[float, ...], tuple[float, float, float]] = {}
+    by_weight = request.mode is Mode.P2
     # Per noised edge: the edge and its calibration, and its row inputs.
     calibrated: list[tuple[PreparedEdge, float, float, float]] = []
     actuals: list[float] = []
@@ -273,8 +276,8 @@ def release(prepared: PreparedDfg, request: DisclosureRequest, draws: dict | Non
     for edge in prepared.edges:
         if edge.boundary_constant:
             continue
-        if reuse and edge.priors is None:
-            key = (edge.r, edge.sensitivity)
+        if edge.priors is None:
+            key = (edge.r, edge.sensitivity, edge.true_value) if by_weight else (edge.r, edge.sensitivity)
             if key not in priorless:
                 priorless[key] = _calibrate(edge, request)
             calibration = priorless[key]

@@ -145,24 +145,32 @@ def epsilon_time(delta: float, r: float, priors: tuple[float, ...] | None) -> tu
     positive float) at most, until the advantage fits, then bisects the
     last step, to an epsilon where it fits and at the next float up does not.
     """
+    return certified_epsilon(delta, r, priors)[:2]
+
+
+def certified_epsilon(
+    delta: float, r: float, priors: tuple[float, ...] | None
+) -> tuple[float, tuple[float, ...], float]:
+    """:func:`epsilon_time`'s epsilon and priors, and the edge's advantage
+    at that epsilon: the :func:`edge_delta` the search evaluated there."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0,1), got {delta}")
     bound = (worst_case_prior(delta),) if priors is None else priors
     epsilon = min(UNBOUNDED if delta + prior >= 1.0 else epsilon_from_delta(prior, delta, r) for prior in bound)
-    if edge_delta(epsilon, r, priors) <= delta:
-        return epsilon, bound
+    if (advantage := edge_delta(epsilon, r, priors)) <= delta:
+        return epsilon, bound, advantage
     above, step = _BITS.unpack(_FLOAT.pack(epsilon))[0], 1
-    while edge_delta(_float(below := max(above - step, 1)), r, priors) > delta:
+    while (advantage := edge_delta(_float(below := max(above - step, 1)), r, priors)) > delta:
         if below == 1:
             raise ValueError(f"no epsilon keeps the advantage at or below delta {delta}")
         above, step = below, 2 * step
     while above - below > 1:
         middle = (above + below) // 2
-        if edge_delta(_float(middle), r, priors) <= delta:
-            below = middle
+        if (fits := edge_delta(_float(middle), r, priors)) <= delta:
+            below, advantage = middle, fits
         else:
             above = middle
-    return _float(below), bound
+    return _float(below), bound, advantage
 
 
 def _float(bits: int) -> float:

@@ -10,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dpdfg import AggregationKind, NoiseStream, sample_laplace, sensitivity
+from dpdfg import noise as noise_module
 from dpdfg.noise import TIME_FLOOR, post_process, post_process_column, uniform_from_digest, unit_laplace_column
 from dpdfg.pipeline import _unit_draws
 from dpdfg.utility import ape, ape_row, sape, sape_row
@@ -173,6 +174,10 @@ VALUES = st.one_of(st.sampled_from(EDGE_VALUES), st.floats())
 @example(values=[0.5, -0.5, 1.5, 2.5, 0.49999999999999994, -0.0, 1e300], kind=F)
 @example(values=[1.0, math.nan], kind=F)
 @example(values=[math.inf], kind=F)
+@example(values=[2.0**52 - 0.5, 2.0**52 + 0.5, 2.0**52 + 1.0, 2.0**53], kind=F)
+@example(values=[math.nextafter(-0.5, -math.inf), 0.5 - 2.0**-54, -0.5, 0.5], kind=F)
+@example(values=[3.0, math.nan, 2.0, math.inf], kind=F)
+@example(values=[3.0, -math.inf, math.nan], kind=F)
 def test_post_process_column_is_bitwise_post_process(values, kind):
     # Rounding ties, signed zeros, TIME_FLOOR itself, and NaN/inf (which the
     # frequency branch rejects with the oracle's error) included.
@@ -209,9 +214,25 @@ def test_error_rows_raise_the_oracle_errors():
 @example(key=(-1, "Ä", "→ end"), runs=3)
 @example(key=(2**64 + 5, "", "日本"), runs=6)
 def test_unit_laplace_column_is_bitwise_the_reference_draw(key, runs):
-    assert list(map(bits, unit_laplace_column(*key, runs))) == [
-        bits(sample_laplace(1.0, NoiseStream(*key, run))) for run in range(runs)
-    ]
+    def column_is_the_reference(length):
+        return list(map(bits, unit_laplace_column(*key, length))) == [
+            bits(sample_laplace(1.0, NoiseStream(*key, run))) for run in range(length)
+        ]
+
+    assert column_is_the_reference(runs)
+    # The run suffixes come from one table that every column shares and that
+    # grows to the longest column drawn. From a table of at most ``runs``
+    # suffixes, as after a process that drew no longer column: a column
+    # longer than any drawn, a shorter one, and a longer one again.
+    table = noise_module._run_suffixes
+    try:
+        noise_module._run_suffixes = table[:runs]
+        held = len(noise_module._run_suffixes)
+        for length in (held + 3, held + 1, held + 8):
+            assert column_is_the_reference(length), length
+            assert len(noise_module._run_suffixes) == max(length, held + 3)
+    finally:
+        noise_module._run_suffixes = table
 
 
 # The draw rule, exactly: the first 52 bits of a draw's digest are k, and

@@ -809,13 +809,19 @@ def _release_outcome(compute) -> tuple:
     ))
 
 
+def _dfg_of(*traces: str) -> Dfg:
+    """The DFG of one case per trace, a trace being ``"A@0 B@5"``: each
+    event's activity and timestamp."""
+    rows = ["case,activity,timestamp"]
+    for case, trace in enumerate(traces):
+        rows += [f"c{case},{event.replace('@', ',')}" for event in trace.split()]
+    return build_dfg(parse_csv("\n".join(rows) + "\n"))
+
+
 def _zero_weight_dfg() -> Dfg:
     """Three cases, each with A and B at the same instant: every time
     aggregation of (A, B) is 0."""
-    rows = ["case,activity,timestamp"]
-    for case, at in (("c1", 0), ("c2", 7), ("c3", 19)):
-        rows += [f"{case},A,{at}", f"{case},B,{at}"]
-    return build_dfg(parse_csv("\n".join(rows) + "\n"))
+    return _dfg_of("A@0 B@0", "A@7 B@7", "A@19 B@19")
 
 
 def _assert_release_is_the_reference(dfg, request, draws) -> tuple:
@@ -850,6 +856,22 @@ RELEASE_LOGS = st.one_of(SMALL_LOGS.map(small_dfg), st.just(_zero_weight_dfg()))
 @example(
     dfg=_zero_weight_dfg(), mode=Mode.P2, kind=AggregationKind.MIN, delta=0.3, target=0.5, precision=0.5,
     runs=3, include_boundary_time=True, seed=1, warm_runs=2,
+)
+# Edges without priors that share a calibration in P2 only where range,
+# sensitivity and weight agree: frequency edges of one weight, two
+# single-occurrence time edges of one duration, and frequency edges that
+# differ only in weight.
+@example(
+    dfg=_dfg_of("A@0 B@1 C@2", "A@0 B@3 C@4", "A@5 B@6 C@9"), mode=Mode.P2, kind=FREQ, delta=0.3, target=0.5,
+    precision=0.5, runs=3, include_boundary_time=False, seed=1, warm_runs=None,
+)
+@example(
+    dfg=_dfg_of("A@0 B@5 C@10"), mode=Mode.P2, kind=MAX, delta=0.3, target=0.5, precision=0.5,
+    runs=3, include_boundary_time=True, seed=1, warm_runs=None,
+)
+@example(
+    dfg=_dfg_of("A@0 B@1", "A@0 B@3", "A@5 C@6"), mode=Mode.P2, kind=FREQ, delta=0.3, target=0.5,
+    precision=0.5, runs=3, include_boundary_time=False, seed=1, warm_runs=None,
 )
 def test_release_is_bitwise_the_edge_by_edge_reference(
     dfg, mode, kind, delta, target, precision, runs, include_boundary_time, seed, warm_runs

@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +11,7 @@ from dpdfg import risk
 from dpdfg.risk import (
     CERTIFY_EVALUATIONS,
     UNBOUNDED,
+    certified_epsilon,
     delta_from_epsilon_freq,
     delta_from_epsilon_time,
     dfg_delta,
@@ -231,14 +233,44 @@ def test_certified_search_ends_where_no_epsilon_fits(monkeypatch, delta):
     assert min(args[0] for args in calls) == 5e-324
 
 
-def test_epsilon_time_is_certified_against_edge_delta():
+def test_epsilon_time_is_certified_against_edge_delta(monkeypatch):
+    # certified_epsilon's advantage is edge_delta at its epsilon, bit for
+    # bit, whichever evaluation of the search found that epsilon: the first
+    # check, the galloping step down that first fits, or a bisection step.
+    calls = []
+    forward = risk.edge_delta
+    monkeypatch.setattr(risk, "edge_delta", lambda *args: calls.append((args[0], value := forward(*args))) or value)
+
+    def found_by(delta, epsilon):
+        """The phase of the search whose evaluation returned ``epsilon``."""
+        found = max(i for i, (at, _) in enumerate(calls) if _bits(at) == _bits(epsilon))
+        if found == 0:
+            return "unbounded" if epsilon == UNBOUNDED else "first"
+        galloping_exit = next(i for i, (_, value) in enumerate(calls) if value <= delta)
+        return "galloping" if found == galloping_exit else "bisection"
+
     rng = random.Random(5)
-    for _ in range(2000):
-        delta = rng.uniform(0.001, 0.999)
-        r = math.exp(rng.uniform(-7.0, 7.0))
-        priors = rng.choice([None, tuple(sorted({rng.randrange(1, 200) / 200 for _ in range(rng.randint(1, 5))}))])
-        epsilon, _ = epsilon_time(delta, r, priors)
-        assert edge_delta(epsilon, r, priors) <= delta, (delta, r, priors)
+    cases = [
+        (rng.uniform(0.001, 0.999), math.exp(rng.uniform(-7.0, 7.0)),
+         rng.choice([None, tuple(sorted({rng.randrange(1, 200) / 200 for _ in range(rng.randint(1, 5))}))]))
+        for _ in range(2000)
+    ]
+    # A prior just below 1 - delta overshoots by millions of ulps; all
+    # priors at or above 1 - delta leave epsilon unbounded.
+    cases += [(0.3, r, (0.7 - 1e-9, 1.0)) for r in (1e-3, 1.0, 1e3)] + [(0.02, 10.0, (0.99, 1.0))]
+    phases = dict.fromkeys(("first", "galloping", "bisection", "unbounded"), 0)
+    for delta, r, priors in cases:
+        calls.clear()
+        epsilon, bound, advantage = certified_epsilon(delta, r, priors)
+        assert _bits(advantage) == _bits(forward(epsilon, r, priors)), (delta, r, priors)
+        assert advantage <= delta, (delta, r, priors)
+        phases[found_by(delta, epsilon)] += 1
+        assert epsilon_time(delta, r, priors) == (epsilon, bound)
+    assert all(phases.values()), phases
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
 
 
 def test_epsilon_freq_examples():

@@ -11,7 +11,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable
 
-from .eventlog import NS_PER_UNIT, START_END, EventLog
+from .eventlog import NS_PER_UNIT, START_END, EventLog, collector_paused
 
 UNITS_LARGEST_FIRST = ("d", "h", "min", "s", "ms", "us", "ns")
 
@@ -76,6 +76,7 @@ class AnnotatedDfg:
     weights: dict[tuple[str, str], float]
 
 
+@collector_paused
 def build_dfg(log: EventLog) -> Dfg:
     """Build the DFG of an event log, in nanosecond durations.
 

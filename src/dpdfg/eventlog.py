@@ -6,6 +6,8 @@ round-tripping through the canonical CSV format is exact.
 from __future__ import annotations
 
 import csv
+import functools
+import gc
 import io
 import math
 import operator
@@ -78,6 +80,30 @@ class ColumnMapping:
     timestamp_col: str = "timestamp"
     timestamp_format: str = "auto"
     number_unit: str = "h"
+
+
+def collector_paused(build):
+    """``build`` with the cyclic garbage collector paused while it runs.
+
+    Building a log or a DFG makes tens of thousands of long-lived, acyclic
+    containers, so the collections they would start find no garbage; a
+    cycle left by an error is collected after the pause. The pause is
+    process-wide: other threads' automatic collections wait for it too.
+    The collector's state is restored as it was found, also when ``build``
+    raises, so a caller that disabled it keeps it disabled.
+    """
+
+    @functools.wraps(build)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def _in_int64(ns: int, text: str) -> int:
@@ -190,8 +216,13 @@ def _timestamps_ns(texts, fmt: str, unit: str, first_row: int) -> list[int]:
             # The first datetime picks the epoch, so a chunk of aware and
             # naive datetimes raises TypeError.
             epoch = _NAIVE_EPOCH if dts[0].tzinfo is None else _EPOCH
-            gaps = map(operator.sub, dts, repeat(epoch))
-            stamps = list(map((1_000).__mul__, map(operator.floordiv, gaps, repeat(_ONE_US))))
+            # A timedelta is normalised (0 <= seconds < 86400 and
+            # 0 <= microseconds < 10**6), so its fields give exactly
+            # parse_timestamp_ns's `// _ONE_US * 1_000` for either sign.
+            stamps = [
+                (gap.days * 86_400 + gap.seconds) * 1_000_000_000 + gap.microseconds * 1_000
+                for gap in map(operator.sub, dts, repeat(epoch))
+            ]
         except (ValueError, TypeError):
             pass
         else:
@@ -222,6 +253,7 @@ def _add_events(
         column.clear()
 
 
+@collector_paused
 def parse_csv(source, mapping: ColumnMapping | None = None) -> EventLog:
     """Parse a comma-separated event log into a normalized :class:`EventLog`.
 
@@ -324,6 +356,7 @@ def _children(elem: ET.Element, tag: str):
     return (child for child in elem if child.tag.rsplit("}", 1)[-1] == tag)
 
 
+@collector_paused
 def parse_xes(source) -> EventLog:
     """Parse the IEEE 1849 XES subset: traces with concept:name, events with
     concept:name and time:timestamp. Other attributes (lifecycle etc.) are

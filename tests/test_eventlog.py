@@ -1,11 +1,13 @@
 import csv
+import gc
 import io
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpdfg import (
@@ -14,6 +16,7 @@ from dpdfg import (
     Event,
     EventLog,
     IngestError,
+    build_dfg,
     parse_csv,
     parse_xes,
     read_log,
@@ -756,6 +759,14 @@ def test_parse_csv_equals_reference_across_chunks(size, monkeypatch):
     first_row=st.integers(2, 10**6),
 )
 @settings(max_examples=400)
+# The int64-ns bounds, converted in one pass, and one microsecond outside each.
+@example(texts=["1677-09-21T00:12:43.145225Z", "2262-04-11T23:47:16.854775Z"], fmt="iso", unit="h", first_row=2)
+@example(texts=["1677-09-21T00:12:43.145224Z"], fmt="auto", unit="h", first_row=2)
+@example(texts=["2262-04-11T23:47:16.854776Z"], fmt="auto", unit="h", first_row=2)
+# Before the epoch with a fraction: negative days, positive seconds and microseconds.
+@example(texts=["1969-12-31T23:59:59.999999", "1969-12-31T23:59:59"], fmt="auto", unit="h", first_row=2)
+# An offset that moves the stamp across the epoch.
+@example(texts=["1970-01-01T00:30:00+01:00"], fmt="iso", unit="h", first_row=2)
 def test_timestamps_ns_equals_parse_timestamp_ns(texts, fmt, unit, first_row):
     expected = []
     for row_no, text in enumerate(texts, first_row):
@@ -768,3 +779,88 @@ def test_timestamps_ns_equals_parse_timestamp_ns(texts, fmt, unit, first_row):
         assert _timestamps_ns(texts, fmt, unit, first_row) == expected
     except IngestError as exc:
         assert str(exc) == expected
+
+
+def _xes(rows: list[str]) -> str:
+    """The XES of CSV ``rows`` as :func:`_chunk_rows` writes them: one
+    trace per row, merged by case id on parsing."""
+    traces = []
+    for row in rows:
+        case_id, activity, stamp = row.split(",")
+        traces.append(
+            f'<trace><string key="concept:name" value="{case_id}"/><event>'
+            f'<string key="concept:name" value="{activity}"/>'
+            f'<date key="time:timestamp" value="{stamp}"/></event></trace>'
+        )
+    return "<log>" + "".join(traces) + "</log>"
+
+
+ROWS = _chunk_rows(3 * _CHUNK + 1, seed=11)
+BAD_AFTER_FIRST_CHUNK = ROWS[: _CHUNK + 5] + ["c1,A,noon"] + ROWS[_CHUNK + 5 :]
+
+
+# The code of each build, under the decorator that pauses the collector.
+BUILDS = {getattr(build, "__wrapped__", build).__code__ for build in (parse_csv, parse_xes, build_dfg)}
+
+
+def _inside(codes, frame) -> bool:
+    while frame is not None:
+        if frame.f_code in codes:
+            return True
+        frame = frame.f_back
+    return False
+
+
+def _written(path: Path, text: str) -> Path:
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "build, argument, raises",
+    [
+        (parse_csv, lambda tmp: _csv(ROWS), None),
+        (parse_csv, lambda tmp: _csv(BAD_AFTER_FIRST_CHUNK), IngestError),
+        (parse_xes, lambda tmp: _xes(ROWS), None),
+        (parse_xes, lambda tmp: _xes(ROWS)[:-1], IngestError),
+        (build_dfg, lambda tmp: parse_csv(_csv(ROWS)), None),
+        (build_dfg, lambda tmp: EventLog({"c1": (Event("A", 2), Event("B", 1))}), ValueError),
+        (read_log, lambda tmp: _written(tmp / "log.csv", _csv(ROWS)), None),
+        (read_log, lambda tmp: _written(tmp / "log.xes", _xes(ROWS)[:-1]), IngestError),
+    ],
+    ids=["csv", "csv-bad-row", "xes", "xes-malformed", "dfg", "dfg-unsorted", "read-csv", "read-xes-malformed"],
+)
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+def test_ingest_pauses_the_collector_and_restores_its_state(build, argument, raises, enabled, tmp_path):
+    """No cyclic collection starts while a log or DFG is built, and the
+    collector is left as it was found, also when the build raises."""
+    source = argument(tmp_path)
+    starts = []
+
+    def count(phase, info):
+        # A collection that starts once a build has returned or raised, as
+        # its exception's traceback is allocated, is not during the build.
+        if phase == "start" and _inside(BUILDS, sys._getframe()):
+            starts.append(info["generation"])
+
+    thresholds = gc.get_threshold()
+    (gc.enable if enabled else gc.disable)()
+    # Each build allocates thousands of tracked objects, so at this
+    # threshold an unpaused collector would start many collections.
+    gc.set_threshold(100)
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        try:
+            build(source)
+        except Exception as exc:
+            assert type(exc) is raises
+        else:
+            assert raises is None
+        finally:
+            gc.callbacks.remove(count)
+        assert starts == []
+        assert gc.isenabled() is enabled
+    finally:
+        gc.set_threshold(*thresholds)
+        gc.enable()

@@ -8,7 +8,6 @@ from .dfg import AggregationKind, AnnotatedDfg, Dfg, DfgEdge, aggregate, build_d
 from .eventlog import (
     CANONICAL_MAPPING,
     ColumnMapping,
-    Event,
     EventLog,
     IngestError,
     START_END,
@@ -41,9 +40,8 @@ from .risk import (
     empirical_prior,
     epsilon_freq,
     epsilon_from_delta,
-    posterior_bound,
     worst_case_prior,
 )
 from .utility import UtilityParams, alpha_per_edge, ape, epsilon_from_alpha, mape, smape
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -12,7 +12,7 @@ from pathlib import Path
 from statistics import median
 
 from .dfg import AggregationKind, build_dfg, ordered_sum
-from .eventlog import NS_PER_UNIT, Event, EventLog, read_log
+from .eventlog import NS_PER_UNIT, EventLog, read_log
 from .noise import DEFAULT_SEED
 from .pipeline import DisclosureRequest, Mode, PreparedDfg, prepare, release, show_epsilon
 from .risk import DEFAULT_PRECISION, RiskParams
@@ -112,7 +112,7 @@ def synthesize(spec: SyntheticLogSpec, seed: int) -> tuple[EventLog, GenerationS
         assignment = rng.choices(range(spec.n_variants), weights=weights, k=spec.trace_count)
 
     stats = GenerationStats(variant_of_trace=assignment)
-    traces: dict[str, tuple[Event, ...]] = {}
+    traces: dict[str, tuple[tuple[str, int], ...]] = {}
     hour_ns = NS_PER_UNIT["h"]
     for idx, variant_idx in enumerate(assignment):
         sequence = variants[variant_idx]
@@ -120,7 +120,7 @@ def synthesize(spec: SyntheticLogSpec, seed: int) -> tuple[EventLog, GenerationS
         # int64 nanoseconds. Cases may overlap in time; a DFG only sees the
         # gaps within a case.
         start_ns = idx * NS_PER_UNIT["d"]
-        events = [Event(sequence[0], start_ns)]
+        events = [(sequence[0], start_ns)]
         now = start_ns
         for prev, cur in zip(sequence, sequence[1:]):
             gap_h = rng.lognormvariate(spec.duration_log_mean, spec.duration_log_sigma)
@@ -129,7 +129,7 @@ def synthesize(spec: SyntheticLogSpec, seed: int) -> tuple[EventLog, GenerationS
                 key = (prev, cur)
                 stats.outlier_edges[key] = stats.outlier_edges.get(key, 0) + 1
             now += round(gap_h * hour_ns)
-            events.append(Event(cur, now))
+            events.append((cur, now))
         traces[f"c{idx:05d}"] = tuple(events)
     return EventLog(traces), stats
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .bench import SweepSpec, run_sweep
 from .dfg import AggregationKind, aggregate, build_dfg, choose_time_unit, convert_unit
-from .eventlog import NS_PER_UNIT, ColumnMapping, IngestError, read_log
+from .eventlog import LOG_FORMATS, NS_PER_UNIT, TIMESTAMP_FORMATS, ColumnMapping, IngestError, read_log
 from .noise import SEED_ENV_VAR
 from .pipeline import (
     DisclosureRequest,
@@ -60,11 +60,11 @@ def _load_log(args):
 
 def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", required=True, help="path to the event log")
-    parser.add_argument("--input-format", choices=["auto", "csv", "xes"], default="auto")
+    parser.add_argument("--input-format", choices=LOG_FORMATS, default="auto")
     parser.add_argument("--case-col", default="case")
     parser.add_argument("--activity-col", default="activity")
     parser.add_argument("--timestamp-col", default="timestamp")
-    parser.add_argument("--timestamp-format", choices=["auto", "iso", "number"], default="auto")
+    parser.add_argument("--timestamp-format", choices=TIMESTAMP_FORMATS, default="auto")
     parser.add_argument("--timestamp-unit", choices=sorted(NS_PER_UNIT), default="h",
                         help="unit of numeric timestamps (default: hours)")
 

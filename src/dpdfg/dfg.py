@@ -92,9 +92,8 @@ def build_dfg(log: EventLog) -> Dfg:
         if not events:
             continue
         # The first event pairs with the virtual start at a zero gap.
-        prev_activity, prev_ts = START_END, events[0].timestamp_ns
-        for ev in events:
-            activity, ts = ev.activity, ev.timestamp_ns
+        prev_activity, prev_ts = START_END, events[0][1]
+        for activity, ts in events:
             if ts < prev_ts:
                 raise ValueError(f"trace {case_id!r}: events not sorted by timestamp")
             durations = lookup((prev_activity, activity))

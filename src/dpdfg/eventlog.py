@@ -33,12 +33,15 @@ NS_PER_UNIT = {
     "d": 86_400_000_000_000,
 }
 
+TIMESTAMP_FORMATS = ("auto", "iso", "number")
+LOG_FORMATS = ("auto", "csv", "xes")
+
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _NAIVE_EPOCH = datetime(1970, 1, 1)
 _ONE_US = timedelta(microseconds=1)
 # Products of a decimal and a unit are exact at this precision.
 _EXACT = Context(prec=MAX_PREC, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
-_BY_TIME = operator.attrgetter("timestamp_ns")
+_BY_TIME = operator.itemgetter(1)
 # Rows whose timestamps parse_csv converts at once: enough to spread the
 # per-call cost, few enough to keep the peak memory of a large log flat.
 _CHUNK = 1_024
@@ -48,17 +51,12 @@ class IngestError(Exception):
     """Raised when an event-log source cannot be parsed."""
 
 
-@dataclass(slots=True)
-class Event:
-    activity: str
-    timestamp_ns: int
-
-
 @dataclass(frozen=True)
 class EventLog:
-    """Case id -> its events in time order; cases in first-appearance order."""
+    """Case id -> its events, ``(activity, timestamp_ns)`` pairs in time
+    order; cases in first-appearance order."""
 
-    traces: dict[str, tuple[Event, ...]]
+    traces: dict[str, tuple[tuple[str, int], ...]]
 
     def __len__(self) -> int:
         return len(self.traces)
@@ -80,6 +78,14 @@ class ColumnMapping:
     timestamp_col: str = "timestamp"
     timestamp_format: str = "auto"
     number_unit: str = "h"
+
+    def __post_init__(self) -> None:
+        _check_choice("timestamp format", self.timestamp_format, TIMESTAMP_FORMATS)
+
+
+def _check_choice(what: str, value: str, allowed: tuple[str, ...]) -> None:
+    if value not in allowed:
+        raise ValueError(f"unknown {what} {value!r}; expected one of {', '.join(allowed)}")
 
 
 def collector_paused(build):
@@ -164,7 +170,7 @@ def _validate_activity(activity: str, where: str) -> str:
     return activity
 
 
-def _sorted_log(by_case: dict[str, list[Event]]) -> EventLog:
+def _sorted_log(by_case: dict[str, list[tuple[str, int]]]) -> EventLog:
     # sorted() is stable: equal timestamps keep their input order.
     return EventLog({case_id: tuple(sorted(events, key=_BY_TIME)) for case_id, events in by_case.items()})
 
@@ -238,7 +244,7 @@ def _timestamps_ns(texts, fmt: str, unit: str, first_row: int) -> list[int]:
 
 
 def _add_events(
-    by_case: dict[str, list[Event]], pending: tuple[list, ...], last_row: int, fmt: str, unit: str
+    by_case: dict[str, list[tuple[str, int]]], pending: tuple[list, ...], last_row: int, fmt: str, unit: str
 ) -> None:
     """Add the events of the rows in ``pending``, its case ids, activities
     and timestamp texts, which end at row ``last_row``, to ``by_case``, and
@@ -247,7 +253,7 @@ def _add_events(
     if not texts:
         return
     stamps = _timestamps_ns(texts, fmt, unit, last_row - len(texts) + 1)
-    for case_id, event in zip(cases, map(Event, activities, stamps)):
+    for case_id, event in zip(cases, zip(activities, stamps)):
         by_case[case_id].append(event)
     for column in pending:
         column.clear()
@@ -283,7 +289,7 @@ def parse_csv(source, mapping: ColumnMapping | None = None) -> EventLog:
         width = len(header)
         fmt, unit = mapping.timestamp_format, mapping.number_unit
 
-        by_case: defaultdict[str, list[Event]] = defaultdict(list)
+        by_case: defaultdict[str, list[tuple[str, int]]] = defaultdict(list)
         # The rows read since the events were last added, one list per field.
         pending = cases, activities, texts = [], [], []
         row_no = 1
@@ -333,7 +339,7 @@ def parse_csv_reference(source, mapping: ColumnMapping | None = None) -> EventLo
             if col not in header:
                 raise IngestError(f"row 1: missing mapped column {col!r}")
 
-        by_case: defaultdict[str, list[Event]] = defaultdict(list)
+        by_case: defaultdict[str, list[tuple[str, int]]] = defaultdict(list)
         for row_no, row in enumerate(reader, start=2):
             where = f"row {row_no}"
             case_id = (row.get(mapping.case_col) or "").strip()
@@ -347,7 +353,7 @@ def parse_csv_reference(source, mapping: ColumnMapping | None = None) -> EventLo
                 ts = parse_timestamp_ns(ts_text, mapping.timestamp_format, mapping.number_unit)
             except IngestError as exc:
                 raise IngestError(f"{where}: {exc}") from None
-            by_case[case_id].append(Event(activity, ts))
+            by_case[case_id].append((activity, ts))
     return _sorted_log(by_case)
 
 
@@ -370,7 +376,7 @@ def parse_xes(source) -> EventLog:
         raise IngestError(f"malformed XES document: {exc}") from None
 
     # Traces that share a concept:name merge; a trace without events adds no case.
-    by_case: defaultdict[str, list[Event]] = defaultdict(list)
+    by_case: defaultdict[str, list[tuple[str, int]]] = defaultdict(list)
     for trace_no, elem in enumerate(_children(root, "trace"), start=1):
         case_id = next(
             (c.get("value") or "" for c in _children(elem, "string") if c.get("key") == "concept:name"), ""
@@ -398,13 +404,15 @@ def parse_xes(source) -> EventLog:
             if ts is None:
                 raise IngestError(f"{where}: missing timestamp")
             _validate_activity(activity, where)
-            by_case[case_id].append(Event(activity, ts))
+            by_case[case_id].append((activity, ts))
     return _sorted_log(by_case)
 
 
 def read_log(path, fmt: str = "auto", mapping: ColumnMapping | None = None) -> EventLog:
     """The log at ``path``: XES if ``fmt`` is ``xes``, or ``auto`` and the
-    name ends in ``.xes``; else CSV read with ``mapping``."""
+    name ends in ``.xes``; else CSV read with ``mapping``. ``fmt`` is one of
+    ``auto``, ``csv``, ``xes``."""
+    _check_choice("log format", fmt, LOG_FORMATS)
     data = Path(path).read_bytes()
     if fmt == "xes" or (fmt == "auto" and str(path).lower().endswith(".xes")):
         return parse_xes(data)
@@ -425,8 +433,8 @@ def to_canonical_csv(log: EventLog) -> str:
     writer = csv.writer(SimpleNamespace(write=rows.append), lineterminator="\r\n")
     writer.writerow(["case", "activity", "timestamp"])
     for case_id in sorted(log.traces):
-        for ev in log.traces[case_id]:
-            writer.writerow([case_id, ev.activity, str(ev.timestamp_ns)])
+        for activity, ts in log.traces[case_id]:
+            writer.writerow([case_id, activity, str(ts)])
     return "".join(row[:-2] + "\n" for row in rows)
 
 

@@ -15,15 +15,16 @@ definitions. A release uses their list forms with the same bits:
 ``unit_laplace_column`` draws one edge's runs at a time, and
 ``post_process_column`` post-processes one run's row of edges. Run ``i``'s
 part of the key, with the counter of its first draw, is the same for every
-edge, so it is built once per process into a table of run suffixes that
-grows to the most runs any column has drawn. ``post_process_column`` rounds
-a frequency row by float floor division, ``(v + 0.5) // 1.0``, which is
-exact for finite values, so it gives ``post_process``'s bits without an
-integer round trip; a row with a value that is not finite is post-processed
-value by value, so it raises ``post_process``'s first error.
+edge, so ``_run_suffix`` builds it once per process and caches it.
+``post_process_column`` rounds a frequency row by float floor division,
+``(v + 0.5) // 1.0``, which is exact for finite values, so it gives
+``post_process``'s bits without an integer round trip; a row with a value
+that is not finite is post-processed value by value, so it raises
+``post_process``'s first error.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 
@@ -36,11 +37,6 @@ SEED_ENV_VAR = "DPDFG_SEED"
 
 # The counter of a stream's first draw, as 8 big-endian bytes.
 FIRST_DRAW = bytes(8)
-
-# ``_stream_key(run) + FIRST_DRAW`` for run 0, 1, ...: the key suffix of
-# each run's first draw, shared by every edge. Grown by rebinding to a
-# longer list, so a reader never sees a list in the middle of growing.
-_run_suffixes: list[bytes] = []
 
 
 def sensitivity(kind: AggregationKind, occurrence_count: int) -> float:
@@ -68,6 +64,12 @@ def _stream_key(*parts) -> bytes:
         raw = str(part).encode("utf-8")
         key += len(raw).to_bytes(4, "big") + raw
     return key
+
+
+@functools.cache
+def _run_suffix(run: int) -> bytes:
+    """The key suffix of run ``run``'s first draw, shared by every edge."""
+    return _stream_key(run) + FIRST_DRAW
 
 
 class NoiseStream:
@@ -108,20 +110,14 @@ def unit_laplace_column(root_seed: int, source: str, target: str, runs: int) -> 
     for each ``run`` in ``range(runs)``, bit for bit.
 
     The ``(root_seed, source, target)`` part of the key is hashed once; each
-    run copies that digest and adds its suffix from the shared table: its
-    own index and the counter of the stream's first draw, 0.
+    run copies that digest and adds its cached suffix: its own index and
+    the counter of the stream's first draw, 0.
     """
-    global _run_suffixes
-    suffixes = _run_suffixes
-    if len(suffixes) < runs:
-        suffixes = _run_suffixes = suffixes + [
-            _stream_key(run) + FIRST_DRAW for run in range(len(suffixes), runs)
-        ]
     prefix = hashlib.sha256(_stream_key(root_seed, source, target))
     column: list[float] = []
     for run in range(runs):
         digest = prefix.copy()
-        digest.update(suffixes[run])
+        digest.update(_run_suffix(run))
         u = uniform_from_digest(digest.digest())
         column.append(-1.0 * math.copysign(1.0, u) * math.log(1.0 - 2.0 * abs(u)))
     return column

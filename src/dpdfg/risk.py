@@ -222,17 +222,6 @@ def edge_delta(epsilon: float, r: float, priors: tuple[float, ...] | None) -> fl
     return max([0.0, *(delta_from_epsilon_time(p, epsilon, r) for p in priors if p < 1.0)])
 
 
-def posterior_bound(prior: float, epsilon: float, r: float) -> float:
-    """Upper bound on the posterior guessing probability after disclosure."""
-    if not 0.0 < prior < 1.0:
-        raise ValueError(f"prior must be in (0,1), got {prior}")
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if r <= 0.0:
-        raise ValueError(f"range must be positive, got {r}")
-    return 1.0 / (1.0 + math.exp(-epsilon * r) * (1.0 - prior) / prior)
-
-
 def dfg_delta(edge_deltas: Mapping[tuple[str, str], float]) -> float:
     """Advantage of disclosing the whole graph: the maximum over its edges."""
     if not edge_deltas:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dpdfg import CANONICAL_MAPPING, START_END, AggregationKind, build_dfg, parse_csv, read_log
 from dpdfg.dfg import aggregate, choose_time_unit, convert_unit, edge_range, filter_for_disclosure
-from dpdfg.eventlog import NS_PER_UNIT, Event, EventLog
+from dpdfg.eventlog import NS_PER_UNIT, EventLog
 
 F = AggregationKind.FREQUENCY
 DATA = Path(__file__).parent / "data"
@@ -35,7 +35,7 @@ def test_build_dfg_single_event_trace():
 
 def test_build_dfg_rejects_unsorted_trace():
     with pytest.raises(ValueError, match="bad"):
-        build_dfg(EventLog({"bad": (Event("A", 100), Event("B", 50))}))
+        build_dfg(EventLog({"bad": (("A", 100), ("B", 50))}))
 
 
 def _dfg_by_definition(log: EventLog):
@@ -46,15 +46,15 @@ def _dfg_by_definition(log: EventLog):
         events = log.traces[case_id]
         if not events:
             continue
-        pairs = [(START_END, events[0].activity, 0.0)]
-        for prev, cur in zip(events, events[1:]):
-            if cur.timestamp_ns < prev.timestamp_ns:
+        pairs = [(START_END, events[0][0], 0.0)]
+        for (prev, prev_ts), (cur, cur_ts) in zip(events, events[1:]):
+            if cur_ts < prev_ts:
                 return f"ValueError: trace {case_id!r}: events not sorted by timestamp"
-            pairs.append((prev.activity, cur.activity, float(cur.timestamp_ns - prev.timestamp_ns)))
-        pairs.append((events[-1].activity, START_END, 0.0))
+            pairs.append((prev, cur, float(cur_ts - prev_ts)))
+        pairs.append((events[-1][0], START_END, 0.0))
         for src, dst, gap in pairs:
             occurrences.setdefault((src, dst), []).append(gap)
-    activities = frozenset(e.activity for events in log.traces.values() for e in events)
+    activities = frozenset(a for events in log.traces.values() for a, _ in events)
     return activities, {key: tuple(gaps) for key, gaps in occurrences.items()}
 
 
@@ -71,7 +71,7 @@ def test_build_dfg_equals_definition(cases):
     traces = {}
     for case_id, (keep_order, rows) in cases.items():
         rows = rows if keep_order else sorted(rows, key=lambda row: row[1])
-        traces[case_id] = tuple(Event(a, ts) for a, ts in rows)
+        traces[case_id] = tuple(rows)
     log = EventLog(traces)
     expected = _dfg_by_definition(log)
     if isinstance(expected, str):
@@ -89,7 +89,7 @@ def test_activities_are_the_logged_labels(clinic_log):
     logs = [clinic_log] + [read_log(path, mapping=CANONICAL_MAPPING) for path in sorted(DATA.glob("*.csv"))]
     assert len(logs) == 6
     for log in logs:
-        assert build_dfg(log).activities == {e.activity for events in log.traces.values() for e in events}
+        assert build_dfg(log).activities == {a for events in log.traces.values() for a, _ in events}
 
 
 def test_clinic_ac_durations(clinic_dfg_hours):

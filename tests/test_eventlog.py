@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from dpdfg import (
     CANONICAL_MAPPING,
     ColumnMapping,
-    Event,
     EventLog,
     IngestError,
     build_dfg,
@@ -23,6 +22,7 @@ from dpdfg import (
     to_canonical_csv,
 )
 from dpdfg import eventlog
+from dpdfg.bench import generate_log, profile_spec
 from dpdfg.eventlog import _CHUNK, NS_PER_UNIT, _timestamps_ns, parse_csv_reference, parse_timestamp_ns
 
 HOUR_NS = NS_PER_UNIT["h"]
@@ -33,8 +33,8 @@ def test_parse_csv_decimal_hours_single_case():
     log = parse_csv(text)
     assert list(log.traces) == ["P1"]
     events = log.traces["P1"]
-    assert [e.activity for e in events] == ["A", "B", "C", "D"]
-    gaps = [b.timestamp_ns - a.timestamp_ns for a, b in zip(events, events[1:])]
+    assert [a for a, _ in events] == ["A", "B", "C", "D"]
+    gaps = [b[1] - a[1] for a, b in zip(events, events[1:])]
     assert gaps == [round(0.2 * HOUR_NS), HOUR_NS, round(0.2 * HOUR_NS)]
 
 
@@ -46,13 +46,13 @@ def test_parse_csv_header_only_gives_empty_log():
 def test_parse_csv_sorts_out_of_order_rows():
     text = "case,activity,timestamp\nP9,B,5\nP9,A,2\n"
     log = parse_csv(text)
-    assert [e.activity for e in log.traces["P9"]] == ["A", "B"]
+    assert [a for a, _ in log.traces["P9"]] == ["A", "B"]
 
 
 def test_parse_csv_keeps_source_order_on_timestamp_ties():
     text = "case,activity,timestamp\nP1,X,3\nP1,Y,3\nP1,Z,3\n"
     log = parse_csv(text)
-    assert [e.activity for e in log.traces["P1"]] == ["X", "Y", "Z"]
+    assert [a for a, _ in log.traces["P1"]] == ["X", "Y", "Z"]
 
 
 def test_parse_csv_missing_mapped_column():
@@ -103,7 +103,7 @@ def test_parse_csv_custom_mapping_and_units():
     mapping = ColumnMapping(case_col="pid", activity_col="step", timestamp_col="at", number_unit="min")
     log = parse_csv(text, mapping)
     events = log.traces["k1"]
-    assert events[1].timestamp_ns - events[0].timestamp_ns == 90 * NS_PER_UNIT["min"]
+    assert events[1][1] - events[0][1] == 90 * NS_PER_UNIT["min"]
 
 
 def test_parse_timestamp_iso_variants():
@@ -256,8 +256,8 @@ def test_iso_fractions_of_one_to_five_digits(fraction, ns):
     stamp = f"2021-03-01T10:00:00{fraction}Z"
     for fmt in ("auto", "iso"):
         log = parse_csv(f"case,activity,timestamp\nP1,A,{stamp}\n", ColumnMapping(timestamp_format=fmt))
-        assert log.traces["P1"][0].timestamp_ns == base + ns
-    assert parse_xes(_xes_one_event(stamp)).traces["t"][0].timestamp_ns == base + ns
+        assert log.traces["P1"][0][1] == base + ns
+    assert parse_xes(_xes_one_event(stamp)).traces["t"][0][1] == base + ns
 
 
 @pytest.mark.parametrize(
@@ -270,14 +270,14 @@ def test_iso_fractions_of_one_to_five_digits(fraction, ns):
 def test_iso_basic_format_and_week_dates(stamp, ns):
     for fmt in ("auto", "iso"):
         log = parse_csv(f"case,activity,timestamp\nP1,A,{stamp}\n", ColumnMapping(timestamp_format=fmt))
-        assert log.traces["P1"][0].timestamp_ns == ns
-    assert parse_xes(_xes_one_event(stamp)).traces["t"][0].timestamp_ns == ns
+        assert log.traces["P1"][0][1] == ns
+    assert parse_xes(_xes_one_event(stamp)).traces["t"][0][1] == ns
 
 
 def test_iso_timestamps_outside_int64_ns_are_rejected():
     latest = "2262-04-11T23:47:16.854775Z"
     log = parse_csv(f"case,activity,timestamp\nP1,A,1\nP1,B,{latest}\n")
-    assert log.traces["P1"][1].timestamp_ns == 2**63 - 808
+    assert log.traces["P1"][1][1] == 2**63 - 808
     assert parse_csv(to_canonical_csv(log), CANONICAL_MAPPING) == log
     assert parse_timestamp_ns("1677-09-21T00:12:43.145225Z", fmt="iso") == -(2**63) + 808
     for outside in ("2262-04-11T23:47:16.854776Z", "2300-01-01T00:00:00Z", "1677-09-21T00:12:43.145224Z"):
@@ -307,7 +307,7 @@ def test_round_trip_canonical_csv(clinic_log):
 def test_round_trip_quotes_line_breaks_in_fields():
     # Each field holding a CR, an LF or a CRLF is quoted, so no row splits.
     log = EventLog({
-        f"P{i}{brk}x": (Event(f"A{brk}B", i), Event("C", i + 1))
+        f"P{i}{brk}x": ((f"A{brk}B", i), ("C", i + 1))
         for i, brk in enumerate(("\r", "\n", "\r\n"))
     })
     text = to_canonical_csv(log)
@@ -428,8 +428,8 @@ XES_ONE_TRACE = """<?xml version="1.0" encoding="UTF-8"?>
 def test_parse_xes_one_trace_one_hour_gap():
     log = parse_xes(XES_ONE_TRACE)
     events = log.traces["case1"]
-    assert [e.activity for e in events] == ["A", "B"]
-    assert events[1].timestamp_ns - events[0].timestamp_ns == HOUR_NS
+    assert [a for a, _ in events] == ["A", "B"]
+    assert events[1][1] - events[0][1] == HOUR_NS
 
 
 def test_parse_xes_single_event_trace():
@@ -448,7 +448,7 @@ def test_parse_xes_with_namespace():
       <date key="time:timestamp" value="2021-01-01T08:00:00Z"/></event>
     </trace></log>"""
     log = parse_xes(xml)
-    assert [e.activity for e in log.traces["t"]] == ["A"]
+    assert [a for a, _ in log.traces["t"]] == ["A"]
 
 
 def test_parse_xes_missing_timestamp():
@@ -473,8 +473,8 @@ def test_parse_xes_skips_attributes_without_a_key_or_value():
       <string key="concept:name" value="A"/><date key="time:timestamp" value="2021-01-01T08:00:00Z"/>
       <string key="lifecycle:transition" value="complete"/></event>
     </trace></log>"""
-    (event,) = parse_xes(xml).traces["t"]
-    assert event.activity == "A"
+    ((activity, _),) = parse_xes(xml).traces["t"]
+    assert activity == "A"
 
 
 def test_parse_xes_missing_trace_name():
@@ -495,9 +495,7 @@ def test_parse_xes_matches_csv_model():
     log = parse_xes(XES_ONE_TRACE)
     csv_text = "case,activity,timestamp\ncase1,A,2021-01-01T08:00:00Z\ncase1,B,2021-01-01T09:00:00Z\n"
     csv_log = parse_csv(csv_text, ColumnMapping(timestamp_format="iso"))
-    xes_events = [(e.activity, e.timestamp_ns) for e in log.traces["case1"]]
-    csv_events = [(e.activity, e.timestamp_ns) for e in csv_log.traces["case1"]]
-    assert xes_events == csv_events
+    assert log.traces["case1"] == csv_log.traces["case1"]
 
 
 def test_parse_xes_ignores_other_attributes():
@@ -532,7 +530,7 @@ def test_parse_xes_round_trips_through_canonical_csv():
     </trace></log>"""
     log = parse_xes(xml)
     events = log.traces["case1"]
-    assert [e.activity for e in events] == ["A", "B"]
+    assert [a for a, _ in events] == ["A", "B"]
     assert parse_csv(to_canonical_csv(log), CANONICAL_MAPPING) == log
 
 
@@ -551,7 +549,7 @@ def test_parse_xes_merges_traces_of_one_case_and_skips_empty_ones():
     # on its own.
     assert list(log.traces) == ["t", "u"]
     assert len(log) == 2
-    assert [e.activity for e in log.traces["t"]] == ["B", "A", "C"]
+    assert [a for a, _ in log.traces["t"]] == ["B", "A", "C"]
 
 
 def test_parse_csv_keeps_cases_in_first_appearance_order():
@@ -559,7 +557,7 @@ def test_parse_csv_keeps_cases_in_first_appearance_order():
     for parse in (parse_csv, parse_csv_reference):
         log = parse(text)
         assert list(log.traces) == ["z", "b", "m"]
-        assert [e.activity for e in log.traces["z"]] == ["A", "B"]
+        assert [a for a, _ in log.traces["z"]] == ["A", "B"]
 
 
 @pytest.mark.parametrize(
@@ -824,7 +822,7 @@ def _written(path: Path, text: str) -> Path:
         (parse_xes, lambda tmp: _xes(ROWS), None),
         (parse_xes, lambda tmp: _xes(ROWS)[:-1], IngestError),
         (build_dfg, lambda tmp: parse_csv(_csv(ROWS)), None),
-        (build_dfg, lambda tmp: EventLog({"c1": (Event("A", 2), Event("B", 1))}), ValueError),
+        (build_dfg, lambda tmp: EventLog({"c1": (("A", 2), ("B", 1))}), ValueError),
         (read_log, lambda tmp: _written(tmp / "log.csv", _csv(ROWS)), None),
         (read_log, lambda tmp: _written(tmp / "log.xes", _xes(ROWS)[:-1]), IngestError),
     ],
@@ -864,3 +862,57 @@ def test_ingest_pauses_the_collector_and_restores_its_state(build, argument, rai
     finally:
         gc.set_threshold(*thresholds)
         gc.enable()
+
+
+# Two events of c1 share an instant; Y is read before X and stays first.
+PAIR_ROWS = [
+    "c1,C,2021-01-01T10:00:00Z",
+    "c2,B,2021-01-01T08:00:00Z",
+    "c1,Y,2021-01-01T09:00:00Z",
+    "c1,X,2021-01-01T09:00:00Z",
+    "c1,A,2021-01-01T08:30:00Z",
+]
+
+
+def _assert_time_ordered_pairs(log: EventLog) -> None:
+    for events in log.traces.values():
+        assert type(events) is tuple
+        for event in events:
+            assert type(event) is tuple and len(event) == 2
+            assert type(event[0]) is str and type(event[1]) is int
+        assert [ts for _, ts in events] == sorted(ts for _, ts in events)
+
+
+def test_every_ingest_path_yields_activity_timestamp_pairs_in_stable_time_order():
+    base = parse_timestamp_ns("2021-01-01T08:00:00Z", fmt="iso")
+    expected = EventLog({
+        "c1": (("A", base + HOUR_NS // 2), ("Y", base + HOUR_NS), ("X", base + HOUR_NS), ("C", base + 2 * HOUR_NS)),
+        "c2": (("B", base),),
+    })
+    text = _csv(PAIR_ROWS)
+    logs = [parse(source) for parse in (parse_csv, parse_csv_reference) for source in (text, text.encode())]
+    logs += [parse_xes(_xes(PAIR_ROWS)), parse_csv(to_canonical_csv(expected), CANONICAL_MAPPING)]
+    for log in logs:
+        _assert_time_ordered_pairs(log)
+        assert log == expected and list(log.traces) == ["c1", "c2"]
+
+    generated = generate_log(profile_spec("skewed", 40), 3)
+    reparsed = parse_csv(to_canonical_csv(generated), CANONICAL_MAPPING)
+    for log in (generated, reparsed):
+        _assert_time_ordered_pairs(log)
+    assert reparsed == generated
+
+    with pytest.raises(ValueError, match="^trace 'c1': events not sorted by timestamp$"):
+        build_dfg(EventLog({"c1": (("A", 2), ("B", 1))}))
+
+
+def test_column_mapping_rejects_an_unknown_timestamp_format():
+    with pytest.raises(ValueError, match="^unknown timestamp format 'bogus'; expected one of auto, iso, number$"):
+        ColumnMapping(timestamp_format="bogus")
+
+
+def test_read_log_rejects_an_unknown_log_format(tmp_path):
+    path = _written(tmp_path / "log.xes", _xes(PAIR_ROWS))
+    with pytest.raises(ValueError, match="^unknown log format 'XES'; expected one of auto, csv, xes$"):
+        read_log(path, fmt="XES")
+    assert read_log(path, fmt="xes") == parse_xes(_xes(PAIR_ROWS))

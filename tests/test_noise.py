@@ -220,19 +220,11 @@ def test_unit_laplace_column_is_bitwise_the_reference_draw(key, runs):
         ]
 
     assert column_is_the_reference(runs)
-    # The run suffixes come from one table that every column shares and that
-    # grows to the longest column drawn. From a table of at most ``runs``
-    # suffixes, as after a process that drew no longer column: a column
-    # longer than any drawn, a shorter one, and a longer one again.
-    table = noise_module._run_suffixes
-    try:
-        noise_module._run_suffixes = table[:runs]
-        held = len(noise_module._run_suffixes)
-        for length in (held + 3, held + 1, held + 8):
-            assert column_is_the_reference(length), length
-            assert len(noise_module._run_suffixes) == max(length, held + 3)
-    finally:
-        noise_module._run_suffixes = table
+    # Each run's key suffix is built once per process and cached for every
+    # edge; built again after the cache is emptied, it gives the same bits.
+    noise_module._run_suffix.cache_clear()
+    for length in (runs + 3, runs):
+        assert column_is_the_reference(length), length
 
 
 # The draw rule, exactly: the first 52 bits of a draw's digest are k, and

@@ -17,7 +17,6 @@ from dpdfg import (
     CANONICAL_MAPPING,
     START_END,
     AggregationKind,
-    Event,
     EventLog,
     Mode,
     RiskParams,
@@ -683,7 +682,7 @@ def test_one_memo_serves_dfgs_with_the_same_edges_and_other_durations():
     # same edge keys gets its own weights, priors and units, not the first's.
     log = generate_log(profile_spec("skewed", 20), 7)
     stretched = EventLog({
-        case: tuple(Event(e.activity, e.timestamp_ns + i * i * 3_600_000_000_000) for i, e in enumerate(events))
+        case: tuple((a, ts + i * i * 3_600_000_000_000) for i, (a, ts) in enumerate(events))
         for case, events in log.traces.items()
     })
     first, second = build_dfg(log), build_dfg(stretched)

@@ -21,7 +21,6 @@ from dpdfg.risk import (
     epsilon_freq,
     epsilon_from_delta,
     epsilon_time,
-    posterior_bound,
     time_priors,
     worst_case_delta_time,
     worst_case_prior,
@@ -323,19 +322,14 @@ def test_dfg_delta_frequency_table():
     assert dfg_delta(deltas) == pytest.approx(0.986, abs=1e-3)
 
 
-def test_posterior_bound_examples():
-    eps = epsilon_freq(0.4)
-    assert posterior_bound(0.3, eps, 1.0) == pytest.approx(0.7, abs=1e-3)
-    assert posterior_bound(0.3, 1e-12, 1.0) == pytest.approx(0.3, abs=1e-9)
-
-
 @given(
     prior=st.floats(0.01, 0.99),
     epsilon=st.floats(1e-3, 20.0),
     r=st.floats(1e-2, 100.0),
 )
 def test_posterior_minus_prior_is_advantage(prior, epsilon, r):
-    lhs = posterior_bound(prior, epsilon, r) - prior
+    posterior = 1.0 / (1.0 + math.exp(-epsilon * r) * (1.0 - prior) / prior)
+    lhs = posterior - prior
     rhs = delta_from_epsilon_time(prior, epsilon, r)
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
 

@@ -82,19 +82,13 @@ class SyntheticLogSpec:
             raise ValueError(f"outlier_multiplier must be positive, got {self.outlier_multiplier}")
 
 
-@dataclass
-class GenerationStats:
-    variant_of_trace: list[int]
-    outlier_edges: dict[tuple[str, str], int] = field(default_factory=dict)
-
-
 def _draw_variant(rng: random.Random, spec: SyntheticLogSpec) -> list[str]:
     length = rng.randint(spec.min_trace_len, spec.max_trace_len)
     return [f"a{rng.randrange(spec.n_activities):02d}" for _ in range(length)]
 
 
-def synthesize(spec: SyntheticLogSpec, seed: int) -> tuple[EventLog, GenerationStats]:
-    """Deterministically generate an event log plus generation metadata.
+def generate_log(spec: SyntheticLogSpec, seed: int) -> EventLog:
+    """Deterministically generate an event log.
 
     ``seed`` must be non-negative: ``random.Random`` seeds -3 as it seeds 3.
     """
@@ -103,7 +97,7 @@ def synthesize(spec: SyntheticLogSpec, seed: int) -> tuple[EventLog, GenerationS
     rng = random.Random(seed)
     if spec.n_variants is None:
         variants = [_draw_variant(rng, spec) for _ in range(spec.trace_count)]
-        assignment = list(range(spec.trace_count))
+        assignment = range(spec.trace_count)
     else:
         variants = [_draw_variant(rng, spec) for _ in range(spec.n_variants)]
         weights = None
@@ -111,7 +105,6 @@ def synthesize(spec: SyntheticLogSpec, seed: int) -> tuple[EventLog, GenerationS
             weights = [(rank + 1.0) ** -spec.zipf_exponent for rank in range(spec.n_variants)]
         assignment = rng.choices(range(spec.n_variants), weights=weights, k=spec.trace_count)
 
-    stats = GenerationStats(variant_of_trace=assignment)
     traces: dict[str, tuple[tuple[str, int], ...]] = {}
     hour_ns = NS_PER_UNIT["h"]
     for idx, variant_idx in enumerate(assignment):
@@ -122,20 +115,14 @@ def synthesize(spec: SyntheticLogSpec, seed: int) -> tuple[EventLog, GenerationS
         start_ns = idx * NS_PER_UNIT["d"]
         events = [(sequence[0], start_ns)]
         now = start_ns
-        for prev, cur in zip(sequence, sequence[1:]):
+        for cur in sequence[1:]:
             gap_h = rng.lognormvariate(spec.duration_log_mean, spec.duration_log_sigma)
             if spec.outlier_rate > 0.0 and rng.random() < spec.outlier_rate:
                 gap_h *= spec.outlier_multiplier
-                key = (prev, cur)
-                stats.outlier_edges[key] = stats.outlier_edges.get(key, 0) + 1
             now += round(gap_h * hour_ns)
             events.append((cur, now))
         traces[f"c{idx:05d}"] = tuple(events)
-    return EventLog(traces), stats
-
-
-def generate_log(spec: SyntheticLogSpec, seed: int) -> EventLog:
-    return synthesize(spec, seed)[0]
+    return EventLog(traces)
 
 
 PROFILES: dict[str, SyntheticLogSpec] = {
@@ -169,15 +156,23 @@ def profile_spec(name: str, trace_count: int | None = None) -> SyntheticLogSpec:
 
 @dataclass(frozen=True)
 class LogSource:
+    """A sweep log, read from ``path`` or generated from ``synthetic``. A
+    subclass whose ``load`` finds the log itself may have neither."""
+
     name: str
     path: str | None = None
     synthetic: SyntheticLogSpec | None = None
     gen_seed: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.path is not None and self.synthetic is not None:
+            raise ValueError(f"sweep log {self.name!r} has both a path and a synthetic spec")
+
     def load(self, default_seed: int) -> EventLog:
         if self.path is not None:
             return read_log(self.path)
-        assert self.synthetic is not None
+        if self.synthetic is None:
+            raise ValueError(f"sweep log {self.name!r} has neither a path nor a synthetic spec")
         seed = self.gen_seed if self.gen_seed is not None else default_seed
         return generate_log(self.synthetic, seed)
 
@@ -292,7 +287,7 @@ def _log_source(i: int, entry) -> LogSource:
     """The log of entry ``i`` of a sweep config's ``logs``: a path, or an
     object with a ``profile``, a ``path`` or a ``synthetic`` spec."""
     if isinstance(entry, str):
-        return LogSource(name=Path(entry).stem, path=entry)
+        entry = {"path": entry}
     if not isinstance(entry, dict) or not entry.keys() & _LOG_KEYS.keys():
         raise ValueError(f"sweep log {i} must be a path or an object with a 'profile', 'path' or 'synthetic' key")
     kind = next(k for k in _LOG_KEYS if k in entry)

@@ -111,27 +111,21 @@ def _run_anonymize(args, parser) -> int:
         parser.error("--delta and --mape are mutually exclusive; provide exactly one")
     if args.delta is not None and args.beta is not None:
         parser.error("--beta applies to --mape (P2) only")
-    try:
-        kind = AggregationKind.parse(args.agg)
-        seed = _env_seed() if args.seed is None else args.seed
-        p1 = args.delta is not None
-        request = DisclosureRequest(
-            mode=Mode.P1 if p1 else Mode.P2,
-            aggregation=kind,
-            risk=RiskParams(args.delta, args.precision) if p1 else None,
-            utility=None if p1 else UtilityParams(args.mape, DEFAULT_BETA if args.beta is None else args.beta),
-            precision=args.precision,
-            seed=seed,
-            runs=args.runs,
-            include_boundary_time=args.include_boundary_time,
-            time_unit=args.time_unit,
-        )
-        log = _load_log(args)
-        dfg = build_dfg(log)
-        annotated, report = disclose(dfg, request)
-    except (IngestError, ValueError, OSError) as exc:
-        print(f"dpdfg: error: {exc}", file=sys.stderr)
-        return DATA_ERROR
+    kind = AggregationKind.parse(args.agg)
+    seed = _env_seed() if args.seed is None else args.seed
+    p1 = args.delta is not None
+    request = DisclosureRequest(
+        mode=Mode.P1 if p1 else Mode.P2,
+        aggregation=kind,
+        risk=RiskParams(args.delta, args.precision) if p1 else None,
+        utility=None if p1 else UtilityParams(args.mape, DEFAULT_BETA if args.beta is None else args.beta),
+        precision=args.precision,
+        seed=seed,
+        runs=args.runs,
+        include_boundary_time=args.include_boundary_time,
+        time_unit=args.time_unit,
+    )
+    annotated, report = disclose(build_dfg(_load_log(args)), request)
 
     if args.format == "json":
         payload = emit_json(report)
@@ -140,44 +134,36 @@ def _run_anonymize(args, parser) -> int:
     else:
         payload = emit_dot(annotated, report, annotate_debug=args.annotate_debug)
 
-    if not _write_output(payload, args.out):
-        return DATA_ERROR
+    _write_output(payload, args.out)
     # Only the JSON holds the seed; stderr names it so that any release can be rerun.
     print(f"dpdfg: {len(report.edges)} edges disclosed in {report.runtime_ms:.1f} ms, seed {seed}", file=sys.stderr)
     return 0
 
 
-def _write_output(payload: str, out: str | None) -> bool:
+def _write_output(payload: str, out: str | None) -> None:
     if not out:
         sys.stdout.write(payload)
-        return True
+        return
     try:
         Path(out).write_text(payload, encoding="utf-8")
     except OSError as exc:
-        print(f"dpdfg: error: cannot write {out}: {exc}", file=sys.stderr)
-        return False
-    return True
+        raise OSError(f"cannot write {out}: {exc}") from exc
 
 
 def _run_sweep(args) -> int:
+    config = json.loads(Path(args.config).read_text(encoding="utf-8"))
     try:
-        spec = SweepSpec.from_dict(json.loads(Path(args.config).read_text(encoding="utf-8")))
-    except (ValueError, OSError, KeyError, TypeError) as exc:
-        print(f"dpdfg: error: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    if not _write_output(run_sweep(spec), args.out):
-        return DATA_ERROR
+        spec = SweepSpec.from_dict(config)
+    except TypeError as exc:  # a value of the wrong type, or a synthetic spec that lacks a field
+        raise ValueError(exc) from exc
+    _write_output(run_sweep(spec), args.out)
     return 0
 
 
 def _run_inspect(args) -> int:
-    try:
-        kind = AggregationKind.parse(args.agg)
-        log = _load_log(args)
-        dfg = build_dfg(log)
-    except (IngestError, ValueError, OSError) as exc:
-        print(f"dpdfg: error: {exc}", file=sys.stderr)
-        return DATA_ERROR
+    kind = AggregationKind.parse(args.agg)
+    log = _load_log(args)
+    dfg = build_dfg(log)
     lines = [
         f"traces: {len(log)}",
         f"events: {log.event_count()}",
@@ -186,17 +172,12 @@ def _run_inspect(args) -> int:
     ]
     if kind.is_time and dfg.edges:
         unit = choose_time_unit(dfg, kind)
-        scaled = convert_unit(dfg, unit)
+        dfg = convert_unit(dfg, unit)
         lines.append(f"time unit ({kind.value}): {unit}")
-        for key in sorted(scaled.edges):
-            e = scaled.edges[key]
-            lines.append(
-                f"  {key[0]} -> {key[1]}: n={e.frequency} {kind.value}={aggregate(e, kind):.6g}"
-            )
-    else:
-        for key in sorted(dfg.edges):
-            e = dfg.edges[key]
-            lines.append(f"  {key[0]} -> {key[1]}: n={e.frequency}")
+    for key in sorted(dfg.edges):
+        e = dfg.edges[key]
+        weight = f" {kind.value}={aggregate(e, kind):.6g}" if kind.is_time else ""
+        lines.append(f"  {key[0]} -> {key[1]}: n={e.frequency}{weight}")
     print("\n".join(lines))
     return 0
 
@@ -204,11 +185,15 @@ def _run_inspect(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.subcommand == "anonymize":
-        return _run_anonymize(args, parser)
-    if args.subcommand == "sweep":
-        return _run_sweep(args)
-    return _run_inspect(args)
+    try:
+        if args.subcommand == "anonymize":
+            return _run_anonymize(args, parser)
+        if args.subcommand == "sweep":
+            return _run_sweep(args)
+        return _run_inspect(args)
+    except (IngestError, ValueError, OSError) as exc:
+        print(f"dpdfg: error: {exc}", file=sys.stderr)
+        return DATA_ERROR
 
 
 if __name__ == "__main__":

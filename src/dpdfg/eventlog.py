@@ -139,6 +139,7 @@ def parse_timestamp_ns(text: str, fmt: str = "auto", number_unit: str = "h") -> 
     ``number_unit``; ISO-8601 values are read by ``datetime.fromisoformat``,
     resolved to UTC and truncated to the microsecond.
     """
+    _check_choice("timestamp format", fmt, TIMESTAMP_FORMATS)
     factor = NS_PER_UNIT.get(number_unit)
     if factor is None:
         raise IngestError(f"unknown time unit {number_unit!r}")

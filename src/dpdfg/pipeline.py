@@ -429,8 +429,11 @@ def _format_weight(value: float, kind: AggregationKind) -> str:
 
 def emit_dot(annotated: AnnotatedDfg, report: DisclosureReport | None = None, annotate_debug: bool = False) -> str:
     """DOT rendering of a released DFG; every activity node is kept even if
-    it has no disclosed edges.
+    it has no disclosed edges. The ``annotate_debug`` labels are read from
+    ``report``.
     """
+    if annotate_debug and report is None:
+        raise ValueError("emit_dot: annotate_debug needs the report that holds the debug labels")
     kind = annotated.kind
     by_key = {(e.source, e.target): e for e in report.edges} if report else {}
     lines = ["digraph dfg {"]

@@ -2,6 +2,7 @@ import csv
 import io
 import traceback
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,6 @@ from dpdfg.bench import (
     generate_log,
     profile_spec,
     run_sweep,
-    synthesize,
 )
 from dpdfg.dfg import aggregate, convert_unit
 from dpdfg.eventlog import CANONICAL_MAPPING, parse_csv, to_canonical_csv
@@ -50,14 +50,17 @@ def test_generate_log_deterministic():
     assert generate_log(spec, seed=12) != a
 
 
+def _sequence_counts(log) -> Counter:
+    """How many cases follow each distinct activity sequence of ``log``."""
+    return Counter(tuple(activity for activity, _ in events) for events in log.traces.values())
+
+
 def test_uniform_variant_counts_reproducible():
     spec = SyntheticLogSpec(trace_count=100, n_activities=4, n_variants=2)
-    _, stats1 = synthesize(spec, seed=5)
-    _, stats2 = synthesize(spec, seed=5)
-    counts = Counter(stats1.variant_of_trace)
-    assert counts == Counter(stats2.variant_of_trace)
+    counts = _sequence_counts(generate_log(spec, seed=5))
+    assert counts == _sequence_counts(generate_log(spec, seed=5))
     assert sum(counts.values()) == 100
-    assert set(counts) <= {0, 1}
+    assert len(counts) <= 2
 
 
 def test_zipf_variants_are_skewed():
@@ -65,29 +68,31 @@ def test_zipf_variants_are_skewed():
         trace_count=400, n_activities=6, n_variants=10,
         variant_distribution="zipf", zipf_exponent=1.8,
     )
-    _, stats = synthesize(spec, seed=9)
-    counts = Counter(stats.variant_of_trace)
-    assert counts[0] > 400 / 10  # head variant well above the uniform share
+    counts = _sequence_counts(generate_log(spec, seed=9))
+    assert max(counts.values()) > 400 / 10  # head variant well above the uniform share
 
 
 def test_outlier_injection_stretches_edges():
+    # A multiplier of 1 draws the same numbers as 60 but stretches nothing,
+    # so the edges whose gaps differ are the ones that got an outlier.
     spec = SyntheticLogSpec(
         trace_count=200, n_activities=4, n_variants=2,
         duration_log_sigma=0.3, outlier_rate=0.01, outlier_multiplier=60.0,
     )
-    log, stats = synthesize(spec, seed=21)
-    assert stats.outlier_edges, "seeded run must inject at least one outlier"
-    dfg = convert_unit(build_dfg(log), "h")
-    for key in stats.outlier_edges:
+    plain = convert_unit(build_dfg(generate_log(replace(spec, outlier_multiplier=1.0), seed=21)), "h")
+    dfg = convert_unit(build_dfg(generate_log(spec, seed=21)), "h")
+    assert dfg.edges.keys() == plain.edges.keys()
+    stretched = [key for key in dfg.edges if dfg.edges[key].durations != plain.edges[key].durations]
+    assert stretched, "seeded run must inject at least one outlier"
+    for key in stretched:
         edge = dfg.edges[key]
         ratio = max(edge.durations) / (sum(edge.durations) / len(edge.durations))
         assert ratio > 10.0
 
 
 def test_unique_profile_has_many_variants():
-    spec = profile_spec("unique", 40)
-    _, stats = synthesize(spec, seed=2)
-    assert len(set(stats.variant_of_trace)) == 40
+    counts = _sequence_counts(generate_log(profile_spec("unique", 40), seed=2))
+    assert len(counts) == 40
 
 
 def test_generated_log_canonical_round_trip_at_2000_traces():
@@ -176,6 +181,16 @@ def test_run_sweep_reports_a_failed_load_without_re_raising_it():
         assert all(row[-1] == "ERROR: no such log" and not any(row[4:-1]) for row in rows)
         assert len(list(traceback.walk_tb(error.__traceback__))) <= 2
 
+
+
+def test_log_source_says_what_it_lacks(tmp_path):
+    with pytest.raises(ValueError, match="^sweep log 'y' has both a path and a synthetic spec$"):
+        LogSource("y", path=str(tmp_path / "y.csv"), synthetic=SyntheticLogSpec(trace_count=5))
+    message = "sweep log 'x' has neither a path nor a synthetic spec"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LogSource("x").load(0)
+    spec = SweepSpec(logs=(LogSource("x"),), deltas=(0.4,), mapes=(), aggregations=(AggregationKind.FREQUENCY,))
+    assert [row["error"] for row in rows_of(run_sweep(spec))] == [f"ERROR: {message}"]
 
 def test_sweep_config_takes_a_log_object_with_a_path(tmp_path):
     # {"path": ...} names its rows after "name", or the file's stem without it.
@@ -296,10 +311,10 @@ def test_sweep_spec_from_dict_rejects_values_it_cannot_use():
         SweepSpec.from_dict({"logs": [{"name": "x"}]})
 
 
-def test_synthesize_rejects_negative_seeds():
+def test_generate_log_rejects_negative_seeds():
     # random.Random seeds -3 exactly as it seeds 3.
     with pytest.raises(ValueError, match="^generation seed must be non-negative, got -3$"):
-        synthesize(SyntheticLogSpec(trace_count=5), seed=-3)
+        generate_log(SyntheticLogSpec(trace_count=5), seed=-3)
 
 
 def test_synthetic_spec_rejects_non_finite_floats():

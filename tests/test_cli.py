@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -398,6 +399,18 @@ def test_package_version_matches_pyproject():
     assert dpdfg.__version__ == pyproject["project"]["version"]
 
 
+def test_package_has_no_assert_statements():
+    # `python -O` strips asserts, so a check the program relies on must raise.
+    package = Path(dpdfg.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found
+
+
 @pytest.mark.parametrize("module", ["dpdfg", "dpdfg.cli", "dpdfg.bench"])
 def test_import_does_not_load_numpy(module):
     # The runtime needs only the standard library; numpy is a test extra.
@@ -551,3 +564,28 @@ def test_cli_unreadable_csv_is_data_error(tmp_path, command, content, message):
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"dpdfg: error: {message}\n")
 
+
+
+@pytest.mark.parametrize("case", ["sweep-to-missing-dir", "synthetic-without-trace-count", "inspect-missing-file"])
+def test_cli_data_error_exits_1_with_one_error_line(clinic_path, tmp_path, capsys, case):
+    # Each subcommand's data errors leave through the same exit: status 1,
+    # nothing on stdout, and one `dpdfg: error:` line on stderr.
+    config = tmp_path / "sweep.json"
+    missing = tmp_path / "no" / "such" / "dir" / "grid.csv"
+    if case == "sweep-to-missing-dir":
+        config.write_text(json.dumps({
+            "logs": [str(clinic_path)], "deltas": [0.4], "mapes": [], "aggregations": ["frequency"], "runs": 1,
+        }), encoding="utf-8")
+        argv, message = ["sweep", "--config", str(config), "--out", str(missing)], f"cannot write {missing}: "
+    elif case == "synthetic-without-trace-count":
+        config.write_text(json.dumps({"logs": [{"synthetic": {}}]}), encoding="utf-8")
+        argv, message = ["sweep", "--config", str(config)], "missing 1 required positional argument: 'trace_count'"
+    else:
+        argv, message = ["inspect", "--input", str(missing)], "No such file or directory"
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("dpdfg: error: ") and captured.err.count("\n") == 1
+    assert captured.err.count("dpdfg: error:") == 1
+    assert message in captured.err
+    assert not missing.exists()

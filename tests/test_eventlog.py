@@ -115,7 +115,6 @@ def test_parse_timestamp_iso_variants():
     assert parse_timestamp_ns("2021-03-01T10:00:00", fmt="iso") == base
 
 
-
 def test_parse_timestamp_rejects_an_unknown_format():
     # An unknown format is refused as ColumnMapping refuses it, not read as ISO.
     message = r"^unknown timestamp format '{}'; expected one of auto, iso, number$"
@@ -123,6 +122,7 @@ def test_parse_timestamp_rejects_an_unknown_format():
         parse_timestamp_ns("2021-01-01T00:00:00Z", "bogus")
     with pytest.raises(ValueError, match=message.format("ISO")):
         parse_timestamp_ns("5", "ISO")
+
 
 def test_parse_csv_rejects_nonfinite_and_overflowing_timestamps():
     with pytest.raises(IngestError, match="non-finite"):

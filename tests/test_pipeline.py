@@ -418,12 +418,12 @@ def test_emit_dot_debug_annotations(clinic_dfg):
     assert "\\\\n" not in text
 
 
-
 def test_emit_dot_debug_labels_need_the_report(clinic_dfg):
     annotated, report = disclose(clinic_dfg, p1(FREQ, 0.4))
     with pytest.raises(ValueError, match="annotate_debug needs the report"):
         emit_dot(annotated, annotate_debug=True)
     assert emit_dot(annotated, report, annotate_debug=True) != emit_dot(annotated)
+
 
 def test_emit_dot_escapes_label_characters():
     log = parse_csv('case,activity,timestamp\nt,"say ""hi""",1\nt,B,2\n')

@@ -38,6 +38,29 @@ GRID_HEADER = [
 ]
 
 
+# A checked value's kind is a type, a tuple of types, or [kind] for a list
+# of kind; a bool is no number.
+_NUMBER = (int, float)
+_INT_OR_NULL = (int, type(None))
+_TYPE_NAMES = {list: "a list", bool: "a bool", str: "a string", int: "an integer", dict: "an object", _NUMBER: "a number",
+               _INT_OR_NULL: "an integer or null"}
+# The type of each SyntheticLogSpec field, which the class checks itself.
+_SYNTHETIC_TYPES = {
+    "trace_count": int, "n_activities": int, "n_variants": _INT_OR_NULL, "variant_distribution": str,
+    "zipf_exponent": _NUMBER, "duration_log_mean": _NUMBER, "duration_log_sigma": _NUMBER,
+    "outlier_rate": _NUMBER, "outlier_multiplier": _NUMBER, "min_trace_len": int, "max_trace_len": int,
+}
+
+
+def _check_type(what: str, value, kind) -> None:
+    if isinstance(kind, list):
+        _check_type(what, value, list)
+        for item in value:
+            _check_type(f"{what} item", item, kind[0])
+    elif not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+        raise TypeError(f"{what} must be {_TYPE_NAMES[kind]}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SyntheticLogSpec:
     """Generator knobs for a synthetic event log.
@@ -61,6 +84,8 @@ class SyntheticLogSpec:
     max_trace_len: int = 8
 
     def __post_init__(self) -> None:
+        for name, kind in _SYNTHETIC_TYPES.items():
+            _check_type(repr(name), getattr(self, name), kind)
         if self.trace_count <= 0:
             raise ValueError("empty log: trace_count must be positive")
         if self.n_activities < 1:
@@ -199,6 +224,8 @@ class SweepSpec:
             raise ValueError("sweep needs at least one parameter grid")
         if not self.aggregations:
             raise ValueError("sweep needs at least one aggregation")
+        # Checked by UtilityParams' rule also when the grid has no P2 cell.
+        UtilityParams(1.0, self.beta)
         names = [source.name for source in self.logs]
         duplicates = sorted({name for name in names if names.count(name) > 1})
         if duplicates:
@@ -247,34 +274,16 @@ _LOG_KEYS = {
     "synthetic": {"synthetic", "name", "gen_seed"},
 }
 # The type of each config and log entry value that the sweep's classes do
-# not check themselves; [kind] is a list of kind, and a bool is no number.
-_NUMBER = (int, float)
-_INT_OR_NULL = (int, type(None))
-_TYPE_NAMES = {list: "a list", bool: "a bool", str: "a string", int: "an integer", dict: "an object", _NUMBER: "a number",
-               _INT_OR_NULL: "an integer or null"}
+# not check themselves.
 _CONFIG_TYPES = {"deltas": [_NUMBER], "mapes": [_NUMBER], "aggregations": [str], "include_boundary_time": bool,
                  "precision": _NUMBER, "beta": _NUMBER}
 _LOG_TYPES = {"profile": str, "path": str, "synthetic": dict, "name": str, "traces": int, "gen_seed": int}
-_SYNTHETIC_TYPES = {
-    "trace_count": int, "n_activities": int, "n_variants": _INT_OR_NULL, "variant_distribution": str,
-    "zipf_exponent": _NUMBER, "duration_log_mean": _NUMBER, "duration_log_sigma": _NUMBER,
-    "outlier_rate": _NUMBER, "outlier_multiplier": _NUMBER, "min_trace_len": int, "max_trace_len": int,
-}
 
 
 def _check_keys(what: str, entry: dict, known: set[str]) -> None:
     unknown = sorted(set(entry) - known)
     if unknown:
         raise ValueError(f"{what}: unknown key {', '.join(map(repr, unknown))}; expected {', '.join(sorted(known))}")
-
-
-def _check_type(what: str, value, kind) -> None:
-    if isinstance(kind, list):
-        _check_type(what, value, list)
-        for item in value:
-            _check_type(f"{what} item", item, kind[0])
-    elif not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
-        raise TypeError(f"{what} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 
 def _check_types(what: str, entry: dict, types: dict) -> None:
@@ -299,8 +308,11 @@ def _log_source(i: int, entry) -> LogSource:
         spec, name = profile_spec(entry["profile"], entry.get("traces")), entry["profile"]
     else:
         _check_keys(f"sweep log {i} 'synthetic'", entry["synthetic"], set(_SYNTHETIC_TYPES))
-        _check_types(f"sweep log {i} 'synthetic'", entry["synthetic"], _SYNTHETIC_TYPES)
-        spec, name = SyntheticLogSpec(**entry["synthetic"]), f"synthetic{i}"
+        try:
+            spec = SyntheticLogSpec(**entry["synthetic"])
+        except TypeError as exc:
+            raise TypeError(f"sweep log {i} 'synthetic' {exc}") from None
+        name = f"synthetic{i}"
     return LogSource(name=entry.get("name", name), synthetic=spec, gen_seed=entry.get("gen_seed"))
 
 

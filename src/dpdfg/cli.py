@@ -69,13 +69,17 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
                         help="unit of numeric timestamps (default: hours)")
 
 
+def _add_agg_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--agg", type=str.lower, choices=[kind.value for kind in AggregationKind], default="frequency")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dpdfg", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     anon = sub.add_parser("anonymize", help="disclose a DFG under differential privacy")
     _add_input_flags(anon)
-    anon.add_argument("--agg", default="frequency", help="frequency|sum|min|max|avg")
+    _add_agg_flag(anon)
     anon.add_argument("--delta", type=float, help="guessing-advantage target (P1)")
     anon.add_argument("--mape", type=float, help="percentage-error target (P2)")
     anon.add_argument("--beta", type=float, default=None,
@@ -102,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     inspect = sub.add_parser("inspect", help="summarize a log and its DFG")
     _add_input_flags(inspect)
-    inspect.add_argument("--agg", default="frequency")
+    _add_agg_flag(inspect)
     return parser
 
 
@@ -111,7 +115,7 @@ def _run_anonymize(args, parser) -> int:
         parser.error("--delta and --mape are mutually exclusive; provide exactly one")
     if args.delta is not None and args.beta is not None:
         parser.error("--beta applies to --mape (P2) only")
-    kind = AggregationKind.parse(args.agg)
+    kind = AggregationKind(args.agg)
     seed = _env_seed() if args.seed is None else args.seed
     p1 = args.delta is not None
     request = DisclosureRequest(
@@ -161,7 +165,7 @@ def _run_sweep(args) -> int:
 
 
 def _run_inspect(args) -> int:
-    kind = AggregationKind.parse(args.agg)
+    kind = AggregationKind(args.agg)
     log = _load_log(args)
     dfg = build_dfg(log)
     lines = [

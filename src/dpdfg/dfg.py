@@ -11,9 +11,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable
 
-from .eventlog import NS_PER_UNIT, START_END, EventLog, collector_paused
-
-UNITS_LARGEST_FIRST = ("d", "h", "min", "s", "ms", "us", "ns")
+from .eventlog import NS_PER_UNIT, START_END, EventLog, _check_choice, collector_paused
 
 
 class AggregationKind(enum.Enum):
@@ -145,8 +143,7 @@ def edge_range(edge: DfgEdge, kind: AggregationKind) -> float:
 
 def convert_unit(dfg: Dfg, unit: str) -> Dfg:
     """Re-express all durations in ``unit``."""
-    if unit not in NS_PER_UNIT:
-        raise ValueError(f"unknown time unit {unit!r}")
+    _check_choice("time unit", unit, NS_PER_UNIT)
     src_factor = NS_PER_UNIT[dfg.time_unit]
     dst_factor = NS_PER_UNIT[unit]
     if src_factor == dst_factor:
@@ -159,8 +156,9 @@ def convert_unit(dfg: Dfg, unit: str) -> Dfg:
 
 
 def choose_time_unit(dfg: Dfg, kind: AggregationKind) -> str:
-    """Pick the largest unit keeping the maximum aggregated edge value in
-    [1, 1000]; falls back to the nearest end of the unit scale.
+    """Pick the largest unit that the maximum aggregated edge value reaches,
+    else ``ns``. Adjacent units differ by at most 1000x, so that value is in
+    [1, 1000] of the unit picked, unless the unit is ``d``.
     """
     if not dfg.edges:
         return "h"
@@ -169,11 +167,8 @@ def choose_time_unit(dfg: Dfg, kind: AggregationKind) -> str:
     )
     if peak_ns <= 0:
         return "h"
-    for unit in UNITS_LARGEST_FIRST:
-        value = peak_ns / NS_PER_UNIT[unit]
-        if 1.0 <= value <= 1000.0:
-            return unit
-    return "d" if peak_ns / NS_PER_UNIT["d"] > 1000.0 else "ns"
+    reached = (unit for unit, factor in NS_PER_UNIT.items() if peak_ns >= factor)
+    return max(reached, key=NS_PER_UNIT.get, default="ns")
 
 
 def filter_for_disclosure(dfg: Dfg, kind: AggregationKind, include_boundary_time: bool) -> Dfg:

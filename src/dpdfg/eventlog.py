@@ -20,6 +20,7 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Deci
 from itertools import repeat
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Collection
 
 START_END = "--"
 
@@ -70,7 +71,8 @@ class ColumnMapping:
     """Names the case/activity/timestamp columns of a CSV source.
 
     ``timestamp_format`` is one of ``auto``, ``iso``, ``number``; numeric
-    timestamps are interpreted in ``number_unit`` (default: hours).
+    timestamps are interpreted in ``number_unit``, a key of ``NS_PER_UNIT``
+    (default: hours).
     """
 
     case_col: str = "case"
@@ -81,9 +83,10 @@ class ColumnMapping:
 
     def __post_init__(self) -> None:
         _check_choice("timestamp format", self.timestamp_format, TIMESTAMP_FORMATS)
+        _check_choice("time unit", self.number_unit, NS_PER_UNIT)
 
 
-def _check_choice(what: str, value: str, allowed: tuple[str, ...]) -> None:
+def _check_choice(what: str, value: str, allowed: Collection[str]) -> None:
     if value not in allowed:
         raise ValueError(f"unknown {what} {value!r}; expected one of {', '.join(allowed)}")
 
@@ -140,9 +143,7 @@ def parse_timestamp_ns(text: str, fmt: str = "auto", number_unit: str = "h") -> 
     resolved to UTC and truncated to the microsecond.
     """
     _check_choice("timestamp format", fmt, TIMESTAMP_FORMATS)
-    factor = NS_PER_UNIT.get(number_unit)
-    if factor is None:
-        raise IngestError(f"unknown time unit {number_unit!r}")
+    _check_choice("time unit", number_unit, NS_PER_UNIT)
     text = text.strip()
     # float() accepts no ':' and every extended-format ISO time has one, so
     # such text skips a float() that could only fail.
@@ -152,7 +153,7 @@ def parse_timestamp_ns(text: str, fmt: str = "auto", number_unit: str = "h") -> 
         except ValueError:
             pass
         else:
-            return _scale_number(text, value, factor)
+            return _scale_number(text, value, NS_PER_UNIT[number_unit])
     if fmt == "number":
         raise IngestError(f"unparseable numeric timestamp {text!r}")
     try:
@@ -215,7 +216,7 @@ def _timestamps_ns(texts, fmt: str, unit: str, first_row: int) -> list[int]:
     and one epoch fits all the datetimes, the column is converted in one
     pass; else, or if the pass fails, text by text.
     """
-    if texts and fmt in ("auto", "iso") and unit in NS_PER_UNIT and (
+    if texts and fmt in ("auto", "iso") and (
         fmt == "iso" or all(map(operator.contains, texts, repeat(":")))
     ):
         try:

@@ -23,7 +23,6 @@ from .dfg import (
     AnnotatedDfg,
     Dfg,
     DfgEdge,
-    NS_PER_UNIT,
     START_END,
     aggregate,
     choose_time_unit,
@@ -31,6 +30,7 @@ from .dfg import (
     filter_for_disclosure,
     ordered_sum,
 )
+from .eventlog import NS_PER_UNIT, _check_choice
 from .noise import DEFAULT_SEED, post_process_column, sensitivity, unit_laplace_column
 from .risk import (
     DEFAULT_PRECISION,
@@ -91,8 +91,8 @@ class DisclosureRequest:
             object.__setattr__(self, "precision", precision)
         if not 0.0 <= self.precision <= 1.0:
             raise ValueError(f"precision must be in [0,1], got {self.precision}")
-        if self.time_unit is not None and self.time_unit not in NS_PER_UNIT:
-            raise ValueError(f"unknown time unit {self.time_unit!r}")
+        if self.time_unit is not None:
+            _check_choice("time unit", self.time_unit, NS_PER_UNIT)
 
 
 class EdgeDisclosure(NamedTuple):

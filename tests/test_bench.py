@@ -2,7 +2,7 @@ import csv
 import io
 import traceback
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -12,6 +12,7 @@ from dpdfg.bench import (
     LogSource,
     SweepSpec,
     SyntheticLogSpec,
+    _SYNTHETIC_TYPES,
     generate_log,
     profile_spec,
     run_sweep,
@@ -253,6 +254,9 @@ def test_sweep_spec_rejects_bad_config_before_any_log_loads():
         SweepSpec.from_dict({"logs": logs, "runs": 0})
     with pytest.raises(ValueError, match="^beta must be in"):
         SweepSpec.from_dict({"logs": logs, "beta": 1})
+    # Also when the grid has no P2 cell to use it.
+    with pytest.raises(ValueError, match=r"^beta must be in \(0,1\), got 7$"):
+        SweepSpec.from_dict({"logs": logs, "mapes": [], "beta": 7})
     for config in ([{"logs": logs}], {"logs": "ab.csv"}, {"deltas": [0.4]}):
         with pytest.raises(ValueError, match="^sweep config must be an object with a 'logs' list$"):
             SweepSpec.from_dict(config)
@@ -324,6 +328,19 @@ def test_synthetic_spec_rejects_non_finite_floats():
         for value in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
                 SyntheticLogSpec(trace_count=5, **{name: value})
+
+
+def test_synthetic_spec_checks_its_field_types():
+    # A bool is no count, and a fractional count would fail only inside the generator.
+    with pytest.raises(TypeError, match="^'trace_count' must be an integer, got True$"):
+        SyntheticLogSpec(trace_count=True, n_activities=True)
+    with pytest.raises(TypeError, match="^'n_activities' must be an integer, got 2.5$"):
+        SyntheticLogSpec(trace_count=3, n_activities=2.5)
+
+
+def test_synthetic_types_name_every_spec_field():
+    # A knob the table misses would go unchecked by the class and rejected by the config reader.
+    assert list(_SYNTHETIC_TYPES) == [f.name for f in fields(SyntheticLogSpec)]
 
 
 def test_sweep_spec_takes_synthetic_entries_and_seeds_it_can_use():

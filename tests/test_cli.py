@@ -237,6 +237,21 @@ def test_cli_inspect_frequency(clinic_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("command", ["anonymize", "inspect"])
+def test_cli_agg_is_a_choice_in_any_case(clinic_path, capsys, command):
+    target = ["--delta", "0.4", "--seed", "1"] if command == "anonymize" else []
+    args = [command, "--input", str(clinic_path), *target]
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--agg", "bogus"])
+    assert exc.value.code == 2
+    assert "argument --agg: invalid choice: 'bogus'" in capsys.readouterr().err
+    outputs = []
+    for agg in ("max", "MAX"):
+        assert main([*args, "--agg", agg]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_sweep_subcommand(clinic_path, tmp_path, capsys):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({
@@ -327,6 +342,8 @@ def test_cli_sweep_rejects_duplicate_log_names(clinic_path, tmp_path, capsys):
         ({"logs": [{"profile": "skewed", "traces": True}]}, "sweep log 0 'traces' must be an integer, got True"),
         ({"mapes": [float("nan")]}, "mape_target must be positive and finite, got nan"),
         ({"mapes": [float("inf")]}, "mape_target must be positive and finite, got inf"),
+        ({"mapes": [], "beta": 7}, "beta must be in (0,1), got 7"),
+        ({"mapes": [], "beta": float("nan")}, "beta must be in (0,1), got nan"),
         ({"logs": [{"synthetic": {"trace_count": "5"}}]},
          "sweep log 0 'synthetic' 'trace_count' must be an integer, got '5'"),
         ({"logs": [{"synthetic": {"trace_cout": 5}}]}, "sweep log 0 'synthetic': unknown key 'trace_cout'"),

@@ -1,12 +1,13 @@
+import math
 import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpdfg import CANONICAL_MAPPING, START_END, AggregationKind, build_dfg, parse_csv, read_log
-from dpdfg.dfg import aggregate, choose_time_unit, convert_unit, edge_range, filter_for_disclosure
+from dpdfg.dfg import Dfg, DfgEdge, aggregate, choose_time_unit, convert_unit, edge_range, filter_for_disclosure
 from dpdfg.eventlog import NS_PER_UNIT, EventLog
 
 F = AggregationKind.FREQUENCY
@@ -180,6 +181,55 @@ def test_choose_time_unit_saturates_at_days():
 def test_choose_time_unit_degenerate_defaults_to_hours():
     dfg = build_dfg(_log("t,A,1\n"))
     assert choose_time_unit(dfg, AggregationKind.MAX) == "h"
+
+
+def _window_scan_unit(peak_ns: float) -> str:
+    """The oracle: the largest unit that keeps ``peak_ns`` in [1, 1000] of
+    it, else the nearest end of the unit scale; ``h`` for no positive peak."""
+    if peak_ns <= 0:
+        return "h"
+    for unit in ("d", "h", "min", "s", "ms", "us", "ns"):
+        if 1.0 <= peak_ns / NS_PER_UNIT[unit] <= 1000.0:
+            return unit
+    return "d" if peak_ns / NS_PER_UNIT["d"] > 1000.0 else "ns"
+
+
+# Each unit's factor times 1 and 1000, just inside and outside 1000, and the
+# floats either side of each.
+UNIT_BOUNDARIES = [
+    nearby
+    for factor in NS_PER_UNIT.values()
+    for multiple in (1, 1000, 999.9999999, 1000.0000001)
+    for peak in (factor * multiple,)
+    for nearby in (math.nextafter(peak, 0.0), peak, math.nextafter(peak, math.inf))
+]
+
+
+def _peak_dfg(peak_ns: float) -> Dfg:
+    return Dfg(frozenset("AB"), {("A", "B"): DfgEdge("A", "B", (peak_ns,))}, time_unit="ns")
+
+
+@given(peak_ns=st.floats() | st.floats(1e-5, 1e22))
+@settings(max_examples=2000)
+@example(peak_ns=0.0)
+@example(peak_ns=-1.0)
+@example(peak_ns=5e-324)
+@example(peak_ns=math.inf)
+@example(peak_ns=math.nan)
+def test_choose_time_unit_equals_the_window_scan(peak_ns):
+    assert choose_time_unit(_peak_dfg(peak_ns), AggregationKind.MAX) == _window_scan_unit(peak_ns)
+
+
+def test_choose_time_unit_equals_the_window_scan_at_every_unit_boundary():
+    assert len(UNIT_BOUNDARIES) == 7 * 4 * 3
+    for peak_ns in UNIT_BOUNDARIES:
+        assert choose_time_unit(_peak_dfg(peak_ns), AggregationKind.MAX) == _window_scan_unit(peak_ns), peak_ns
+
+
+def test_convert_unit_rejects_an_unknown_unit():
+    message = "^unknown time unit 'weeks'; expected one of ns, us, ms, s, min, h, d$"
+    with pytest.raises(ValueError, match=message):
+        convert_unit(_peak_dfg(1.0), "weeks")
 
 
 def test_convert_unit_round_trips():

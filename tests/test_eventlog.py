@@ -26,6 +26,7 @@ from dpdfg.bench import generate_log, profile_spec
 from dpdfg.eventlog import _CHUNK, NS_PER_UNIT, _timestamps_ns, parse_csv_reference, parse_timestamp_ns
 
 HOUR_NS = NS_PER_UNIT["h"]
+UNKNOWN_UNIT = "unknown time unit 'fortnight'; expected one of ns, us, ms, s, min, h, d"
 
 
 def test_parse_csv_decimal_hours_single_case():
@@ -122,6 +123,8 @@ def test_parse_timestamp_rejects_an_unknown_format():
         parse_timestamp_ns("2021-01-01T00:00:00Z", "bogus")
     with pytest.raises(ValueError, match=message.format("ISO")):
         parse_timestamp_ns("5", "ISO")
+    with pytest.raises(ValueError, match=f"^{UNKNOWN_UNIT}$"):
+        parse_timestamp_ns("2021-01-01T00:00:00Z", "iso", "fortnight")
 
 
 def test_parse_csv_rejects_nonfinite_and_overflowing_timestamps():
@@ -649,7 +652,7 @@ def csv_logs(draw):
     """A CSV log and its mapping. Half the logs draw only cells that parse
     (out-of-range and non-finite numbers aside), so they reach the end."""
     fmt = draw(st.sampled_from(["auto", "iso", "number"]))
-    unit = draw(st.sampled_from(sorted(NS_PER_UNIT) + ["fortnight"]))
+    unit = draw(st.sampled_from(sorted(NS_PER_UNIT)))
     header = draw(st.permutations(draw(HEADERS)))
     if draw(st.sampled_from([False] * 9 + [True])):
         header = header[: draw(st.integers(0, len(header)))]  # maybe no mapped column
@@ -745,14 +748,13 @@ ODD_ROWS = [
 def test_parse_csv_equals_reference_across_chunks(size, monkeypatch):
     rows = _chunk_rows(size, seed=size)
     expected = parse_csv_reference(_csv(rows))
-    # A log of ISO stamps is converted a chunk at a time, never text by text.
+    # A log of ISO stamps is converted a chunk at a time, never text by
+    # text, in whatever unit its numbers would be read.
     with monkeypatch.context() as patch:
         patch.setattr(eventlog, "parse_timestamp_ns", None)
-        assert parse_csv(_csv(rows)) == expected
+        for unit in NS_PER_UNIT:
+            assert parse_csv(_csv(rows), ColumnMapping(number_unit=unit)) == expected
     assert parse_csv(_csv(rows).encode()) == expected
-    fortnights = ColumnMapping(number_unit="fortnight")
-    for parse in (parse_csv, parse_csv_reference):
-        assert _outcome(parse, _csv(rows), fortnights) == "IngestError: row 2: unknown time unit 'fortnight'"
     for position in {1, _CHUNK, _CHUNK + 1, size} & set(range(1, size + 1)):
         for odd in ODD_ROWS:
             text = _csv(rows[: position - 1] + [odd] + rows[position:])
@@ -762,7 +764,7 @@ def test_parse_csv_equals_reference_across_chunks(size, monkeypatch):
 @given(
     texts=st.lists(ISO_TIMESTAMPS, min_size=1, max_size=8) | st.lists(ANY_TIMESTAMP, max_size=8),
     fmt=st.sampled_from(["auto", "iso", "number"]),
-    unit=st.sampled_from(["h", "ns", "fortnight"]),
+    unit=st.sampled_from(["h", "ns"]),
     first_row=st.integers(2, 10**6),
 )
 @settings(max_examples=400)
@@ -918,6 +920,9 @@ def test_every_ingest_path_yields_activity_timestamp_pairs_in_stable_time_order(
 def test_column_mapping_rejects_an_unknown_timestamp_format():
     with pytest.raises(ValueError, match="^unknown timestamp format 'bogus'; expected one of auto, iso, number$"):
         ColumnMapping(timestamp_format="bogus")
+    # Refused when the mapping is built, before any row reads the unit.
+    with pytest.raises(ValueError, match=f"^{UNKNOWN_UNIT}$"):
+        ColumnMapping(number_unit="fortnight")
 
 
 def test_read_log_rejects_an_unknown_log_format(tmp_path):

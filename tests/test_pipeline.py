@@ -310,7 +310,7 @@ def test_request_rejects_an_unknown_time_unit():
     # Rejected when the request is built, for a frequency request too, which
     # never converts a unit and would otherwise echo the name in its JSON.
     for aggregation in (FREQ, MAX):
-        with pytest.raises(ValueError, match="unknown time unit 'weeks'"):
+        with pytest.raises(ValueError, match="^unknown time unit 'weeks'; expected one of ns, us, ms, s, min, h, d$"):
             p1(aggregation, 0.4, time_unit="weeks")
 
 

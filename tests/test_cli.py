@@ -342,8 +342,6 @@ def test_cli_sweep_rejects_duplicate_log_names(clinic_path, tmp_path, capsys):
         ({"logs": [{"profile": "skewed", "traces": True}]}, "sweep log 0 'traces' must be an integer, got True"),
         ({"mapes": [float("nan")]}, "mape_target must be positive and finite, got nan"),
         ({"mapes": [float("inf")]}, "mape_target must be positive and finite, got inf"),
-        ({"mapes": [], "beta": 7}, "beta must be in (0,1), got 7"),
-        ({"mapes": [], "beta": float("nan")}, "beta must be in (0,1), got nan"),
         ({"logs": [{"synthetic": {"trace_count": "5"}}]},
          "sweep log 0 'synthetic' 'trace_count' must be an integer, got '5'"),
         ({"logs": [{"synthetic": {"trace_cout": 5}}]}, "sweep log 0 'synthetic': unknown key 'trace_cout'"),
@@ -359,6 +357,8 @@ def test_cli_sweep_rejects_duplicate_log_names(clinic_path, tmp_path, capsys):
          "outlier_multiplier must be positive, got -5"),
         ({"logs": [{"synthetic": {"trace_count": 30, "outlier_multiplier": 0}}]},
          "outlier_multiplier must be positive, got 0"),
+        ({"mapes": [], "beta": 7}, "beta must be in (0,1), got 7"),
+        ({"mapes": [], "beta": float("nan")}, "beta must be in (0,1), got nan"),
     ],
 )
 def test_cli_sweep_bad_config_is_data_error(clinic_path, tmp_path, capsys, config, message):

@@ -7,12 +7,11 @@ import csv
 import io
 import math
 import random
-from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from statistics import median
+from typing import NamedTuple
 
-from .dfg import AggregationKind, build_dfg, ordered_sum
-from .eventlog import NS_PER_UNIT, EventLog, read_log
+from .dfg import AggregationKind, build_dfg, median, ordered_sum
+from .eventlog import NS_PER_UNIT, EventLog, _Checked, read_log
 from .noise import DEFAULT_SEED
 from .pipeline import DisclosureRequest, Mode, PreparedDfg, prepare, release, show_epsilon
 from .risk import DEFAULT_PRECISION, RiskParams
@@ -61,16 +60,7 @@ def _check_type(what: str, value, kind) -> None:
         raise TypeError(f"{what} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class SyntheticLogSpec:
-    """Generator knobs for a synthetic event log.
-
-    ``n_variants=None`` draws a fresh activity sequence per trace (variant
-    count ~ trace count). Durations are lognormal, in hours; a fraction
-    ``outlier_rate`` of them is stretched by ``outlier_multiplier``, which
-    must be positive.
-    """
-
+class _SyntheticLogSpec(NamedTuple):
     trace_count: int
     n_activities: int = 6
     n_variants: int | None = 4
@@ -83,7 +73,19 @@ class SyntheticLogSpec:
     min_trace_len: int = 3
     max_trace_len: int = 8
 
-    def __post_init__(self) -> None:
+
+class SyntheticLogSpec(_Checked, _SyntheticLogSpec):
+    """Generator knobs for a synthetic event log.
+
+    ``n_variants=None`` draws a fresh activity sequence per trace (variant
+    count ~ trace count). Durations are lognormal, in hours; a fraction
+    ``outlier_rate`` of them is stretched by ``outlier_multiplier``, which
+    must be positive.
+    """
+
+    __slots__ = ()
+
+    def _checked(self) -> SyntheticLogSpec:
         for name, kind in _SYNTHETIC_TYPES.items():
             _check_type(repr(name), getattr(self, name), kind)
         if self.trace_count <= 0:
@@ -105,6 +107,7 @@ class SyntheticLogSpec:
             raise ValueError(f"duration_log_sigma must be non-negative, got {self.duration_log_sigma}")
         if self.outlier_multiplier <= 0:
             raise ValueError(f"outlier_multiplier must be positive, got {self.outlier_multiplier}")
+        return self
 
 
 def _draw_variant(rng: random.Random, spec: SyntheticLogSpec) -> list[str]:
@@ -176,22 +179,26 @@ def profile_spec(name: str, trace_count: int | None = None) -> SyntheticLogSpec:
     if name not in PROFILES:
         raise ValueError(f"unknown profile {name!r}; available: {sorted(PROFILES)}")
     spec = PROFILES[name]
-    return spec if trace_count is None else replace(spec, trace_count=trace_count)
+    return spec if trace_count is None else spec._replace(trace_count=trace_count)
 
 
-@dataclass(frozen=True)
-class LogSource:
-    """A sweep log, read from ``path`` or generated from ``synthetic``. A
-    subclass whose ``load`` finds the log itself may have neither."""
-
+class _LogSource(NamedTuple):
     name: str
     path: str | None = None
     synthetic: SyntheticLogSpec | None = None
     gen_seed: int | None = None
 
-    def __post_init__(self) -> None:
+
+class LogSource(_Checked, _LogSource):
+    """A sweep log, read from ``path`` or generated from ``synthetic``. A
+    subclass whose ``load`` finds the log itself may have neither."""
+
+    __slots__ = ()
+
+    def _checked(self) -> LogSource:
         if self.path is not None and self.synthetic is not None:
             raise ValueError(f"sweep log {self.name!r} has both a path and a synthetic spec")
+        return self
 
     def load(self, default_seed: int) -> EventLog:
         if self.path is not None:
@@ -202,8 +209,7 @@ class LogSource:
         return generate_log(self.synthetic, seed)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class _SweepSpec(NamedTuple):
     logs: tuple[LogSource, ...]
     deltas: tuple[float, ...] = DEFAULT_DELTAS
     mapes: tuple[float, ...] = DEFAULT_MAPES
@@ -213,11 +219,18 @@ class SweepSpec:
     precision: float = DEFAULT_PRECISION
     beta: float = DEFAULT_BETA
     include_boundary_time: bool = False
-    # The request of each grid cell, in row order, built (and so checked)
-    # with the spec, before any log loads.
-    requests: tuple[DisclosureRequest, ...] = field(init=False, repr=False, compare=False)
+    requests: tuple[DisclosureRequest, ...] = ()
 
-    def __post_init__(self) -> None:
+
+class SweepSpec(_Checked, _SweepSpec):
+    """A sweep's logs, grid and shared parameters. ``requests`` holds the
+    request of each grid cell, in row order: it is built (and so checked)
+    from the other fields with the spec, before any log loads, in place of
+    any value given for it."""
+
+    __slots__ = ()
+
+    def _checked(self) -> SweepSpec:
         if not self.logs:
             raise ValueError("sweep needs at least one log")
         if not self.deltas and not self.mapes:
@@ -245,18 +258,18 @@ class SweepSpec:
             for aggregation in self.aggregations
             for mode, param in params
         )
-        object.__setattr__(self, "requests", requests)
         for source in self.logs:
             if source.synthetic is not None:
                 key, seed = ("gen_seed", source.gen_seed) if source.gen_seed is not None else ("seed", self.seed)
                 if seed < 0:
                     raise ValueError(f"sweep log {source.name!r}: {key} must be non-negative to generate it, got {seed}")
+        return self._filled(requests=requests)
 
     @classmethod
     def from_dict(cls, config: dict) -> "SweepSpec":
         if not isinstance(config, dict) or not isinstance(config.get("logs"), list):
             raise ValueError("sweep config must be an object with a 'logs' list")
-        _check_keys("sweep config", config, {f.name for f in fields(cls) if f.init})
+        _check_keys("sweep config", config, set(cls._fields) - {"requests"})
         _check_types("sweep config", config, _CONFIG_TYPES)
         kwargs = {key: value for key, value in config.items() if key != "logs"}
         for key in ("deltas", "mapes"):

@@ -8,8 +8,7 @@ from __future__ import annotations
 import enum
 import functools
 import operator
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .eventlog import NS_PER_UNIT, START_END, EventLog, _check_choice, collector_paused
 
@@ -23,18 +22,16 @@ class AggregationKind(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "AggregationKind":
-        try:
-            return cls(text.lower())
-        except ValueError:
-            raise ValueError(f"unknown aggregation {text!r}") from None
+        value = text.lower()
+        _check_choice("aggregation", value, [kind.value for kind in cls])
+        return cls(value)
 
     @property
     def is_time(self) -> bool:
         return self is not AggregationKind.FREQUENCY
 
 
-@dataclass(frozen=True)
-class DfgEdge:
+class DfgEdge(NamedTuple):
     source: str
     target: str
     durations: tuple[float, ...]
@@ -48,8 +45,7 @@ class DfgEdge:
         return self.source == START_END or self.target == START_END
 
 
-@dataclass(frozen=True)
-class Dfg:
+class Dfg(NamedTuple):
     """Activities plus edges keyed by (source, target); durations are in
     ``time_unit``.
     """
@@ -65,8 +61,7 @@ class Dfg:
         return [self.edges[k] for k in sorted(self.edges)]
 
 
-@dataclass(frozen=True)
-class AnnotatedDfg:
+class AnnotatedDfg(NamedTuple):
     """A DFG together with one released weight per edge."""
 
     dfg: Dfg
@@ -128,6 +123,20 @@ def ordered_sum(values: Iterable[float]) -> float:
     Python 3.12, which can move the last bit of a seeded output.
     """
     return functools.reduce(operator.add, values, 0.0)
+
+
+def median(values: Iterable[float]) -> float:
+    """The middle of the sorted values, or the mean ``(a + b) / 2`` of the
+    middle two: ``statistics.median``'s arithmetic, bit for bit, without
+    importing ``statistics``.
+    """
+    ordered = sorted(values)
+    n = len(ordered)
+    if not n:
+        raise ValueError("no median for empty data")
+    if n % 2:
+        return ordered[n // 2]
+    return (ordered[n // 2 - 1] + ordered[n // 2]) / 2
 
 
 def edge_range(edge: DfgEdge, kind: AggregationKind) -> float:

@@ -11,16 +11,14 @@ import gc
 import io
 import math
 import operator
-import xml.etree.ElementTree as ET
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from itertools import repeat
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Collection
+from typing import Collection, NamedTuple
 
 START_END = "--"
 
@@ -52,12 +50,39 @@ class IngestError(Exception):
     """Raised when an event-log source cannot be parsed."""
 
 
-@dataclass(frozen=True)
-class EventLog:
+class _Checked:
+    """First base of a record, a named tuple, whose class checks its
+    fields. The record defines ``_checked``, which raises on a bad field
+    and returns the record, with any field it fills in. It runs on every
+    build: a call of the class, ``_make``, and so ``_replace``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return super().__new__(cls, *args, **kwargs)._checked()
+
+    @classmethod
+    def _make(cls, iterable):
+        return super()._make(iterable)._checked()
+
+    def _filled(self, **values):
+        """This record with ``values`` in place of those fields, unchecked:
+        how ``_checked`` fills in a field."""
+        return tuple.__new__(type(self), map(values.pop, self._fields, self))
+
+
+class _EventLog(NamedTuple):
+    traces: dict[str, tuple[tuple[str, int], ...]]
+
+
+class EventLog(_EventLog):
     """Case id -> its events, ``(activity, timestamp_ns)`` pairs in time
     order; cases in first-appearance order."""
 
-    traces: dict[str, tuple[tuple[str, int], ...]]
+    __slots__ = ()
+    # len() is the case count, which the named tuple's _make (and so
+    # _replace) would check against the field count.
+    _make = classmethod(tuple.__new__)
 
     def __len__(self) -> int:
         return len(self.traces)
@@ -66,8 +91,15 @@ class EventLog:
         return sum(map(len, self.traces.values()))
 
 
-@dataclass(frozen=True)
-class ColumnMapping:
+class _ColumnMapping(NamedTuple):
+    case_col: str = "case"
+    activity_col: str = "activity"
+    timestamp_col: str = "timestamp"
+    timestamp_format: str = "auto"
+    number_unit: str = "h"
+
+
+class ColumnMapping(_Checked, _ColumnMapping):
     """Names the case/activity/timestamp columns of a CSV source.
 
     ``timestamp_format`` is one of ``auto``, ``iso``, ``number``; numeric
@@ -75,15 +107,12 @@ class ColumnMapping:
     (default: hours).
     """
 
-    case_col: str = "case"
-    activity_col: str = "activity"
-    timestamp_col: str = "timestamp"
-    timestamp_format: str = "auto"
-    number_unit: str = "h"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _checked(self) -> ColumnMapping:
         _check_choice("timestamp format", self.timestamp_format, TIMESTAMP_FORMATS)
         _check_choice("time unit", self.number_unit, NS_PER_UNIT)
+        return self
 
 
 def _check_choice(what: str, value: str, allowed: Collection[str]) -> None:
@@ -359,7 +388,7 @@ def parse_csv_reference(source, mapping: ColumnMapping | None = None) -> EventLo
     return _sorted_log(by_case)
 
 
-def _children(elem: ET.Element, tag: str):
+def _children(elem, tag: str):
     """The children of ``elem`` named ``tag``, in any namespace."""
     return (child for child in elem if child.tag.rsplit("}", 1)[-1] == tag)
 
@@ -371,6 +400,9 @@ def parse_xes(source) -> EventLog:
     ignored. Case ids and activity labels are stripped, as in
     :func:`parse_csv`, so the canonical CSV of the log re-parses to it.
     """
+    # Only XES input needs the XML parser, so only it imports one.
+    import xml.etree.ElementTree as ET
+
     data = source if isinstance(source, (bytes, str)) else source.read()
     try:
         root = ET.fromstring(data)

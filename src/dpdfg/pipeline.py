@@ -13,9 +13,7 @@ import csv
 import enum
 import io
 import json
-import statistics
 import time
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .dfg import (
@@ -28,9 +26,10 @@ from .dfg import (
     choose_time_unit,
     convert_unit,
     filter_for_disclosure,
+    median,
     ordered_sum,
 )
-from .eventlog import NS_PER_UNIT, _check_choice
+from .eventlog import NS_PER_UNIT, _check_choice, _Checked
 from .noise import DEFAULT_SEED, post_process_column, sensitivity, unit_laplace_column
 from .risk import (
     DEFAULT_PRECISION,
@@ -51,14 +50,7 @@ class Mode(enum.Enum):
     P2 = "P2"
 
 
-@dataclass(frozen=True)
-class DisclosureRequest:
-    """One disclosure. ``precision`` is the guess window of the empirical
-    priors. In P1 it belongs to ``risk``: left unset it takes
-    ``risk.precision``, and a different value is rejected. In P2 it
-    defaults to ``DEFAULT_PRECISION``.
-    """
-
+class _DisclosureRequest(NamedTuple):
     mode: Mode
     aggregation: AggregationKind
     risk: RiskParams | None = None
@@ -69,7 +61,17 @@ class DisclosureRequest:
     include_boundary_time: bool = False
     time_unit: str | None = None
 
-    def __post_init__(self) -> None:
+
+class DisclosureRequest(_Checked, _DisclosureRequest):
+    """One disclosure. ``precision`` is the guess window of the empirical
+    priors. In P1 it belongs to ``risk``: left unset it takes
+    ``risk.precision``, and a different value is rejected. In P2 it
+    defaults to ``DEFAULT_PRECISION``.
+    """
+
+    __slots__ = ()
+
+    def _checked(self) -> DisclosureRequest:
         if self.mode is Mode.P1 and (self.risk is None or self.utility is not None):
             raise ValueError("P1 requires risk parameters and no utility parameters")
         if self.mode is Mode.P2 and (self.utility is None or self.risk is not None):
@@ -78,6 +80,8 @@ class DisclosureRequest:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.include_boundary_time, bool):
+            raise TypeError(f"include_boundary_time must be a bool, got {self.include_boundary_time!r}")
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if isinstance(self.precision, bool):
@@ -87,20 +91,19 @@ class DisclosureRequest:
                 f"precision {self.precision} disagrees with risk.precision {self.risk.precision}"
             )
         if self.precision is None:
-            precision = self.risk.precision if self.risk is not None else DEFAULT_PRECISION
-            object.__setattr__(self, "precision", precision)
+            self = self._filled(precision=self.risk.precision if self.risk is not None else DEFAULT_PRECISION)
         if not 0.0 <= self.precision <= 1.0:
             raise ValueError(f"precision must be in [0,1], got {self.precision}")
         if self.time_unit is not None:
             _check_choice("time unit", self.time_unit, NS_PER_UNIT)
+        return self
 
 
 class EdgeDisclosure(NamedTuple):
     """One released edge: its true and released weight, the epsilon, noise
     scale and guessing advantage it was released with, and the APE of its
     first run's noisy and released values (None for a boundary-constant
-    edge). A named tuple, not a frozen dataclass: it is as immutable, and
-    builds in a fraction of the time, once per edge and request.
+    edge).
     """
 
     source: str
@@ -117,10 +120,10 @@ class EdgeDisclosure(NamedTuple):
     boundary_constant: bool = False
 
 
-@dataclass
-class DisclosureReport:
+class DisclosureReport(NamedTuple):
     """One release of ``request``: its edges in sorted order, the disclosed
-    time unit (None for frequency), and each run's MAPE and SMAPE."""
+    time unit (None for frequency), and each run's MAPE and SMAPE. Two
+    reports are equal if all but their ``runtime_ms`` are."""
 
     request: DisclosureRequest
     time_unit: str | None
@@ -131,7 +134,15 @@ class DisclosureReport:
     overall_delta: float
     run_mapes: list[float]
     run_smapes: list[float]
-    runtime_ms: float = field(default=0.0, compare=False)
+    runtime_ms: float = 0.0
+
+    def __eq__(self, other):
+        if not isinstance(other, DisclosureReport):
+            return NotImplemented
+        return self[:-1] == other[:-1]
+
+    # object's !=, the negation of __eq__, in place of the tuple's own.
+    __ne__ = object.__ne__
 
 
 class PreparedEdge(NamedTuple):
@@ -140,9 +151,7 @@ class PreparedEdge(NamedTuple):
     the range ``r`` and the sorted distinct ``priors`` of
     ``risk.time_priors`` (None if it is degenerate), a frequency edge range
     1 and no priors. A boundary-constant edge is released exactly and
-    carries only its weight. A named tuple, not a
-    dataclass: it is as immutable, and its class takes a fraction of a
-    dataclass's time to build at import.
+    carries only its weight.
     """
 
     source: str
@@ -158,8 +167,7 @@ class PreparedEdge(NamedTuple):
 PREPARATION_FIELDS = ("aggregation", "precision", "include_boundary_time", "time_unit")
 
 
-@dataclass(frozen=True)
-class PreparedDfg:
+class PreparedDfg(NamedTuple):
     """A DFG made ready to release under one aggregation: filtered,
     converted to the disclosed unit (``dfg.time_unit``), and its edges
     prepared in sorted order. It holds the request's
@@ -324,7 +332,7 @@ def release(prepared: PreparedDfg, request: DisclosureRequest, draws: dict | Non
         edges=disclosures,
         mape=ordered_sum(run_mapes) / len(run_mapes),
         smape=ordered_sum(run_smapes) / len(run_smapes),
-        median_epsilon=statistics.median(d.epsilon for d in disclosures),
+        median_epsilon=median(d.epsilon for d in disclosures),
         overall_delta=dfg_delta({(d.source, d.target): d.edge_delta for d in disclosures}),
         run_mapes=run_mapes,
         run_smapes=run_smapes,
@@ -344,8 +352,7 @@ def disclose(dfg: Dfg, request: DisclosureRequest, threads: int = 1) -> tuple[An
     """
     started = time.perf_counter()
     prepared = prepare(dfg, request)
-    report = release(prepared, request)
-    report.runtime_ms = (time.perf_counter() - started) * 1e3
+    report = release(prepared, request)._replace(runtime_ms=(time.perf_counter() - started) * 1e3)
     weights = {(e.source, e.target): e.released_value for e in report.edges}
     return AnnotatedDfg(prepared.dfg, request.aggregation, weights), report
 

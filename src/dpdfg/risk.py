@@ -10,26 +10,29 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .dfg import AggregationKind, DfgEdge, edge_range
+from .eventlog import _Checked
 
 UNBOUNDED = math.inf
 DEFAULT_PRECISION = 0.5
 
 
-@dataclass(frozen=True)
-class RiskParams:
+class _RiskParams(NamedTuple):
+    delta: float
+    precision: float = DEFAULT_PRECISION
+
+
+class RiskParams(_Checked, _RiskParams):
     """delta: maximum tolerated guessing advantage, in (0,1).
     precision: half-width of a successful guess as a fraction of the edge's
     duration range, in [0,1].
     """
 
-    delta: float
-    precision: float = DEFAULT_PRECISION
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _checked(self) -> RiskParams:
         for name in ("delta", "precision"):
             value = getattr(self, name)
             if isinstance(value, bool):
@@ -38,6 +41,7 @@ class RiskParams:
             raise ValueError(f"delta must be in (0,1), got {self.delta}")
         if not 0.0 <= self.precision <= 1.0:
             raise ValueError(f"precision must be in [0,1], got {self.precision}")
+        return self
 
 
 def worst_case_prior(delta: float) -> float:

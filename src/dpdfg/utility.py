@@ -6,24 +6,27 @@ one run's edges at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dfg import ordered_sum
+from .eventlog import _Checked
 
 DEFAULT_BETA = 0.05
 
 
-@dataclass(frozen=True)
-class UtilityParams:
+class _UtilityParams(NamedTuple):
+    mape_target: float
+    beta: float = DEFAULT_BETA
+
+
+class UtilityParams(_Checked, _UtilityParams):
     """mape_target: tolerated absolute percentage error per edge (finite, > 0).
     beta: probability that the injected noise exceeds the tolerance alpha.
     """
 
-    mape_target: float
-    beta: float = DEFAULT_BETA
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _checked(self) -> UtilityParams:
         for name in ("mape_target", "beta"):
             value = getattr(self, name)
             if isinstance(value, bool):
@@ -32,6 +35,7 @@ class UtilityParams:
             raise ValueError(f"mape_target must be positive and finite, got {self.mape_target}")
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must be in (0,1), got {self.beta}")
+        return self
 
 
 def ape(actual: float, noisy: float) -> float:

@@ -2,7 +2,6 @@ import csv
 import io
 import traceback
 from collections import Counter
-from dataclasses import fields, replace
 
 import pytest
 
@@ -82,7 +81,7 @@ def test_outlier_injection_stretches_edges():
         trace_count=200, n_activities=4, n_variants=2,
         duration_log_sigma=0.3, outlier_rate=0.01, outlier_multiplier=60.0,
     )
-    plain = convert_unit(build_dfg(generate_log(replace(spec, outlier_multiplier=1.0), seed=21)), "h")
+    plain = convert_unit(build_dfg(generate_log(spec._replace(outlier_multiplier=1.0), seed=21)), "h")
     dfg = convert_unit(build_dfg(generate_log(spec, seed=21)), "h")
     assert dfg.edges.keys() == plain.edges.keys()
     stretched = [key for key in dfg.edges if dfg.edges[key].durations != plain.edges[key].durations]
@@ -340,7 +339,7 @@ def test_synthetic_spec_checks_its_field_types():
 
 def test_synthetic_types_name_every_spec_field():
     # A knob the table misses would go unchecked by the class and rejected by the config reader.
-    assert list(_SYNTHETIC_TYPES) == [f.name for f in fields(SyntheticLogSpec)]
+    assert list(_SYNTHETIC_TYPES) == list(SyntheticLogSpec._fields)
 
 
 def test_sweep_spec_takes_synthetic_entries_and_seeds_it_can_use():

@@ -1,5 +1,7 @@
 import math
 import random
+import statistics
+import struct
 from pathlib import Path
 
 import pytest
@@ -7,7 +9,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpdfg import CANONICAL_MAPPING, START_END, AggregationKind, build_dfg, parse_csv, read_log
-from dpdfg.dfg import Dfg, DfgEdge, aggregate, choose_time_unit, convert_unit, edge_range, filter_for_disclosure
+from dpdfg.dfg import (
+    Dfg,
+    DfgEdge,
+    aggregate,
+    choose_time_unit,
+    convert_unit,
+    edge_range,
+    filter_for_disclosure,
+    median,
+)
 from dpdfg.eventlog import NS_PER_UNIT, EventLog
 
 F = AggregationKind.FREQUENCY
@@ -248,3 +259,33 @@ def test_filter_for_disclosure(clinic_dfg):
     assert trimmed.activities == clinic_dfg.activities
     full = filter_for_disclosure(clinic_dfg, AggregationKind.MAX, include_boundary_time=True)
     assert len(full.edges) == 8
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False), min_size=1, max_size=12))
+@example(values=[3.0, 1.0, 2.0])
+@example(values=[0.1, 0.2, 0.3, 0.4])
+@example(values=[1.0, math.inf])
+@example(values=[math.inf, 2.0, -math.inf])
+@example(values=[-math.inf, math.inf])
+@example(values=[1.7976931348623157e308, 1.7976931348623157e308])
+@example(values=[-0.0, 0.0])
+def test_median_matches_statistics_bit_for_bit(values):
+    # statistics.median is the oracle: odd and even lengths, infinities,
+    # an overflowing middle pair and signed zeros give its bits.
+    assert _bits(median(iter(values))) == _bits(statistics.median(values))
+
+
+def test_median_of_nothing_is_an_error():
+    with pytest.raises(ValueError, match="^no median for empty data$"):
+        median([])
+
+
+def test_aggregation_parse_names_the_allowed_values():
+    assert AggregationKind.parse("MAX") is AggregationKind.MAX
+    with pytest.raises(ValueError, match="^unknown aggregation 'bogus'; expected one of frequency, sum, min, max, avg$"):
+        AggregationKind.parse("bogus")

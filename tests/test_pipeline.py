@@ -314,6 +314,22 @@ def test_request_rejects_an_unknown_time_unit():
             p1(aggregation, 0.4, time_unit="weeks")
 
 
+@pytest.mark.parametrize("flag", ["no", 1, None])
+def test_request_rejects_a_boundary_flag_that_is_not_a_bool(flag):
+    # A truthy "no" would keep the boundary edges and echo "no" in the JSON.
+    with pytest.raises(TypeError, match=f"^include_boundary_time must be a bool, got {flag!r}$"):
+        p1(MAX, 0.4, include_boundary_time=flag)
+    with pytest.raises(TypeError, match="^include_boundary_time must be a bool"):
+        SweepSpec(logs=(LogSource("clinic", path="clinic.csv"),), include_boundary_time=flag)
+
+
+def test_a_bool_boundary_flag_is_echoed_as_given(clinic_dfg):
+    for flag, count in ((True, 8), (False, 5)):
+        _, report = disclose(clinic_dfg, p1(MAX, 0.4, include_boundary_time=flag))
+        assert len(report.edges) == count
+        assert report_to_dict(report)["parameters"]["include_boundary_time"] is flag
+
+
 def test_empty_dfg_rejected():
     with pytest.raises(ValueError, match="empty"):
         disclose(Dfg(frozenset(), {}, "ns"), p1(FREQ, 0.4))

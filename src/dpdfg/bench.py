@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .dfg import AggregationKind, build_dfg, median, ordered_sum
-from .eventlog import NS_PER_UNIT, EventLog, _Checked, read_log
+from .eventlog import NS_PER_UNIT, _INT_OR_NULL, _NUMBER, EventLog, _check_type, _Checked, read_log
 from .noise import DEFAULT_SEED
 from .pipeline import DisclosureRequest, Mode, PreparedDfg, prepare, release, show_epsilon
 from .risk import DEFAULT_PRECISION, RiskParams
@@ -35,29 +35,6 @@ GRID_HEADER = [
     "wall_clock_ms",
     "error",
 ]
-
-
-# A checked value's kind is a type, a tuple of types, or [kind] for a list
-# of kind; a bool is no number.
-_NUMBER = (int, float)
-_INT_OR_NULL = (int, type(None))
-_TYPE_NAMES = {list: "a list", bool: "a bool", str: "a string", int: "an integer", dict: "an object", _NUMBER: "a number",
-               _INT_OR_NULL: "an integer or null"}
-# The type of each SyntheticLogSpec field, which the class checks itself.
-_SYNTHETIC_TYPES = {
-    "trace_count": int, "n_activities": int, "n_variants": _INT_OR_NULL, "variant_distribution": str,
-    "zipf_exponent": _NUMBER, "duration_log_mean": _NUMBER, "duration_log_sigma": _NUMBER,
-    "outlier_rate": _NUMBER, "outlier_multiplier": _NUMBER, "min_trace_len": int, "max_trace_len": int,
-}
-
-
-def _check_type(what: str, value, kind) -> None:
-    if isinstance(kind, list):
-        _check_type(what, value, list)
-        for item in value:
-            _check_type(f"{what} item", item, kind[0])
-    elif not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
-        raise TypeError(f"{what} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 
 class _SyntheticLogSpec(NamedTuple):
@@ -84,10 +61,11 @@ class SyntheticLogSpec(_Checked, _SyntheticLogSpec):
     """
 
     __slots__ = ()
+    _kinds = {"trace_count": int, "n_activities": int, "n_variants": _INT_OR_NULL, "variant_distribution": str,
+              "zipf_exponent": _NUMBER, "duration_log_mean": _NUMBER, "duration_log_sigma": _NUMBER,
+              "outlier_rate": _NUMBER, "outlier_multiplier": _NUMBER, "min_trace_len": int, "max_trace_len": int}
 
     def _checked(self) -> SyntheticLogSpec:
-        for name, kind in _SYNTHETIC_TYPES.items():
-            _check_type(repr(name), getattr(self, name), kind)
         if self.trace_count <= 0:
             raise ValueError("empty log: trace_count must be positive")
         if self.n_activities < 1:
@@ -119,6 +97,7 @@ def generate_log(spec: SyntheticLogSpec, seed: int) -> EventLog:
     """Deterministically generate an event log.
 
     ``seed`` must be non-negative: ``random.Random`` seeds -3 as it seeds 3.
+    A log with a timestamp past int64 nanoseconds raises ``ValueError``.
     """
     if seed < 0:
         raise ValueError(f"generation seed must be non-negative, got {seed}")
@@ -149,6 +128,9 @@ def generate_log(spec: SyntheticLogSpec, seed: int) -> EventLog:
                 gap_h *= spec.outlier_multiplier
             now += round(gap_h * hour_ns)
             events.append((cur, now))
+        # No gap is negative, so a case's last event is its latest.
+        if now >= 2**63:
+            raise ValueError(f"case c{idx:05d} ends at {now} ns, past the int64 limit of {2**63 - 1} ns")
         traces[f"c{idx:05d}"] = tuple(events)
     return EventLog(traces)
 
@@ -320,7 +302,7 @@ def _log_source(i: int, entry) -> LogSource:
     if kind == "profile":
         spec, name = profile_spec(entry["profile"], entry.get("traces")), entry["profile"]
     else:
-        _check_keys(f"sweep log {i} 'synthetic'", entry["synthetic"], set(_SYNTHETIC_TYPES))
+        _check_keys(f"sweep log {i} 'synthetic'", entry["synthetic"], set(SyntheticLogSpec._fields))
         try:
             spec = SyntheticLogSpec(**entry["synthetic"])
         except TypeError as exc:

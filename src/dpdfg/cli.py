@@ -115,6 +115,8 @@ def _run_anonymize(args, parser) -> int:
         parser.error("--delta and --mape are mutually exclusive; provide exactly one")
     if args.delta is not None and args.beta is not None:
         parser.error("--beta applies to --mape (P2) only")
+    if args.annotate_debug and args.format != "dot":
+        parser.error("--annotate-debug applies to --format dot only")
     kind = AggregationKind(args.agg)
     seed = _env_seed() if args.seed is None else args.seed
     p1 = args.delta is not None

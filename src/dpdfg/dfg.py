@@ -167,7 +167,8 @@ def convert_unit(dfg: Dfg, unit: str) -> Dfg:
 def choose_time_unit(dfg: Dfg, kind: AggregationKind) -> str:
     """Pick the largest unit that the maximum aggregated edge value reaches,
     else ``ns``. Adjacent units differ by at most 1000x, so that value is in
-    [1, 1000] of the unit picked, unless the unit is ``d``.
+    [1, 1000] of the unit picked, unless the unit is ``d``. A DFG with no
+    edges, or whose maximum is not positive, gets ``h``.
     """
     if not dfg.edges:
         return "h"

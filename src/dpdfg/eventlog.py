@@ -50,20 +50,46 @@ class IngestError(Exception):
     """Raised when an event-log source cannot be parsed."""
 
 
+# A field's kind is a type, a tuple of types, or [kind] for a list of
+# kind; a bool is no number.
+_NUMBER = (int, float)
+_INT_OR_NULL = (int, type(None))
+_TYPE_NAMES = {list: "a list", bool: "a bool", str: "a string", int: "an integer", dict: "an object", _NUMBER: "a number",
+               _INT_OR_NULL: "an integer or null"}
+
+
+def _check_type(what: str, value, kind) -> None:
+    if isinstance(kind, list):
+        _check_type(what, value, list)
+        for item in value:
+            _check_type(f"{what} item", item, kind[0])
+    elif not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+        name = _TYPE_NAMES.get(kind) or f"{'an' if kind.__name__[0] in 'AEIO' else 'a'} {kind.__name__}"
+        raise TypeError(f"{what} must be {name}, got {value!r}")
+
+
 class _Checked:
-    """First base of a record, a named tuple, whose class checks its
-    fields. The record defines ``_checked``, which raises on a bad field
-    and returns the record, with any field it fills in. It runs on every
-    build: a call of the class, ``_make``, and so ``_replace``."""
+    """First base of a record, a named tuple, whose class checks its fields
+    on every build: a call of the class, ``_make``, and so ``_replace``.
+    Each field in the class's ``_kinds`` holds a value of its kind, or None
+    if None is its default; then the record's ``_checked`` raises on a bad
+    field and returns the record, with any field it fills in."""
 
     __slots__ = ()
+    _kinds: dict = {}
 
     def __new__(cls, *args, **kwargs):
-        return super().__new__(cls, *args, **kwargs)._checked()
+        return super().__new__(cls, *args, **kwargs)._kinds_checked()
 
     @classmethod
     def _make(cls, iterable):
-        return super()._make(iterable)._checked()
+        return super()._make(iterable)._kinds_checked()
+
+    def _kinds_checked(self):
+        for name, kind in self._kinds.items():
+            if (value := getattr(self, name)) is not None or self._field_defaults.get(name, 0) is not None:
+                _check_type(name, value, kind)
+        return self._checked()
 
     def _filled(self, **values):
         """This record with ``values`` in place of those fields, unchecked:

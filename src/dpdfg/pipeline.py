@@ -29,7 +29,7 @@ from .dfg import (
     median,
     ordered_sum,
 )
-from .eventlog import NS_PER_UNIT, _check_choice, _Checked
+from .eventlog import NS_PER_UNIT, _NUMBER, _check_choice, _Checked
 from .noise import DEFAULT_SEED, post_process_column, sensitivity, unit_laplace_column
 from .risk import (
     DEFAULT_PRECISION,
@@ -70,22 +70,16 @@ class DisclosureRequest(_Checked, _DisclosureRequest):
     """
 
     __slots__ = ()
+    _kinds = {"mode": Mode, "aggregation": AggregationKind, "risk": RiskParams, "utility": UtilityParams,
+              "precision": _NUMBER, "seed": int, "runs": int, "include_boundary_time": bool, "time_unit": str}
 
     def _checked(self) -> DisclosureRequest:
         if self.mode is Mode.P1 and (self.risk is None or self.utility is not None):
             raise ValueError("P1 requires risk parameters and no utility parameters")
         if self.mode is Mode.P2 and (self.utility is None or self.risk is not None):
             raise ValueError("P2 requires utility parameters and no risk parameters")
-        for name in ("seed", "runs"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.include_boundary_time, bool):
-            raise TypeError(f"include_boundary_time must be a bool, got {self.include_boundary_time!r}")
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if isinstance(self.precision, bool):
-            raise TypeError(f"precision must be a number, got {self.precision!r}")
         if self.risk is not None and self.precision not in (None, self.risk.precision):
             raise ValueError(
                 f"precision {self.precision} disagrees with risk.precision {self.risk.precision}"

@@ -13,7 +13,7 @@ import struct
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .dfg import AggregationKind, DfgEdge, edge_range
-from .eventlog import _Checked
+from .eventlog import _NUMBER, _Checked
 
 UNBOUNDED = math.inf
 DEFAULT_PRECISION = 0.5
@@ -31,12 +31,9 @@ class RiskParams(_Checked, _RiskParams):
     """
 
     __slots__ = ()
+    _kinds = {"delta": _NUMBER, "precision": _NUMBER}
 
     def _checked(self) -> RiskParams:
-        for name in ("delta", "precision"):
-            value = getattr(self, name)
-            if isinstance(value, bool):
-                raise TypeError(f"{name} must be a number, got {value!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0,1), got {self.delta}")
         if not 0.0 <= self.precision <= 1.0:

@@ -9,7 +9,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .dfg import ordered_sum
-from .eventlog import _Checked
+from .eventlog import _NUMBER, _Checked
 
 DEFAULT_BETA = 0.05
 
@@ -25,12 +25,9 @@ class UtilityParams(_Checked, _UtilityParams):
     """
 
     __slots__ = ()
+    _kinds = {"mape_target": _NUMBER, "beta": _NUMBER}
 
     def _checked(self) -> UtilityParams:
-        for name in ("mape_target", "beta"):
-            value = getattr(self, name)
-            if isinstance(value, bool):
-                raise TypeError(f"{name} must be a number, got {value!r}")
         if not 0.0 < self.mape_target < math.inf:
             raise ValueError(f"mape_target must be positive and finite, got {self.mape_target}")
         if not 0.0 < self.beta < 1.0:

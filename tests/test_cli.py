@@ -61,6 +61,16 @@ def test_anonymize_beta_is_a_p2_flag(clinic_path, capsys):
     assert "beta must be in (0,1), got 7.0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", [None, "json", "csv"])
+def test_anonymize_annotate_debug_is_a_dot_flag(clinic_path, capsys, fmt):
+    # Only the DOT output has labels, so the flag would be silently dropped.
+    argv = ["anonymize", "--input", str(clinic_path), "--delta", "0.4", "--annotate-debug"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--format", fmt] if fmt else []))
+    assert exc.value.code == 2
+    assert "--annotate-debug applies to --format dot only" in capsys.readouterr().err
+
+
 def test_anonymize_requires_one_target(clinic_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["anonymize", "--input", str(clinic_path), "--agg", "max"])
@@ -343,12 +353,12 @@ def test_cli_sweep_rejects_duplicate_log_names(clinic_path, tmp_path, capsys):
         ({"mapes": [float("nan")]}, "mape_target must be positive and finite, got nan"),
         ({"mapes": [float("inf")]}, "mape_target must be positive and finite, got inf"),
         ({"logs": [{"synthetic": {"trace_count": "5"}}]},
-         "sweep log 0 'synthetic' 'trace_count' must be an integer, got '5'"),
+         "sweep log 0 'synthetic' trace_count must be an integer, got '5'"),
         ({"logs": [{"synthetic": {"trace_cout": 5}}]}, "sweep log 0 'synthetic': unknown key 'trace_cout'"),
         ({"logs": [{"synthetic": {"trace_count": 5, "n_variants": True}}]},
-         "sweep log 0 'synthetic' 'n_variants' must be an integer or null, got True"),
+         "sweep log 0 'synthetic' n_variants must be an integer or null, got True"),
         ({"logs": [{"synthetic": {"trace_count": 5, "zipf_exponent": "1"}}]},
-         "sweep log 0 'synthetic' 'zipf_exponent' must be a number, got '1'"),
+         "sweep log 0 'synthetic' zipf_exponent must be a number, got '1'"),
         ({"logs": [{"synthetic": {"trace_count": 5, "duration_log_sigma": -1}}]},
          "duration_log_sigma must be non-negative, got -1"),
         ({"logs": [{"profile": "skewed", "gen_seed": -1}]}, "sweep log 'skewed': gen_seed must be non-negative"),

@@ -1,6 +1,8 @@
 """The contract of the package's records: how each is built, compared and
 (not) changed. It names fields and defaults itself, so it holds for any
 implementation of the records."""
+import re
+
 import pytest
 
 from dpdfg import AggregationKind, ColumnMapping, EventLog, RiskParams, UtilityParams
@@ -155,3 +157,48 @@ def test_replace_fills_in_derived_fields_again():
 def test_event_log_replace_keeps_its_case_count():
     log = EventLog({"a": (("A", 0),), "b": (("B", 1),)})
     assert len(log) == 2 and len(log._replace(traces={"c": ()})) == 1
+
+
+# The records that check their fields' kinds from a `_kinds` table.
+KIND_CHECKED = ["DisclosureRequest", "RiskParams", "SyntheticLogSpec", "UtilityParams"]
+
+
+@pytest.mark.parametrize("name", KIND_CHECKED)
+def test_record_rejects_a_value_of_the_wrong_kind_in_each_field(name):
+    cls, required, _ = RECORDS[name]
+    # Every field is checked, in field order, so a bad field is the one named.
+    assert list(cls._kinds) == list(cls._fields)
+    record, bad = cls(**required), object()
+    for field in cls._kinds:
+        message = f"^{field} must be an? [A-Za-z ]+, got {re.escape(repr(bad))}$"
+        values = [bad if f == field else v for f, v in zip(cls._fields, record)]
+        for build in (lambda: cls(**{**required, field: bad}), lambda: cls._make(values),
+                      lambda: record._replace(**{field: bad})):
+            with pytest.raises(TypeError, match=message):
+                build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: DisclosureRequest("P2", MAX, utility=UtilityParams(0.3)), "mode must be a Mode, got 'P2'"),
+    (lambda: DisclosureRequest(Mode.P1, "max", risk=RiskParams(0.4)),
+     "aggregation must be an AggregationKind, got 'max'"),
+    (lambda: DisclosureRequest(Mode.P1, MAX, risk=0.4), "risk must be a RiskParams, got 0.4"),
+    (lambda: DisclosureRequest(Mode.P2, MAX, utility=0.3), "utility must be a UtilityParams, got 0.3"),
+    (lambda: RiskParams("0.4"), "delta must be a number, got '0.4'"),
+    (lambda: SweepSpec(**RECORDS["SweepSpec"][1], aggregations=("max",)), "aggregation must be an AggregationKind, got 'max'"),
+], ids=["mode", "aggregation", "risk", "utility", "risk-delta", "sweep-aggregation"])
+def test_fields_of_the_wrong_kind_fail_when_built(build, message):
+    # Each of these once built and failed later, or raised a TypeError
+    # that named no field.
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_a_field_whose_default_is_none_may_be_none():
+    request = DisclosureRequest(Mode.P2, MAX, None, UtilityParams(0.3), None, time_unit=None)
+    assert request.precision == DEFAULT_PRECISION
+    with pytest.raises(TypeError, match="^seed must be an integer, got None$"):
+        request._replace(seed=None)
+    with pytest.raises(TypeError, match="^n_variants must be an integer or null, got 2.5$"):
+        SyntheticLogSpec(5, n_variants=2.5)
+    assert SyntheticLogSpec(5, n_variants=None).n_variants is None

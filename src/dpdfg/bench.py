@@ -97,7 +97,9 @@ def generate_log(spec: SyntheticLogSpec, seed: int) -> EventLog:
     """Deterministically generate an event log.
 
     ``seed`` must be non-negative: ``random.Random`` seeds -3 as it seeds 3.
-    A log with a timestamp past int64 nanoseconds raises ``ValueError``.
+    A log with a timestamp past int64 nanoseconds raises ``ValueError``; so
+    does a gap that long on its own, which the error blames on the knobs
+    that drew it (an infinite one would fail to round).
     """
     if seed < 0:
         raise ValueError(f"generation seed must be non-negative, got {seed}")
@@ -114,6 +116,9 @@ def generate_log(spec: SyntheticLogSpec, seed: int) -> EventLog:
 
     traces: dict[str, tuple[tuple[str, int], ...]] = {}
     hour_ns = NS_PER_UNIT["h"]
+    # The knobs that made a gap, for the error of one too long to store.
+    lognormal = f"duration_log_mean {spec.duration_log_mean} and duration_log_sigma {spec.duration_log_sigma}"
+    stretched = f"outlier_multiplier {spec.outlier_multiplier}"
     for idx, variant_idx in enumerate(assignment):
         sequence = variants[variant_idx]
         # One case starts per day, which keeps about 100,000 cases inside
@@ -123,10 +128,21 @@ def generate_log(spec: SyntheticLogSpec, seed: int) -> EventLog:
         events = [(sequence[0], start_ns)]
         now = start_ns
         for cur in sequence[1:]:
-            gap_h = rng.lognormvariate(spec.duration_log_mean, spec.duration_log_sigma)
-            if spec.outlier_rate > 0.0 and rng.random() < spec.outlier_rate:
-                gap_h *= spec.outlier_multiplier
-            now += round(gap_h * hour_ns)
+            knob = lognormal
+            try:
+                gap_h = rng.lognormvariate(spec.duration_log_mean, spec.duration_log_sigma)
+            except OverflowError:  # exp() of a draw past the float range
+                gap_h = math.inf
+            else:
+                if spec.outlier_rate > 0.0 and rng.random() < spec.outlier_rate:
+                    gap_h *= spec.outlier_multiplier
+                    knob = stretched
+            gap_ns = gap_h * hour_ns
+            # Such a gap is infinite, or ends its case past int64 on its own.
+            if not gap_ns < 2**63:
+                raise ValueError(f"case c{idx:05d}: a gap of {gap_h} h from {knob} is past the int64 limit of "
+                                 f"{2**63 - 1} ns")
+            now += round(gap_ns)
             events.append((cur, now))
         # No gap is negative, so a case's last event is its latest.
         if now >= 2**63:
@@ -176,6 +192,7 @@ class LogSource(_Checked, _LogSource):
     subclass whose ``load`` finds the log itself may have neither."""
 
     __slots__ = ()
+    _kinds = {"name": str, "path": str, "synthetic": SyntheticLogSpec, "gen_seed": int}
 
     def _checked(self) -> LogSource:
         if self.path is not None and self.synthetic is not None:
@@ -211,6 +228,9 @@ class SweepSpec(_Checked, _SweepSpec):
     any value given for it."""
 
     __slots__ = ()
+    _kinds = {"logs": tuple[LogSource, ...], "deltas": tuple[_NUMBER, ...], "mapes": tuple[_NUMBER, ...],
+              "aggregations": tuple[AggregationKind, ...], "runs": int, "seed": int, "precision": _NUMBER,
+              "beta": _NUMBER, "include_boundary_time": bool, "requests": tuple[DisclosureRequest, ...]}
 
     def _checked(self) -> SweepSpec:
         if not self.logs:
@@ -268,10 +288,11 @@ _LOG_KEYS = {
     "path": {"path", "name"},
     "synthetic": {"synthetic", "name", "gen_seed"},
 }
-# The type of each config and log entry value that the sweep's classes do
-# not check themselves.
-_CONFIG_TYPES = {"deltas": [_NUMBER], "mapes": [_NUMBER], "aggregations": [str], "include_boundary_time": bool,
-                 "precision": _NUMBER, "beta": _NUMBER}
+# The kinds checked in the config itself, where the message can say where
+# a bad value sits: the lists, which become tuples (and aggregation names
+# AggregationKinds) before the records see them, and each log entry's
+# values. The records check the rest of their fields.
+_CONFIG_TYPES = {"deltas": [_NUMBER], "mapes": [_NUMBER], "aggregations": [str]}
 _LOG_TYPES = {"profile": str, "path": str, "synthetic": dict, "name": str, "traces": int, "gen_seed": int}
 
 

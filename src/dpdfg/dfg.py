@@ -8,6 +8,7 @@ from __future__ import annotations
 import enum
 import functools
 import operator
+from collections import defaultdict
 from typing import Iterable, NamedTuple
 
 from .eventlog import NS_PER_UNIT, START_END, EventLog, _check_choice, collector_paused
@@ -77,8 +78,7 @@ def build_dfg(log: EventLog) -> Dfg:
     trace also contributes a zero-duration occurrence to the virtual
     ("--", first) and (last, "--") edges.
     """
-    occurrences: dict[tuple[str, str], list[float]] = {}
-    lookup = occurrences.get
+    occurrences: defaultdict[tuple[str, str], list[float]] = defaultdict(list)
     traces = log.traces
     for case_id in sorted(traces):
         events = traces[case_id]
@@ -89,13 +89,9 @@ def build_dfg(log: EventLog) -> Dfg:
         for activity, ts in events:
             if ts < prev_ts:
                 raise ValueError(f"trace {case_id!r}: events not sorted by timestamp")
-            durations = lookup((prev_activity, activity))
-            if durations is None:
-                occurrences[prev_activity, activity] = [float(ts - prev_ts)]
-            else:
-                durations.append(float(ts - prev_ts))
+            occurrences[prev_activity, activity].append(float(ts - prev_ts))
             prev_activity, prev_ts = activity, ts
-        occurrences.setdefault((prev_activity, START_END), []).append(0.0)
+        occurrences[prev_activity, START_END].append(0.0)
 
     edges = {key: DfgEdge(key[0], key[1], tuple(vals)) for key, vals in occurrences.items()}
     # Each event is the target of exactly one edge.

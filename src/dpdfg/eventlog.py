@@ -17,7 +17,7 @@ from datetime import datetime, timedelta, timezone
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from itertools import repeat
 from pathlib import Path
-from types import SimpleNamespace
+from types import GenericAlias, SimpleNamespace
 from typing import Collection, NamedTuple
 
 START_END = "--"
@@ -50,8 +50,8 @@ class IngestError(Exception):
     """Raised when an event-log source cannot be parsed."""
 
 
-# A field's kind is a type, a tuple of types, or [kind] for a list of
-# kind; a bool is no number.
+# A field's kind is a type, a tuple of types, [kind] for a list of kind,
+# or tuple[kind, ...] for a tuple of kind; a bool is no number.
 _NUMBER = (int, float)
 _INT_OR_NULL = (int, type(None))
 _TYPE_NAMES = {list: "a list", bool: "a bool", str: "a string", int: "an integer", dict: "an object", _NUMBER: "a number",
@@ -59,10 +59,11 @@ _TYPE_NAMES = {list: "a list", bool: "a bool", str: "a string", int: "an integer
 
 
 def _check_type(what: str, value, kind) -> None:
-    if isinstance(kind, list):
-        _check_type(what, value, list)
+    if isinstance(kind, (list, GenericAlias)):
+        container, item_kind = (list, kind[0]) if isinstance(kind, list) else (kind.__origin__, kind.__args__[0])
+        _check_type(what, value, container)
         for item in value:
-            _check_type(f"{what} item", item, kind[0])
+            _check_type(f"{what} item", item, item_kind)
     elif not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
         name = _TYPE_NAMES.get(kind) or f"{'an' if kind.__name__[0] in 'AEIO' else 'a'} {kind.__name__}"
         raise TypeError(f"{what} must be {name}, got {value!r}")
@@ -228,8 +229,11 @@ def _validate_activity(activity: str, where: str) -> str:
 
 
 def _sorted_log(by_case: dict[str, list[tuple[str, int]]]) -> EventLog:
-    # sorted() is stable: equal timestamps keep their input order.
-    return EventLog({case_id: tuple(sorted(events, key=_BY_TIME)) for case_id, events in by_case.items()})
+    # Each case's list is sorted in place, and stably: equal timestamps keep
+    # their input order.
+    for events in by_case.values():
+        events.sort(key=_BY_TIME)
+    return EventLog({case_id: tuple(events) for case_id, events in by_case.items()})
 
 
 def _as_text(source) -> io.TextIOBase:
@@ -301,16 +305,18 @@ def _timestamps_ns(texts, fmt: str, unit: str, first_row: int) -> list[int]:
 
 
 def _add_events(
-    by_case: dict[str, list[tuple[str, int]]], pending: tuple[list, ...], last_row: int, fmt: str, unit: str
+    by_case: dict[str, list[tuple[str, int]]], labels: dict[str, str], pending: tuple[list, ...], last_row: int,
+    fmt: str, unit: str
 ) -> None:
     """Add the events of the rows in ``pending``, its case ids, activities
     and timestamp texts, which end at row ``last_row``, to ``by_case``, and
-    empty ``pending``."""
+    empty ``pending``. Each activity is stored as the one string ``labels``
+    holds for its text."""
     cases, activities, texts = pending
     if not texts:
         return
     stamps = _timestamps_ns(texts, fmt, unit, last_row - len(texts) + 1)
-    for case_id, event in zip(cases, zip(activities, stamps)):
+    for case_id, event in zip(cases, zip(map(labels.setdefault, activities, activities), stamps)):
         by_case[case_id].append(event)
     for column in pending:
         column.clear()
@@ -347,6 +353,9 @@ def parse_csv(source, mapping: ColumnMapping | None = None) -> EventLog:
         fmt, unit = mapping.timestamp_format, mapping.number_unit
 
         by_case: defaultdict[str, list[tuple[str, int]]] = defaultdict(list)
+        # One string per distinct activity label, so a log of 10**6 events
+        # over tens of labels holds tens of label strings.
+        labels: dict[str, str] = {}
         # The rows read since the events were last added, one list per field.
         pending = cases, activities, texts = [], [], []
         row_no = 1
@@ -362,7 +371,7 @@ def parse_csv(source, mapping: ColumnMapping | None = None) -> EventLog:
                 ts_text = row[ts_i].strip()
                 if not (case_id and activity and ts_text) or activity == START_END:
                     # A bad timestamp in an earlier row is reported first.
-                    _add_events(by_case, pending, row_no - 1, fmt, unit)
+                    _add_events(by_case, labels, pending, row_no - 1, fmt, unit)
                     if not case_id:
                         raise IngestError(f"row {row_no}: empty case id")
                     _validate_activity(activity, f"row {row_no}")
@@ -371,12 +380,12 @@ def parse_csv(source, mapping: ColumnMapping | None = None) -> EventLog:
                 activities.append(activity)
                 texts.append(ts_text)
                 if len(texts) == _CHUNK:
-                    _add_events(by_case, pending, row_no, fmt, unit)
+                    _add_events(by_case, labels, pending, row_no, fmt, unit)
         except (csv.Error, UnicodeDecodeError):
             # A bad timestamp in a row read before the error is reported first.
-            _add_events(by_case, pending, row_no, fmt, unit)
+            _add_events(by_case, labels, pending, row_no, fmt, unit)
             raise
-        _add_events(by_case, pending, row_no, fmt, unit)
+        _add_events(by_case, labels, pending, row_no, fmt, unit)
     return _sorted_log(by_case)
 
 
@@ -437,6 +446,8 @@ def parse_xes(source) -> EventLog:
 
     # Traces that share a concept:name merge; a trace without events adds no case.
     by_case: defaultdict[str, list[tuple[str, int]]] = defaultdict(list)
+    # One string per distinct activity label, as in parse_csv.
+    labels: dict[str, str] = {}
     for trace_no, elem in enumerate(_children(root, "trace"), start=1):
         case_id = next(
             (c.get("value") or "" for c in _children(elem, "string") if c.get("key") == "concept:name"), ""
@@ -464,7 +475,7 @@ def parse_xes(source) -> EventLog:
             if ts is None:
                 raise IngestError(f"{where}: missing timestamp")
             _validate_activity(activity, where)
-            by_case[case_id].append((activity, ts))
+            by_case[case_id].append((labels.setdefault(activity, activity), ts))
     return _sorted_log(by_case)
 
 

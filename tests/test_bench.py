@@ -300,7 +300,8 @@ def test_sweep_spec_from_dict_rejects_values_it_cannot_use():
     for key, value in (("deltas", 0.4), ("mapes", 0.3), ("aggregations", "max")):
         with pytest.raises(TypeError, match=f"^sweep config '{key}' must be a list, got {value!r}$"):
             SweepSpec.from_dict({"logs": logs, key: value})
-    with pytest.raises(TypeError, match="^sweep config 'include_boundary_time' must be a bool, got 'no'$"):
+    # A value the spec holds as the config gives it is checked by the spec.
+    with pytest.raises(TypeError, match="^include_boundary_time must be a bool, got 'no'$"):
         SweepSpec.from_dict({"logs": logs, "include_boundary_time": "no"})
     for key, value in (("seed", "abc"), ("seed", 1.5), ("seed", True), ("runs", 2.5)):
         with pytest.raises(TypeError, match=f"^{key} must be an integer, got {value!r}$"):
@@ -332,6 +333,29 @@ def test_generate_log_stops_at_the_int64_limit():
     assert row["error"] == (
         "ERROR: case c106752 ends at 9223374269657994906 ns, past the int64 limit of 9223372036854775807 ns"
     )
+
+
+def test_generate_log_refuses_a_gap_too_long_to_store():
+    # Every knob passes the spec's checks, but a gap is infinite in
+    # nanoseconds and once failed to round with an OverflowError. The error
+    # names the knob that drew it, and a sweep reports the log as failed.
+    spec = SyntheticLogSpec(5, outlier_rate=1.0, outlier_multiplier=1e308)
+    limit = "is past the int64 limit of 9223372036854775807 ns$"
+    with pytest.raises(ValueError, match=rf"^case c00000: a gap of \S+ h from outlier_multiplier 1e\+308 {limit}"):
+        generate_log(spec, 1)
+    # exp() of the lognormal draw overflows.
+    with pytest.raises(ValueError, match=f"^case c00000: a gap of inf h from duration_log_mean 1000.0 and "
+                                         f"duration_log_sigma 1.0 {limit}"):
+        generate_log(SyntheticLogSpec(5, duration_log_mean=1000.0), 1)
+    # A finite gap past int64 on its own is refused as it is drawn.
+    with pytest.raises(ValueError, match=rf"^case c00000: a gap of \S+ h from duration_log_mean 20 and "
+                                         rf"duration_log_sigma 1.0 {limit}"):
+        generate_log(SyntheticLogSpec(5, duration_log_mean=20), 1)
+    source = LogSource("stretched", synthetic=spec, gen_seed=1)
+    grid = run_sweep(SweepSpec(logs=(source,), deltas=(0.4,), mapes=(0.3,), aggregations=(AggregationKind.FREQUENCY,)))
+    rows = rows_of(grid)
+    assert len(rows) == 2
+    assert all(row["error"].startswith("ERROR: case c00000: a gap of ") for row in rows)
 
 
 def test_synthetic_spec_rejects_non_finite_floats():

@@ -342,11 +342,11 @@ def test_cli_sweep_rejects_duplicate_log_names(clinic_path, tmp_path, capsys):
         ({"runs": 2.5}, "runs must be an integer, got 2.5"),
         ({"delta": [0.4]}, "sweep config: unknown key 'delta'"),
         ({"logs": [{"profile": "unique", "trace": 5}]}, "sweep log 0: unknown key 'trace'"),
-        ({"include_boundary_time": "no"}, "'include_boundary_time' must be a bool, got 'no'"),
+        ({"include_boundary_time": "no"}, "include_boundary_time must be a bool, got 'no'"),
         ({"deltas": ["0.4"]}, "sweep config 'deltas' item must be a number, got '0.4'"),
         ({"mapes": [True]}, "sweep config 'mapes' item must be a number, got True"),
         ({"aggregations": [5]}, "sweep config 'aggregations' item must be a string, got 5"),
-        ({"precision": "0.5"}, "sweep config 'precision' must be a number, got '0.5'"),
+        ({"precision": "0.5"}, "precision must be a number, got '0.5'"),
         ({"logs": [{"path": 5}]}, "sweep log 0 'path' must be a string, got 5"),
         ({"logs": [{"profile": "skewed", "gen_seed": "x"}]}, "sweep log 0 'gen_seed' must be an integer, got 'x'"),
         ({"logs": [{"profile": "skewed", "traces": True}]}, "sweep log 0 'traces' must be an integer, got True"),

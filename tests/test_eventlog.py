@@ -917,6 +917,44 @@ def test_every_ingest_path_yields_activity_timestamp_pairs_in_stable_time_order(
         build_dfg(EventLog({"c1": (("A", 2), ("B", 1))}))
 
 
+def _labels(log: EventLog) -> list[str]:
+    return [activity for events in log.traces.values() for activity, _ in events]
+
+
+def test_every_ingest_path_keeps_one_string_per_activity_label():
+    # Labels of more than one character: CPython keeps a single copy of
+    # each one-character string whoever makes it.
+    rows = [row.replace(",", ",task ", 1) for row in ROWS]
+    text = _csv(rows)
+    expected = parse_csv_reference(text)
+    # The oracle keeps one string per event, so the check below can fail.
+    assert len({id(a) for a in _labels(expected)}) > len(set(_labels(expected)))
+    logs = {
+        "csv-str": parse_csv(text),
+        "csv-bytes": parse_csv(text.encode()),
+        "xes": parse_xes(_xes(rows)),
+        "canonical": parse_csv(to_canonical_csv(expected), CANONICAL_MAPPING),
+    }
+    for name, log in logs.items():
+        labels = _labels(log)
+        assert len(labels) == 3 * _CHUNK + 1, name
+        assert len({id(a) for a in labels}) == len(set(labels)) == 5, name
+        assert log == expected, name
+
+    # The DFG does not depend on the labels being shared.
+    log = logs["csv-str"]
+    fresh = EventLog({
+        case_id: tuple(((activity + ".")[:-1], ts) for activity, ts in events)
+        for case_id, events in log.traces.items()
+    })
+    assert len({id(a) for a in _labels(fresh)}) == len(_labels(fresh))
+    assert build_dfg(fresh) == build_dfg(log)
+
+    unsorted = EventLog({**fresh.traces, "c99": (("task A", 5), ("task B", 1))})
+    with pytest.raises(ValueError, match="^trace 'c99': events not sorted by timestamp$"):
+        build_dfg(unsorted)
+
+
 def test_column_mapping_rejects_an_unknown_timestamp_format():
     with pytest.raises(ValueError, match="^unknown timestamp format 'bogus'; expected one of auto, iso, number$"):
         ColumnMapping(timestamp_format="bogus")

@@ -160,7 +160,7 @@ def test_event_log_replace_keeps_its_case_count():
 
 
 # The records that check their fields' kinds from a `_kinds` table.
-KIND_CHECKED = ["DisclosureRequest", "RiskParams", "SyntheticLogSpec", "UtilityParams"]
+KIND_CHECKED = ["DisclosureRequest", "LogSource", "RiskParams", "SweepSpec", "SyntheticLogSpec", "UtilityParams"]
 
 
 @pytest.mark.parametrize("name", KIND_CHECKED)
@@ -185,8 +185,13 @@ def test_record_rejects_a_value_of_the_wrong_kind_in_each_field(name):
     (lambda: DisclosureRequest(Mode.P1, MAX, risk=0.4), "risk must be a RiskParams, got 0.4"),
     (lambda: DisclosureRequest(Mode.P2, MAX, utility=0.3), "utility must be a UtilityParams, got 0.3"),
     (lambda: RiskParams("0.4"), "delta must be a number, got '0.4'"),
-    (lambda: SweepSpec(**RECORDS["SweepSpec"][1], aggregations=("max",)), "aggregation must be an AggregationKind, got 'max'"),
-], ids=["mode", "aggregation", "risk", "utility", "risk-delta", "sweep-aggregation"])
+    (lambda: SweepSpec(**RECORDS["SweepSpec"][1], aggregations=("max",)),
+     "aggregations item must be an AggregationKind, got 'max'"),
+    (lambda: LogSource(name=3, path=5), "name must be a string, got 3"),
+    (lambda: SweepSpec(logs=("a.csv",)), "logs item must be a LogSource, got 'a.csv'"),
+    (lambda: SweepSpec(**RECORDS["SweepSpec"][1], deltas=0.1), "deltas must be a tuple, got 0.1"),
+], ids=["mode", "aggregation", "risk", "utility", "risk-delta", "sweep-aggregation", "log-source-name", "sweep-log-path",
+        "sweep-deltas"])
 def test_fields_of_the_wrong_kind_fail_when_built(build, message):
     # Each of these once built and failed later, or raised a TypeError
     # that named no field.

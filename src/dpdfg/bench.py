@@ -218,19 +218,16 @@ class _SweepSpec(NamedTuple):
     precision: float = DEFAULT_PRECISION
     beta: float = DEFAULT_BETA
     include_boundary_time: bool = False
-    requests: tuple[DisclosureRequest, ...] = ()
 
 
 class SweepSpec(_Checked, _SweepSpec):
-    """A sweep's logs, grid and shared parameters. ``requests`` holds the
-    request of each grid cell, in row order: it is built (and so checked)
-    from the other fields with the spec, before any log loads, in place of
-    any value given for it."""
+    """A sweep's logs, grid and shared parameters. Building the spec builds
+    (and so checks) its cells' :meth:`requests`, before any log loads."""
 
     __slots__ = ()
     _kinds = {"logs": tuple[LogSource, ...], "deltas": tuple[_NUMBER, ...], "mapes": tuple[_NUMBER, ...],
               "aggregations": tuple[AggregationKind, ...], "runs": int, "seed": int, "precision": _NUMBER,
-              "beta": _NUMBER, "include_boundary_time": bool, "requests": tuple[DisclosureRequest, ...]}
+              "beta": _NUMBER, "include_boundary_time": bool}
 
     def _checked(self) -> SweepSpec:
         if not self.logs:
@@ -245,33 +242,33 @@ class SweepSpec(_Checked, _SweepSpec):
         duplicates = sorted({name for name in names if names.count(name) > 1})
         if duplicates:
             raise ValueError(f"sweep log names must be unique, repeated: {', '.join(duplicates)}")
-        params = [(Mode.P1, delta) for delta in self.deltas] + [(Mode.P2, target) for target in self.mapes]
-        requests = tuple(
-            DisclosureRequest(
-                mode=mode,
-                aggregation=aggregation,
-                risk=RiskParams(param, self.precision) if mode is Mode.P1 else None,
-                utility=None if mode is Mode.P1 else UtilityParams(param, self.beta),
-                precision=self.precision,
-                seed=self.seed,
-                runs=self.runs,
-                include_boundary_time=self.include_boundary_time,
-            )
-            for aggregation in self.aggregations
-            for mode, param in params
-        )
+        self.requests()
         for source in self.logs:
             if source.synthetic is not None:
                 key, seed = ("gen_seed", source.gen_seed) if source.gen_seed is not None else ("seed", self.seed)
                 if seed < 0:
                     raise ValueError(f"sweep log {source.name!r}: {key} must be non-negative to generate it, got {seed}")
-        return self._filled(requests=requests)
+        return self
+
+    def requests(self) -> tuple[DisclosureRequest, ...]:
+        """The request of each grid cell, in row order: per aggregation, one
+        P1 request per delta, then one P2 request per error target."""
+        params = [(Mode.P1, delta) for delta in self.deltas] + [(Mode.P2, target) for target in self.mapes]
+        return tuple(
+            DisclosureRequest(
+                mode, aggregation, risk=RiskParams(param, self.precision) if mode is Mode.P1 else None,
+                utility=None if mode is Mode.P1 else UtilityParams(param, self.beta), precision=self.precision,
+                seed=self.seed, runs=self.runs, include_boundary_time=self.include_boundary_time,
+            )
+            for aggregation in self.aggregations
+            for mode, param in params
+        )
 
     @classmethod
     def from_dict(cls, config: dict) -> "SweepSpec":
         if not isinstance(config, dict) or not isinstance(config.get("logs"), list):
             raise ValueError("sweep config must be an object with a 'logs' list")
-        _check_keys("sweep config", config, set(cls._fields) - {"requests"})
+        _check_keys("sweep config", config, set(cls._fields))
         _check_types("sweep config", config, _CONFIG_TYPES)
         kwargs = {key: value for key, value in config.items() if key != "logs"}
         for key in ("deltas", "mapes"):
@@ -374,6 +371,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> str:
     ``threads`` is accepted for compatibility and ignored: cells are
     evaluated serially.
     """
+    requests = spec.requests()
     draws: dict = {}
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -384,7 +382,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> str:
         except Exception as exc:
             dfg, failure = None, exc
         prepared = None
-        for request in spec.requests:
+        for request in requests:
             param = request.risk.delta if request.mode is Mode.P1 else request.utility.mape_target
             row = [source.name, request.aggregation.value, request.mode.value, repr(param)]
             error = failure

@@ -74,7 +74,7 @@ class _Checked:
     on every build: a call of the class, ``_make``, and so ``_replace``.
     Each field in the class's ``_kinds`` holds a value of its kind, or None
     if None is its default; then the record's ``_checked`` raises on a bad
-    field and returns the record, with any field it fills in."""
+    field and returns the record, or the ``_replace`` that fills one in."""
 
     __slots__ = ()
     _kinds: dict = {}
@@ -91,11 +91,6 @@ class _Checked:
             if (value := getattr(self, name)) is not None or self._field_defaults.get(name, 0) is not None:
                 _check_type(name, value, kind)
         return self._checked()
-
-    def _filled(self, **values):
-        """This record with ``values`` in place of those fields, unchecked:
-        how ``_checked`` fills in a field."""
-        return tuple.__new__(type(self), map(values.pop, self._fields, self))
 
 
 class _EventLog(NamedTuple):

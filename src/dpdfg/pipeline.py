@@ -85,7 +85,7 @@ class DisclosureRequest(_Checked, _DisclosureRequest):
                 f"precision {self.precision} disagrees with risk.precision {self.risk.precision}"
             )
         if self.precision is None:
-            self = self._filled(precision=self.risk.precision if self.risk is not None else DEFAULT_PRECISION)
+            return self._replace(precision=self.risk.precision if self.risk is not None else DEFAULT_PRECISION)
         if not 0.0 <= self.precision <= 1.0:
             raise ValueError(f"precision must be in [0,1], got {self.precision}")
         if self.time_unit is not None:

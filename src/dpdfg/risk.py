@@ -66,6 +66,8 @@ def epsilon_from_delta(prior: float, delta: float, r: float) -> float:
     """Largest epsilon keeping the guessing advantage at or below delta.
 
     Returns UNBOUNDED when delta + prior >= 1 (the bound holds with no noise).
+    A delta whose epsilon computes to zero or less (about 1e-17 and below)
+    raises ``ValueError``; the least positive float would make the noise infinite.
     """
     if not 0.0 < prior < 1.0:
         raise ValueError(f"prior must be in (0,1), got {prior}")
@@ -75,7 +77,10 @@ def epsilon_from_delta(prior: float, delta: float, r: float) -> float:
         raise ValueError(f"range must be positive, got {r}")
     if delta + prior >= 1.0:
         return UNBOUNDED
-    return -math.log((prior / (1.0 - prior)) * (1.0 / (delta + prior) - 1.0)) / r
+    epsilon = -math.log((prior / (1.0 - prior)) * (1.0 / (delta + prior) - 1.0)) / r
+    if epsilon <= 0.0:
+        raise ValueError(f"delta {delta} is too small: its epsilon computes to {epsilon}, not a positive number")
+    return epsilon
 
 
 def edge_priors(durations: Sequence[float], precision: float, r: float) -> tuple[float, ...]:

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from dpdfg import AggregationKind, build_dfg
+from dpdfg import AggregationKind, DisclosureRequest, Mode, RiskParams, UtilityParams, build_dfg
 from dpdfg.bench import (
     GRID_HEADER,
     LogSource,
@@ -120,6 +120,23 @@ def _one_log_spec(**kw):
     return SweepSpec(logs=(source,), **kw)
 
 
+def test_sweep_requests_are_the_grid_in_row_order():
+    freq, avg = AggregationKind.FREQUENCY, AggregationKind.AVG
+    spec = _one_log_spec(deltas=(0.2, 0.4), mapes=(0.3,), aggregations=(freq, avg), runs=3, seed=-2, precision=0.25,
+                         beta=0.1, include_boundary_time=True)
+    shared = {"precision": 0.25, "seed": -2, "runs": 3, "include_boundary_time": True}
+    assert spec.requests() == tuple(
+        DisclosureRequest(mode, kind, risk, utility, **shared)
+        for kind in (freq, avg)
+        for mode, risk, utility in (
+            (Mode.P1, RiskParams(0.2, 0.25), None),
+            (Mode.P1, RiskParams(0.4, 0.25), None),
+            (Mode.P2, None, UtilityParams(0.3, 0.1)),
+        )
+    )
+    assert [r.utility.mape_target for r in spec._replace(deltas=()).requests()] == [0.3, 0.3]
+
+
 def test_run_sweep_epsilon_from_known_delta():
     spec = _one_log_spec(deltas=(0.4,), mapes=(), aggregations=(AggregationKind.FREQUENCY,), runs=2)
     rows = rows_of(run_sweep(spec))
@@ -141,6 +158,15 @@ def test_run_sweep_row_count_and_order():
         ("frequency", "P1", "0.2"), ("frequency", "P1", "0.4"), ("frequency", "P2", "0.3"),
         ("max", "P1", "0.2"), ("max", "P1", "0.4"), ("max", "P2", "0.3"),
     ]
+
+
+def test_run_sweep_records_a_delta_too_small_as_an_error_row():
+    spec = _one_log_spec(deltas=(1e-17, 0.4), mapes=(), aggregations=(AggregationKind.FREQUENCY, AggregationKind.MAX))
+    rows = rows_of(run_sweep(spec))
+    assert [row["param"] for row in rows] == ["1e-17", "0.4"] * 2
+    for tiny, fine in (rows[:2], rows[2:]):
+        assert tiny["error"].startswith("ERROR: delta 1e-17 is too small: its epsilon computes to ")
+        assert not any(list(tiny.values())[4:-1]) and fine["error"] == ""
 
 
 def test_run_sweep_runs_do_not_change_calibration():
@@ -255,6 +281,9 @@ def test_sweep_spec_rejects_bad_config_before_any_log_loads():
     # Also when the grid has no P2 cell to use it.
     with pytest.raises(ValueError, match=r"^beta must be in \(0,1\), got 7$"):
         SweepSpec.from_dict({"logs": logs, "mapes": [], "beta": 7})
+    # And a P2-only grid checks its precision in each request.
+    with pytest.raises(ValueError, match=r"^precision must be in \[0,1\], got 1.5$"):
+        SweepSpec.from_dict({"logs": logs, "deltas": [], "precision": 1.5})
     for config in ([{"logs": logs}], {"logs": "ab.csv"}, {"deltas": [0.4]}):
         with pytest.raises(ValueError, match="^sweep config must be an object with a 'logs' list$"):
             SweepSpec.from_dict(config)

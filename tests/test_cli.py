@@ -129,6 +129,18 @@ def test_anonymize_error_target_that_overflows_an_edge_is_data_error(capsys):
     assert captured.err == "dpdfg: error: edge weight 2.0 times error target 1e+308 is not finite\n"
 
 
+@pytest.mark.parametrize("delta", ["1e-17", "1e-300"])
+@pytest.mark.parametrize("agg", ["frequency", "max"])
+def test_anonymize_delta_too_small_for_an_epsilon_is_data_error(clinic_path, tmp_path, capsys, agg, delta):
+    out = tmp_path / "dfg.json"
+    assert main(["anonymize", "--input", str(clinic_path), "--agg", agg, "--delta", delta, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = f"delta {float(delta)} is too small: its epsilon computes to -0.0, not a positive number"
+    assert captured.err == f"dpdfg: error: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_determinism_across_runs_and_threads(clinic_path, tmp_path):
     outputs = []
     for threads, name in ((1, "a.json"), (1, "b.json"), (8, "c.json")):

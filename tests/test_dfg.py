@@ -192,6 +192,7 @@ def test_choose_time_unit_saturates_at_days():
 def test_choose_time_unit_degenerate_defaults_to_hours():
     dfg = build_dfg(_log("t,A,1\n"))
     assert choose_time_unit(dfg, AggregationKind.MAX) == "h"
+    assert choose_time_unit(Dfg(frozenset(), {}), AggregationKind.MAX) == "h"
 
 
 def _window_scan_unit(peak_ns: float) -> str:

@@ -336,12 +336,18 @@ def test_empty_dfg_rejected():
 
 
 def test_mode_mismatch_rejected():
-    with pytest.raises(ValueError):
-        DisclosureRequest(mode=Mode.P1, aggregation=FREQ)
-    with pytest.raises(ValueError):
-        DisclosureRequest(
-            mode=Mode.P1, aggregation=FREQ, risk=RiskParams(0.4), utility=UtilityParams(0.3)
-        )
+    p1_message = "^P1 requires risk parameters and no utility parameters$"
+    p2_message = "^P2 requires utility parameters and no risk parameters$"
+    for mode, params, message in (
+        (Mode.P1, {}, p1_message),
+        (Mode.P1, {"risk": RiskParams(0.4), "utility": UtilityParams(0.3)}, p1_message),
+        (Mode.P1, {"utility": UtilityParams(0.3)}, p1_message),
+        (Mode.P2, {}, p2_message),
+        (Mode.P2, {"risk": RiskParams(0.4), "utility": UtilityParams(0.3)}, p2_message),
+        (Mode.P2, {"risk": RiskParams(0.4)}, p2_message),
+    ):
+        with pytest.raises(ValueError, match=message):
+            DisclosureRequest(mode=mode, aggregation=FREQ, **params)
 
 
 def test_p2_utility_soundness_tail():
@@ -547,6 +553,30 @@ def test_p1_edge_delta_is_at_most_delta_exactly(clinic_dfg):
     assert edges == 20_940
 
 
+@pytest.mark.parametrize("delta", [1e-17, 1e-300])
+@pytest.mark.parametrize("kind", [FREQ, MAX])
+def test_p1_delta_too_small_for_an_epsilon_is_named(clinic_dfg, kind, delta):
+    # The error names the delta, not the epsilon it rounds to; 1e-16 still
+    # releases, with a positive epsilon on every edge.
+    with pytest.raises(ValueError, match=f"^delta {delta} is too small: its epsilon computes to -0.0, "):
+        disclose(clinic_dfg, p1(kind, delta))
+    _, report = disclose(clinic_dfg, p1(kind, 1e-16))
+    assert report.edges and all(e.epsilon > 0.0 for e in report.edges)
+
+
+def test_readme_library_example_runs(clinic_csv, tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Library use\n\n```python\n", 1)[1].split("```\n", 1)[0]
+    (tmp_path / "log.csv").write_text(clinic_csv, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(example, "README.md", "exec"), {})
+    first, report = capsys.readouterr().out.split("\n", 1)
+    overall_delta, median_epsilon = map(float, first.split())
+    report = json.loads(report)
+    assert (report["mode"], report["aggregation"], report["seed"]) == ("P1", "max", 7)
+    assert 0.0 < overall_delta <= 0.4 and median_epsilon > 0.0
+
+
 def _oracle_aggregate(values: list[float], kind: AggregationKind) -> float:
     if kind is AggregationKind.MIN:
         return min(values)
@@ -652,7 +682,7 @@ def test_shared_draw_memo_matches_fresh_draws_cell_by_cell():
         expected, draws, noised = [], {}, 0
         for source in spec.logs:
             dfg = build_dfg(source.load(spec.seed))
-            for request in spec.requests:
+            for request in spec.requests():
                 fresh = disclose(dfg, request)[1]
                 report = release(prepare(dfg, request), request, draws)
                 assert report == fresh, (source.name, request)
@@ -679,7 +709,7 @@ def test_shared_draw_memo_matches_fresh_draws_cell_by_cell():
         for row in grid[1:]:
             row[clock] = ""
         assert grid[1:] == expected
-        assert len(expected) == 2 * len(spec.requests) == 2 * 5 * 4
+        assert len(expected) == 2 * len(spec.requests()) == 2 * 5 * 4
         # Each stream is drawn once, however many cells scale it.
         assert 0 < sum(map(len, draws.values())) < noised
     assert degenerate > 0 and unbounded > 0

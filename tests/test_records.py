@@ -135,9 +135,12 @@ def test_report_fields_cannot_be_assigned():
     (lambda: UtilityParams(0.3)._replace(beta=0.0), "^beta must be in \\(0,1\\), got 0.0$"),
     (lambda: ColumnMapping()._replace(number_unit="weeks"), "^unknown time unit 'weeks'"),
     (lambda: P2._replace(runs=0), "^runs must be >= 1, got 0$"),
+    (lambda: P2._replace(precision=1.5), "^precision must be in \\[0,1\\], got 1.5$"),
+    (lambda: SweepSpec(**RECORDS["SweepSpec"][1], deltas=(1.5,)), "^delta must be in \\(0,1\\), got 1.5$"),
     (lambda: LogSource("x", path="x.csv")._replace(synthetic=SyntheticLogSpec(5)), "has both a path"),
     (lambda: SyntheticLogSpec(5)._replace(max_trace_len=1), "^trace length bounds"),
-], ids=["risk-replace", "risk-make", "utility", "mapping", "request", "log-source", "synthetic"])
+], ids=["risk-replace", "risk-make", "utility", "mapping", "request", "request-precision", "sweep-cell", "log-source",
+        "synthetic"])
 def test_replace_and_make_check_the_record(build, message):
     with pytest.raises(ValueError, match=message):
         build()
@@ -145,13 +148,15 @@ def test_replace_and_make_check_the_record(build, message):
 
 def test_replace_fills_in_derived_fields_again():
     # A request's unset precision is filled in from its risk; a sweep's
-    # requests are built from its other fields.
+    # requests are no field, but built from its fields on each call.
     request = DisclosureRequest(Mode.P1, MAX, RiskParams(0.4, 0.2))
     assert request.precision == 0.2
     assert request._replace(runs=3) == DisclosureRequest(Mode.P1, MAX, RiskParams(0.4, 0.2), runs=3)
     spec = SweepSpec(logs=(LogSource("clinic", path="clinic.csv"),), deltas=(0.4,), mapes=(), aggregations=(MAX,))
-    assert [r.runs for r in spec._replace(runs=2).requests] == [2]
-    assert SweepSpec(**{**spec._asdict(), "requests": ()}) == spec
+    assert [r.runs for r in spec._replace(runs=2).requests()] == [2]
+    assert "requests" not in SweepSpec._fields
+    with pytest.raises(TypeError, match="requests"):
+        SweepSpec(**{**spec._asdict(), "requests": ()})
 
 
 def test_event_log_replace_keeps_its_case_count():

@@ -139,6 +139,12 @@ def test_epsilon_from_delta_domain():
         epsilon_from_delta(1.0, 0.4, 1)
     with pytest.raises(ValueError):
         epsilon_from_delta(0.3, 0.4, 0.0)
+    # Below about 1e-17 the inversion rounds to an epsilon that is not positive.
+    for prior, delta, r, epsilon in ((0.5, 1e-17, 1.0, "-0.0"), (0.3, 1e-17, 2.0, "-1.1102230246251564e-16"),
+                                     (0.5, 1e-300, 1.0, "-0.0")):
+        with pytest.raises(ValueError, match=f"^delta {delta} is too small: its epsilon computes to {epsilon}, "):
+            epsilon_from_delta(prior, delta, r)
+    assert epsilon_from_delta(0.5, 1e-16, 1.0) == 4.440892098500627e-16
 
 
 def test_edge_epsilon_time_clinic_ac():

@@ -15,7 +15,6 @@ from collections import defaultdict
 from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
-from itertools import repeat
 from pathlib import Path
 from types import GenericAlias, SimpleNamespace
 from typing import Collection, NamedTuple
@@ -41,9 +40,7 @@ _ONE_US = timedelta(microseconds=1)
 # Products of a decimal and a unit are exact at this precision.
 _EXACT = Context(prec=MAX_PREC, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
 _BY_TIME = operator.itemgetter(1)
-# Rows whose timestamps parse_csv converts at once: enough to spread the
-# per-call cost, few enough to keep the peak memory of a large log flat.
-_CHUNK = 1_024
+_fromisoformat = datetime.fromisoformat
 
 
 class IngestError(Exception):
@@ -262,61 +259,6 @@ def _read_errors(text: io.TextIOBase, reader):
         raise
 
 
-def _timestamps_ns(texts, fmt: str, unit: str, first_row: int) -> list[int]:
-    """The :func:`parse_timestamp_ns` of each of ``texts``, the timestamps of
-    consecutive rows from ``first_row``; the first error names its row.
-
-    Where that call would read every text with ``datetime.fromisoformat``
-    and one epoch fits all the datetimes, the column is converted in one
-    pass; else, or if the pass fails, text by text.
-    """
-    if texts and fmt in ("auto", "iso") and (
-        fmt == "iso" or all(map(operator.contains, texts, repeat(":")))
-    ):
-        try:
-            dts = list(map(datetime.fromisoformat, texts))
-            # The first datetime picks the epoch, so a chunk of aware and
-            # naive datetimes raises TypeError.
-            epoch = _NAIVE_EPOCH if dts[0].tzinfo is None else _EPOCH
-            # A timedelta is normalised (0 <= seconds < 86400 and
-            # 0 <= microseconds < 10**6), so its fields give exactly
-            # parse_timestamp_ns's `// _ONE_US * 1_000` for either sign.
-            stamps = [
-                (gap.days * 86_400 + gap.seconds) * 1_000_000_000 + gap.microseconds * 1_000
-                for gap in map(operator.sub, dts, repeat(epoch))
-            ]
-        except (ValueError, TypeError):
-            pass
-        else:
-            if -(2**63) <= min(stamps) and max(stamps) < 2**63:
-                return stamps
-    stamps = []
-    for row_no, text in enumerate(texts, first_row):
-        try:
-            stamps.append(parse_timestamp_ns(text, fmt, unit))
-        except IngestError as exc:
-            raise IngestError(f"row {row_no}: {exc}") from None
-    return stamps
-
-
-def _add_events(
-    by_case: dict[str, list[tuple[str, int]]], labels: dict[str, str], pending: tuple[list, ...], last_row: int,
-    fmt: str, unit: str
-) -> None:
-    """Add the events of the rows in ``pending``, its case ids, activities
-    and timestamp texts, which end at row ``last_row``, to ``by_case``, and
-    empty ``pending``. Each activity is stored as the one string ``labels``
-    holds for its text."""
-    cases, activities, texts = pending
-    if not texts:
-        return
-    stamps = _timestamps_ns(texts, fmt, unit, last_row - len(texts) + 1)
-    for case_id, event in zip(cases, zip(map(labels.setdefault, activities, activities), stamps)):
-        by_case[case_id].append(event)
-    for column in pending:
-        column.clear()
-
-
 @collector_paused
 def parse_csv(source, mapping: ColumnMapping | None = None) -> EventLog:
     """Parse a comma-separated event log into a normalized :class:`EventLog`.
@@ -326,10 +268,10 @@ def parse_csv(source, mapping: ColumnMapping | None = None) -> EventLog:
     of a short row read as empty, and a repeated header name reads its last
     column. Lines may end in LF, CRLF or CR. Bytes that are
     not UTF-8, or a field longer than ``csv.field_size_limit()``, raise an
-    :class:`IngestError` that names the line. Timestamps are converted one
-    chunk of rows at a time, with :func:`parse_timestamp_ns` as the
-    per-value fallback and oracle, and errors are raised in row order.
-    :func:`parse_csv_reference` is the oracle.
+    :class:`IngestError` that names the line. Each row's timestamp is
+    converted as the row is read, so errors are raised in row order: ISO
+    text directly, the rest by :func:`parse_timestamp_ns`, which gives the
+    same value. :func:`parse_csv_reference` is the oracle.
     """
     mapping = mapping or ColumnMapping()
     text = _as_text(source)
@@ -346,41 +288,51 @@ def parse_csv(source, mapping: ColumnMapping | None = None) -> EventLog:
         case_i, activity_i, ts_i = (column[col] for col in mapped)
         width = len(header)
         fmt, unit = mapping.timestamp_format, mapping.number_unit
+        # parse_timestamp_ns reads text with datetime.fromisoformat if fmt is
+        # iso, or auto and the text holds ':'; the loop converts such text
+        # itself, without the call.
+        iso_only, iso_if_colon = fmt == "iso", fmt == "auto"
 
         by_case: defaultdict[str, list[tuple[str, int]]] = defaultdict(list)
         # One string per distinct activity label, so a log of 10**6 events
         # over tens of labels holds tens of label strings.
         labels: dict[str, str] = {}
-        # The rows read since the events were last added, one list per field.
-        pending = cases, activities, texts = [], [], []
+        label = labels.setdefault
         row_no = 1
-        try:
-            for row in rows:
-                if not row:
-                    continue
-                row_no += 1
-                if len(row) < width:
-                    row += [""] * (width - len(row))
-                case_id = row[case_i].strip()
-                activity = row[activity_i].strip()
-                ts_text = row[ts_i].strip()
-                if not (case_id and activity and ts_text) or activity == START_END:
-                    # A bad timestamp in an earlier row is reported first.
-                    _add_events(by_case, labels, pending, row_no - 1, fmt, unit)
-                    if not case_id:
-                        raise IngestError(f"row {row_no}: empty case id")
-                    _validate_activity(activity, f"row {row_no}")
-                    raise IngestError(f"row {row_no}: missing timestamp")
-                cases.append(case_id)
-                activities.append(activity)
-                texts.append(ts_text)
-                if len(texts) == _CHUNK:
-                    _add_events(by_case, labels, pending, row_no, fmt, unit)
-        except (csv.Error, UnicodeDecodeError):
-            # A bad timestamp in a row read before the error is reported first.
-            _add_events(by_case, labels, pending, row_no, fmt, unit)
-            raise
-        _add_events(by_case, labels, pending, row_no, fmt, unit)
+        for row in rows:
+            if not row:
+                continue
+            row_no += 1
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            case_id = row[case_i].strip()
+            activity = row[activity_i].strip()
+            ts_text = row[ts_i].strip()
+            if not (case_id and activity and ts_text) or activity == START_END:
+                if not case_id:
+                    raise IngestError(f"row {row_no}: empty case id")
+                _validate_activity(activity, f"row {row_no}")
+                raise IngestError(f"row {row_no}: missing timestamp")
+            ts = None
+            if iso_only or iso_if_colon and ":" in ts_text:
+                try:
+                    dt = _fromisoformat(ts_text)
+                except ValueError:
+                    pass
+                else:
+                    # A timedelta is normalised (0 <= seconds < 86400 and
+                    # 0 <= microseconds < 10**6), so its fields give exactly
+                    # parse_timestamp_ns's `// _ONE_US * 1_000` for either sign.
+                    gap = dt - (_NAIVE_EPOCH if dt.tzinfo is None else _EPOCH)
+                    ts = (gap.days * 86_400 + gap.seconds) * 1_000_000_000 + gap.microseconds * 1_000
+                    if not -(2**63) <= ts < 2**63:
+                        ts = None
+            if ts is None:
+                try:
+                    ts = parse_timestamp_ns(ts_text, fmt, unit)
+                except IngestError as exc:
+                    raise IngestError(f"row {row_no}: {exc}") from None
+            by_case[case_id].append((label(activity, activity), ts))
     return _sorted_log(by_case)
 
 

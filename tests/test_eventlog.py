@@ -23,7 +23,7 @@ from dpdfg import (
 )
 from dpdfg import eventlog
 from dpdfg.bench import generate_log, profile_spec
-from dpdfg.eventlog import _CHUNK, NS_PER_UNIT, _timestamps_ns, parse_csv_reference, parse_timestamp_ns
+from dpdfg.eventlog import NS_PER_UNIT, parse_csv_reference, parse_timestamp_ns
 
 HOUR_NS = NS_PER_UNIT["h"]
 UNKNOWN_UNIT = "unknown time unit 'fortnight'; expected one of ns, us, ms, s, min, h, d"
@@ -720,7 +720,7 @@ def test_parse_csv_edge_cases_equal_reference(text):
         assert _outcome(parse_csv, text, mapping) == _outcome(parse_csv_reference, text, mapping)
 
 
-def _chunk_rows(rows: int, seed: int) -> list[str]:
+def _iso_rows(rows: int, seed: int) -> list[str]:
     """``rows`` CSV rows over 40 cases, with naive ISO-8601 stamps to the
     microsecond."""
     rng = random.Random(seed)
@@ -744,54 +744,83 @@ ODD_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("size", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK])
+# Logs of about a thousand rows and of three thousand, each with an odd row
+# put first, last, or at one of two rows in the middle.
+@pytest.mark.parametrize("size", [1023, 1024, 1025, 3072])
 def test_parse_csv_equals_reference_across_chunks(size, monkeypatch):
-    rows = _chunk_rows(size, seed=size)
+    rows = _iso_rows(size, seed=size)
     expected = parse_csv_reference(_csv(rows))
-    # A log of ISO stamps is converted a chunk at a time, never text by
-    # text, in whatever unit its numbers would be read.
+    # A log of ISO stamps is converted in parse_csv's own loop, never by
+    # parse_timestamp_ns, in whatever unit its numbers would be read.
     with monkeypatch.context() as patch:
         patch.setattr(eventlog, "parse_timestamp_ns", None)
         for unit in NS_PER_UNIT:
             assert parse_csv(_csv(rows), ColumnMapping(number_unit=unit)) == expected
     assert parse_csv(_csv(rows).encode()) == expected
-    for position in {1, _CHUNK, _CHUNK + 1, size} & set(range(1, size + 1)):
+    for position in {1, 1024, 1025, size} & set(range(1, size + 1)):
         for odd in ODD_ROWS:
             text = _csv(rows[: position - 1] + [odd] + rows[position:])
             assert _outcome(parse_csv, text, None) == _outcome(parse_csv_reference, text, None)
+
+
+@pytest.mark.parametrize(
+    "odd, calls",
+    [("c1,A,1.5", 1), ("c1,A,2021-03-01T10:00:00.5", 0)],
+    ids=["one-numeric-stamp", "one-naive-stamp"],
+)
+def test_parse_csv_falls_back_for_the_odd_stamp_only(odd, calls, monkeypatch):
+    # Aware stamps, so that the odd row is the only naive one.
+    rows = [row + "Z" for row in _iso_rows(2500, seed=5)]
+    text = _csv(rows[:1500] + [odd] + rows[1500:])
+    expected = parse_csv_reference(text)
+    seen = []
+
+    def counting(*args):
+        seen.append(args)
+        return parse_timestamp_ns(*args)
+
+    monkeypatch.setattr(eventlog, "parse_timestamp_ns", counting)
+    assert parse_csv(text) == expected
+    assert len(seen) == calls
 
 
 @given(
     texts=st.lists(ISO_TIMESTAMPS, min_size=1, max_size=8) | st.lists(ANY_TIMESTAMP, max_size=8),
     fmt=st.sampled_from(["auto", "iso", "number"]),
     unit=st.sampled_from(["h", "ns"]),
-    first_row=st.integers(2, 10**6),
 )
 @settings(max_examples=400)
-# The int64-ns bounds, converted in one pass, and one microsecond outside each.
-@example(texts=["1677-09-21T00:12:43.145225Z", "2262-04-11T23:47:16.854775Z"], fmt="iso", unit="h", first_row=2)
-@example(texts=["1677-09-21T00:12:43.145224Z"], fmt="auto", unit="h", first_row=2)
-@example(texts=["2262-04-11T23:47:16.854776Z"], fmt="auto", unit="h", first_row=2)
+# The int64-ns bounds, and one microsecond outside each.
+@example(texts=["1677-09-21T00:12:43.145225Z", "2262-04-11T23:47:16.854775Z"], fmt="iso", unit="h")
+@example(texts=["1677-09-21T00:12:43.145224Z"], fmt="auto", unit="h")
+@example(texts=["2262-04-11T23:47:16.854776Z"], fmt="auto", unit="h")
 # Before the epoch with a fraction: negative days, positive seconds and microseconds.
-@example(texts=["1969-12-31T23:59:59.999999", "1969-12-31T23:59:59"], fmt="auto", unit="h", first_row=2)
+@example(texts=["1969-12-31T23:59:59.999999", "1969-12-31T23:59:59"], fmt="auto", unit="h")
 # An offset that moves the stamp across the epoch.
-@example(texts=["1970-01-01T00:30:00+01:00"], fmt="iso", unit="h", first_row=2)
-def test_timestamps_ns_equals_parse_timestamp_ns(texts, fmt, unit, first_row):
-    expected = []
-    for row_no, text in enumerate(texts, first_row):
+@example(texts=["1970-01-01T00:30:00+01:00"], fmt="iso", unit="h")
+def test_parse_csv_timestamps_equal_parse_timestamp_ns(texts, fmt, unit):
+    """``texts`` as the timestamps of one case's rows: parse_csv reads each
+    as parse_timestamp_ns does, or raises its first error with the row."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["case", "activity", "timestamp"])
+    writer.writerows(["c", "A", text] for text in texts)
+    stamps = []
+    for row_no, text in enumerate(texts, 2):
         try:
-            expected.append(parse_timestamp_ns(text, fmt, unit))
+            if not text.strip():
+                raise IngestError("missing timestamp")
+            stamps.append(parse_timestamp_ns(text, fmt, unit))
         except IngestError as exc:
-            expected = f"row {row_no}: {exc}"
+            expected = f"IngestError: row {row_no}: {exc}"
             break
-    try:
-        assert _timestamps_ns(texts, fmt, unit, first_row) == expected
-    except IngestError as exc:
-        assert str(exc) == expected
+    else:
+        expected = EventLog({"c": tuple(("A", ts) for ts in sorted(stamps))} if texts else {})
+    assert _outcome(parse_csv, out.getvalue(), ColumnMapping(timestamp_format=fmt, number_unit=unit)) == expected
 
 
 def _xes(rows: list[str]) -> str:
-    """The XES of CSV ``rows`` as :func:`_chunk_rows` writes them: one
+    """The XES of CSV ``rows`` as :func:`_iso_rows` writes them: one
     trace per row, merged by case id on parsing."""
     traces = []
     for row in rows:
@@ -804,8 +833,8 @@ def _xes(rows: list[str]) -> str:
     return "<log>" + "".join(traces) + "</log>"
 
 
-ROWS = _chunk_rows(3 * _CHUNK + 1, seed=11)
-BAD_AFTER_FIRST_CHUNK = ROWS[: _CHUNK + 5] + ["c1,A,noon"] + ROWS[_CHUNK + 5 :]
+ROWS = _iso_rows(3073, seed=11)
+BAD_MID_LOG = ROWS[:1029] + ["c1,A,noon"] + ROWS[1029:]
 
 
 # The code of each build, under the decorator that pauses the collector.
@@ -829,7 +858,7 @@ def _written(path: Path, text: str) -> Path:
     "build, argument, raises",
     [
         (parse_csv, lambda tmp: _csv(ROWS), None),
-        (parse_csv, lambda tmp: _csv(BAD_AFTER_FIRST_CHUNK), IngestError),
+        (parse_csv, lambda tmp: _csv(BAD_MID_LOG), IngestError),
         (parse_xes, lambda tmp: _xes(ROWS), None),
         (parse_xes, lambda tmp: _xes(ROWS)[:-1], IngestError),
         (build_dfg, lambda tmp: parse_csv(_csv(ROWS)), None),
@@ -937,7 +966,7 @@ def test_every_ingest_path_keeps_one_string_per_activity_label():
     }
     for name, log in logs.items():
         labels = _labels(log)
-        assert len(labels) == 3 * _CHUNK + 1, name
+        assert len(labels) == len(ROWS), name
         assert len({id(a) for a in labels}) == len(set(labels)) == 5, name
         assert log == expected, name
 

@@ -44,4 +44,4 @@ from .risk import (
 )
 from .utility import UtilityParams, alpha_per_edge, ape, epsilon_from_alpha, mape, smape
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"

@@ -7,6 +7,7 @@ import csv
 import io
 import math
 import random
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -340,7 +341,9 @@ def _se(values: list[float]) -> float:
 def _measure(prepared: PreparedDfg, request: DisclosureRequest, draws: dict) -> list[str]:
     """The measured columns of one grid row, from ``median_epsilon`` to an
     empty ``error``; ``draws`` is the sweep's memo of unit noise draws."""
+    started = time.perf_counter()
     report = release(prepared, request, draws)
+    runtime_ms = (time.perf_counter() - started) * 1e3
     return [
         show_epsilon(report.median_epsilon, repr),
         repr(report.mape),
@@ -349,7 +352,7 @@ def _measure(prepared: PreparedDfg, request: DisclosureRequest, draws: dict) -> 
         repr(_se(report.run_smapes)),
         repr(median(e.edge_delta for e in report.edges)),
         repr(report.overall_delta),
-        f"{report.runtime_ms:.3f}",
+        f"{runtime_ms:.3f}",
         "",
     ]
 

@@ -129,6 +129,8 @@ def post_process(noisy: float, kind: AggregationKind) -> float:
     so the DP guarantee is preserved.
     """
     if kind is AggregationKind.FREQUENCY:
+        if not math.isfinite(noisy):
+            raise ValueError(f"noisy frequency {noisy} is not finite, so no count can be released")
         return float(max(1, math.floor(noisy + 0.5)))
     return max(TIME_FLOOR, noisy)
 

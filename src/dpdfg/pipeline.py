@@ -13,7 +13,7 @@ import csv
 import enum
 import io
 import json
-import time
+import math
 from typing import NamedTuple
 
 from .dfg import (
@@ -116,8 +116,7 @@ class EdgeDisclosure(NamedTuple):
 
 class DisclosureReport(NamedTuple):
     """One release of ``request``: its edges in sorted order, the disclosed
-    time unit (None for frequency), and each run's MAPE and SMAPE. Two
-    reports are equal if all but their ``runtime_ms`` are."""
+    time unit (None for frequency), and each run's MAPE and SMAPE."""
 
     request: DisclosureRequest
     time_unit: str | None
@@ -128,15 +127,6 @@ class DisclosureReport(NamedTuple):
     overall_delta: float
     run_mapes: list[float]
     run_smapes: list[float]
-    runtime_ms: float = 0.0
-
-    def __eq__(self, other):
-        if not isinstance(other, DisclosureReport):
-            return NotImplemented
-        return self[:-1] == other[:-1]
-
-    # object's !=, the negation of __eq__, in place of the tuple's own.
-    __ne__ = object.__ne__
 
 
 class PreparedEdge(NamedTuple):
@@ -250,7 +240,7 @@ def release(prepared: PreparedDfg, request: DisclosureRequest, draws: dict | Non
     the unit draws, one list per ``(seed, source, target)``: calls that
     share one dict (as the cells of a sweep do) draw each stream once, with
     output byte-identical to calls that do not. Left unset, the call uses a
-    fresh dict of its own. ``runtime_ms`` times this call alone.
+    fresh dict of its own.
 
     One pass calibrates every edge; then each run is one row over the
     noised edges, in sorted order: their noisy and released values, APEs
@@ -264,7 +254,6 @@ def release(prepared: PreparedDfg, request: DisclosureRequest, draws: dict | Non
             raise ValueError(f"request {name} {wanted!r} differs from the prepared {held!r}")
     if draws is None:
         draws = {}
-    started = time.perf_counter()
     kind, runs, seed = request.aggregation, request.runs, request.seed
     # An edge without priors calibrates from its range and sensitivity
     # alone, and in P2 its weight: edges that agree on these share one
@@ -330,23 +319,19 @@ def release(prepared: PreparedDfg, request: DisclosureRequest, draws: dict | Non
         overall_delta=dfg_delta({(d.source, d.target): d.edge_delta for d in disclosures}),
         run_mapes=run_mapes,
         run_smapes=run_smapes,
-        runtime_ms=(time.perf_counter() - started) * 1e3,
     )
 
 
 def disclose(dfg: Dfg, request: DisclosureRequest, threads: int = 1) -> tuple[AnnotatedDfg, DisclosureReport]:
-    """``release(prepare(dfg, request), request)``, with the released graph:
-    calibrate, noise and report every edge of ``dfg`` as ``request`` asks,
-    in sorted edge order. ``runtime_ms`` times both steps. The graph view
-    shares the prepared (filtered, unit-converted) ``Dfg``.
+    """``release(prepare(dfg, request), request)``, and the released graph,
+    which shares the prepared (filtered, unit-converted) ``Dfg``.
 
     ``threads`` is accepted for compatibility and ignored: evaluation is
     serial, and the output would not depend on it anyway, because every
     edge and run draws from its own keyed noise stream.
     """
-    started = time.perf_counter()
     prepared = prepare(dfg, request)
-    report = release(prepared, request)._replace(runtime_ms=(time.perf_counter() - started) * 1e3)
+    report = release(prepared, request)
     weights = {(e.source, e.target): e.released_value for e in report.edges}
     return AnnotatedDfg(prepared.dfg, request.aggregation, weights), report
 
@@ -372,10 +357,8 @@ def show_epsilon(value: float, render=lambda value: value):
 
 
 def report_to_dict(report: DisclosureReport) -> dict:
-    """JSON-ready view of a report. Wall-clock time is deliberately excluded
-    so identical seeded runs serialize byte-identically. Each edge object
-    holds its ``EdgeDisclosure`` fields, in field order.
-    """
+    """JSON-ready view of a report. Each edge object holds its
+    ``EdgeDisclosure`` fields, in field order."""
     request = report.request
     return {
         "schema_version": SCHEMA_VERSION,
@@ -394,7 +377,14 @@ def report_to_dict(report: DisclosureReport) -> dict:
 
 
 def emit_json(report: DisclosureReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    """``report_to_dict(report)`` as indented JSON, which has no spelling
+    for a number that is not finite: such a number raises a ``ValueError``."""
+    payload = report_to_dict(report)
+    for where, fields in (("report", payload), *((f"edge {e['source']} -> {e['target']}", e) for e in payload["edges"])):
+        for name, value in fields.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{where}: {name} is {value}, which JSON cannot hold")
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def emit_csv(report: DisclosureReport) -> str:

@@ -129,6 +129,43 @@ def test_anonymize_error_target_that_overflows_an_edge_is_data_error(capsys):
     assert captured.err == "dpdfg: error: edge weight 2.0 times error target 1e+308 is not finite\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--mape", "2e306", "--runs", "10", "--format", "csv"],
+     "noisy frequency inf is not finite, so no count can be released"),
+    (["--agg", "max", "--mape", "3e305", "--runs", "2000"], "report: mape is inf, which JSON cannot hold"),
+], ids=["frequency-noise", "summed-mape"])
+def test_anonymize_non_finite_release_is_data_error(capsys, flags, message):
+    # Finite targets whose noise overflows a frequency, or whose APEs
+    # overflow the runs' summed MAPE: once a traceback, and a JSON `Infinity`.
+    skewed = Path(__file__).parent / "data" / "skewed.csv"
+    code = main(["anonymize", "--input", str(skewed), "--timestamp-unit", "ns", "--seed", "1", *flags])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"dpdfg: error: {message}\n"
+
+
+def test_cli_sweep_reports_a_non_finite_release_as_a_failed_cell(tmp_path):
+    # The log of the frequency repro above, each stamp replaced by its row
+    # number (in hours): the same cases in the same order, so the same edge
+    # frequencies.
+    rows = (Path(__file__).parent / "data" / "skewed.csv").read_text(encoding="utf-8").splitlines()
+    log = tmp_path / "skewed.csv"
+    log.write_text("\n".join([rows[0], *(f"{row.rsplit(',', 1)[0]},{i}" for i, row in enumerate(rows[1:]))]) + "\n",
+                   encoding="utf-8")
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({
+        "logs": [str(log)], "deltas": [], "mapes": [2e306, 0.3],
+        "aggregations": ["frequency"], "runs": 10, "seed": 1,
+    }), encoding="utf-8")
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    failed, finite = csv.DictReader(io.StringIO(out.read_text(encoding="utf-8")))
+    assert failed["error"] == "ERROR: noisy frequency inf is not finite, so no count can be released"
+    assert not any(list(failed.values())[4:-1])
+    assert finite["error"] == "" and float(finite["mape"]) > 0
+
+
 @pytest.mark.parametrize("delta", ["1e-17", "1e-300"])
 @pytest.mark.parametrize("agg", ["frequency", "max"])
 def test_anonymize_delta_too_small_for_an_epsilon_is_data_error(clinic_path, tmp_path, capsys, agg, delta):

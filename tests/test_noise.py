@@ -73,6 +73,12 @@ def test_release_rounds_frequencies():
     assert post_process(-7.2, F) == 1.0
 
 
+@pytest.mark.parametrize("noisy", [math.inf, -math.inf, math.nan])
+def test_release_refuses_a_frequency_that_is_not_finite(noisy):
+    with pytest.raises(ValueError, match=f"^noisy frequency {noisy} is not finite, so no count can be released$"):
+        post_process(noisy, F)
+
+
 def test_release_clamps_time_weights():
     assert post_process(15.0 - 20.0, AggregationKind.MAX) == TIME_FLOOR
     assert post_process(0.25, AggregationKind.AVG) == 0.25

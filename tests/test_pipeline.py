@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import re
 import struct
 import tracemalloc
 from pathlib import Path
@@ -378,6 +379,20 @@ def test_emit_json_round_trip(clinic_dfg):
     assert parsed["schema_version"] == 1
     unbounded = [e for e in parsed["edges"] if e["epsilon"] == "unbounded"]
     assert unbounded  # vacuous-risk edges serialize as the string marker
+
+
+@pytest.mark.parametrize("field, value", [("mape", math.inf), ("smape", math.nan), ("noisy_value", -math.inf)])
+def test_emit_json_refuses_a_number_that_is_not_finite(clinic_dfg, field, value):
+    # JSON has no spelling for these; json.dumps would write `Infinity` or `NaN`.
+    _, report = disclose(clinic_dfg, p2(MAX, 0.3))
+    if field == "noisy_value":
+        first = report.edges[0]
+        report = report._replace(edges=[first._replace(noisy_value=value), *report.edges[1:]])
+        where = f"edge {first.source} -> {first.target}"
+    else:
+        report, where = report._replace(**{field: value}), "report"
+    with pytest.raises(ValueError, match=f"^{re.escape(where)}: {field} is {value}, which JSON cannot hold$"):
+        emit_json(report)
 
 
 EDGE_FIELDS = [

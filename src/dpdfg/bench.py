@@ -331,30 +331,38 @@ def _log_source(i: int, entry) -> LogSource:
 
 
 def _se(values: list[float]) -> float:
+    """The standard error of the mean of ``values``: inf where a squared
+    deviation passes the largest float, as a sum that does would give."""
     if len(values) < 2:
         return 0.0
     mean = ordered_sum(values) / len(values)
-    var = ordered_sum((v - mean) ** 2 for v in values) / (len(values) - 1)
+    try:
+        var = ordered_sum((v - mean) ** 2 for v in values) / (len(values) - 1)
+    except OverflowError:
+        return math.inf
     return (var / len(values)) ** 0.5
 
 
 def _measure(prepared: PreparedDfg, request: DisclosureRequest, draws: dict) -> list[str]:
     """The measured columns of one grid row, from ``median_epsilon`` to an
-    empty ``error``; ``draws`` is the sweep's memo of unit noise draws."""
+    empty ``error``; ``draws`` is the sweep's memo of unit noise draws. A
+    measured value that is not finite (a huge error target's MAPE can
+    overflow) raises a ``ValueError`` that names its column."""
     started = time.perf_counter()
     report = release(prepared, request, draws)
     runtime_ms = (time.perf_counter() - started) * 1e3
-    return [
-        show_epsilon(report.median_epsilon, repr),
-        repr(report.mape),
-        repr(_se(report.run_mapes)),
-        repr(report.smape),
-        repr(_se(report.run_smapes)),
-        repr(median(e.edge_delta for e in report.edges)),
-        repr(report.overall_delta),
-        f"{runtime_ms:.3f}",
-        "",
-    ]
+    measured = {
+        "mape": report.mape,
+        "mape_se": _se(report.run_mapes),
+        "smape": report.smape,
+        "smape_se": _se(report.run_smapes),
+        "median_delta": median(e.edge_delta for e in report.edges),
+        "max_delta": report.overall_delta,
+    }
+    for name, value in measured.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} is {value}, not a finite number")
+    return [show_epsilon(report.median_epsilon, repr), *map(repr, measured.values()), f"{runtime_ms:.3f}", ""]
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> str:

@@ -8,6 +8,7 @@ advantage bound is vacuous and the value may be released without noise.
 """
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -77,10 +78,16 @@ def epsilon_from_delta(prior: float, delta: float, r: float) -> float:
         raise ValueError(f"range must be positive, got {r}")
     if delta + prior >= 1.0:
         return UNBOUNDED
-    epsilon = -math.log((prior / (1.0 - prior)) * (1.0 / (delta + prior) - 1.0)) / r
+    epsilon = _loss(prior, delta) / r
     if epsilon <= 0.0:
         raise ValueError(f"delta {delta} is too small: its epsilon computes to {epsilon}, not a positive number")
     return epsilon
+
+
+def _loss(prior: float, delta: float) -> float:
+    """The privacy loss epsilon·r that keeps the advantage at a prior at
+    delta: :func:`epsilon_from_delta` is this over r, in one rounding."""
+    return -math.log((prior / (1.0 - prior)) * (1.0 / (delta + prior) - 1.0))
 
 
 def edge_priors(durations: Sequence[float], precision: float, r: float) -> tuple[float, ...]:
@@ -158,9 +165,42 @@ def certified_epsilon(
     delta: float, r: float, priors: tuple[float, ...] | None
 ) -> tuple[float, tuple[float, ...], float]:
     """:func:`epsilon_time`'s epsilon and priors, and the edge's advantage
-    at that epsilon: the :func:`edge_delta` the search evaluated there."""
+    at that epsilon: the :func:`edge_delta` evaluated there.
+
+    An edge without priors over a finite positive range skips the search:
+    its advantage reads epsilon and r only through the float product
+    epsilon·r, and its inverted epsilon is C/r in one rounding (C and L* of
+    :func:`_priorless_losses`). As the advantage grows with the loss, the
+    search's answer is C/r where that product is at most L*, else the
+    largest epsilon whose product with r is; one :func:`edge_delta`
+    evaluation certifies it, and where it does not, the search decides.
+    """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0,1), got {delta}")
+    if priors is None and 0.0 < r < UNBOUNDED and (found := _priorless_epsilon(delta, r)):
+        return found
+    return _searched_epsilon(delta, r, priors)
+
+
+def _priorless_epsilon(delta: float, r: float) -> tuple[float, tuple[float, ...], float] | None:
+    """:func:`certified_epsilon` of an edge without priors over the finite
+    positive range ``r``, in closed form, or None where the search decides."""
+    if (losses := _priorless_losses(delta)) is None:
+        return None
+    bound, loss, most = losses
+    epsilon = loss / r
+    if epsilon * r > most:
+        epsilon = _largest_epsilon_within(most, r)
+    if epsilon > 0.0 and (advantage := edge_delta(epsilon, r, None)) <= delta:
+        return epsilon, bound, advantage
+    return None
+
+
+def _searched_epsilon(
+    delta: float, r: float, priors: tuple[float, ...] | None
+) -> tuple[float, tuple[float, ...], float]:
+    """:func:`certified_epsilon` by search alone, for any edge: the oracle
+    of its closed form."""
     bound = (worst_case_prior(delta),) if priors is None else priors
     epsilon = min(UNBOUNDED if delta + prior >= 1.0 else epsilon_from_delta(prior, delta, r) for prior in bound)
     if (advantage := edge_delta(epsilon, r, priors)) <= delta:
@@ -177,6 +217,40 @@ def certified_epsilon(
         else:
             above = middle
     return _float(below), bound, advantage
+
+
+@functools.lru_cache(maxsize=256)
+def _priorless_losses(delta: float) -> tuple[tuple[float, ...], float, float] | None:
+    """For an edge without priors at advantage ``delta``: its priors (the
+    worst-case prior alone), C, the loss that prior inverts to, and L*, the
+    largest float loss L whose ``worst_case_delta_time(L, 1.0)`` is at most
+    delta, bisected over float bit patterns: for delta near 0 or 1 it lies
+    millions of floats from C. None where C is unbounded or not positive.
+    """
+    prior = worst_case_prior(delta)
+    if delta + prior >= 1.0 or not (loss := _loss(prior, delta)) > 0.0:
+        return None
+    below, above = 1, _BITS.unpack(_FLOAT.pack(UNBOUNDED))[0]
+    while above - below > 1:
+        middle = (above + below) // 2
+        if worst_case_delta_time(_float(middle), 1.0) <= delta:
+            below = middle
+        else:
+            above = middle
+    return (prior,), loss, _float(below)
+
+
+def _largest_epsilon_within(loss: float, r: float) -> float:
+    """The largest float epsilon whose float product with r is at most
+    ``loss``, or 0.0 where no positive one is. The product is monotone in
+    epsilon, and loss/r is a step or two from the answer (the quotient and
+    the product round once each)."""
+    epsilon = loss / r
+    while epsilon * r > loss:
+        epsilon = math.nextafter(epsilon, 0.0)
+    while (up := math.nextafter(epsilon, UNBOUNDED)) * r <= loss:
+        epsilon = up
+    return epsilon
 
 
 def _float(bits: int) -> float:

@@ -4,13 +4,13 @@ report claims (Ding et al., CCS 2018; Jagielski et al., NeurIPS 2020).
 
 Each neighbour's releases are drawn as a release draws them, through
 ``unit_laplace_column`` and ``post_process_column``, under its own seed.
-The event ``released >= k`` is chosen on the first half of each sample
-and bounded on the second, with one-sided Clopper–Pearson bounds, so the
-choice cannot bias the bound. N and the confidence level were fixed
-before any bound was looked at.
+An event ``released >= k`` or ``released < k`` is chosen on the first
+half of each sample and bounded on the second, with one-sided
+Clopper–Pearson bounds, so the choice cannot bias the bound. N and the
+confidence level were fixed before any bound was looked at.
 """
 import math
-from collections import Counter
+from bisect import bisect_left
 
 import pytest
 
@@ -58,37 +58,47 @@ def clopper_pearson_upper(successes: int, trials: int) -> float:
     return 1.0 - clopper_pearson_lower(trials - successes, trials)
 
 
-def _at_least(released: list[float]) -> dict[float, int]:
-    """For each released value k, how many values are at least k."""
-    counts, running = {}, 0
-    for value, count in sorted(Counter(released).items(), reverse=True):
-        running += count
-        counts[value] = running
-    return counts
+def _at_least(released: list[float], thresholds) -> dict[float, int]:
+    """For each threshold k, how many released values are at least k."""
+    ordered = sorted(released)
+    return {k: len(ordered) - bisect_left(ordered, k) for k in thresholds}
 
 
-def _choose_threshold(low: list[float], high: list[float]) -> float:
-    """The k whose event ``released >= k`` shows the largest loss, less Z
-    standard errors, between the two samples."""
-    n, low_at, high_at = len(low), _at_least(low), _at_least(high)
+def _choose_event(low: list[float], high: list[float]) -> tuple[float, bool]:
+    """The event that shows the largest loss, less Z standard errors,
+    between the two samples: ``(k, True)`` for ``released >= k`` with the
+    high sample on top, ``(k, False)`` for ``released < k`` with the low
+    sample on top. A count of 0 below stands at its Clopper–Pearson upper
+    bound, so an event that one sample never hits is scored too: that is
+    where noise of one sign shows."""
+    n = len(low)
+    thresholds = sorted(set(low) | set(high))
+    low_at, high_at = _at_least(low, thresholds), _at_least(high, thresholds)
+    zero = clopper_pearson_upper(0, n)
 
-    def score(k):
-        p0, p1 = low_at.get(k, 0) / n, high_at[k] / n
-        if not 0 < p0 < 1 or p1 == 1:
+    def score(event):
+        k, upper = event
+        above, below = (high_at[k], low_at[k]) if upper else (n - low_at[k], n - high_at[k])
+        p1, p0 = above / n, below / n
+        if not 0 < p1 < 1 or p0 == 1:
             return -math.inf
+        if p0 == 0:
+            return math.log(p1 / zero) - Z * math.sqrt((1 - p1) / (n * p1))
         return math.log(p1 / p0) - Z * math.sqrt((1 - p1) / (n * p1) + (1 - p0) / (n * p0))
 
-    return max(sorted(high_at), key=score)
+    return max(((k, upper) for k in thresholds for upper in (True, False)), key=score)
 
 
 def epsilon_lower_bound(low: list[float], high: list[float]) -> float:
-    """A 1 - 2·ALPHA lower bound on ``ln(P(high >= k) / P(low >= k))`` for
-    the k chosen on the first half of each sample, from the second."""
+    """A 1 - 2·ALPHA lower bound on the log ratio of the two samples'
+    probabilities of the event chosen on the first half of each, from the
+    second."""
     half = len(low) // 2
-    k = _choose_threshold(low[:half], high[:half])
+    k, upper = _choose_event(low[:half], high[:half])
     trials = len(low) - half
     hits_low, hits_high = sum(v >= k for v in low[half:]), sum(v >= k for v in high[half:])
-    return math.log(clopper_pearson_lower(hits_high, trials) / clopper_pearson_upper(hits_low, trials))
+    above, below = (hits_high, hits_low) if upper else (trials - hits_low, trials - hits_high)
+    return math.log(clopper_pearson_lower(above, trials) / clopper_pearson_upper(below, trials))
 
 
 def test_clopper_pearson_bounds_match_their_tails():
@@ -134,4 +144,14 @@ def test_the_audit_flags_a_release_at_half_the_noise_scale(p1_frequency_pair):
     # than the claimed ε, or the audit above proves nothing.
     epsilon, scale, (low_units, high_units) = p1_frequency_pair
     bound = epsilon_lower_bound(_released(10.0, scale / 2, low_units), _released(11.0, scale / 2, high_units))
+    assert bound > epsilon
+
+
+def test_the_audit_flags_noise_of_one_sign(p1_frequency_pair):
+    # A uniform whose sign bit sticks at 0 gives noise that only adds: the
+    # low weight's release falls below the high weight's least value a
+    # third of the time, and the high weight's never does.
+    epsilon, scale, (low_units, high_units) = p1_frequency_pair
+    low, high = ([abs(u) for u in units] for units in (low_units, high_units))
+    bound = epsilon_lower_bound(_released(10.0, scale, low), _released(11.0, scale, high))
     assert bound > epsilon

@@ -179,6 +179,22 @@ def test_run_sweep_runs_do_not_change_calibration():
     assert one[0]["mape"] != ten[0]["mape"]
 
 
+@pytest.mark.parametrize("traces, aggregation, mape, runs, message", [
+    # Finite run MAPEs whose squared deviations pass the largest float.
+    (40, "frequency", 2e306, 10, "mape_se is inf, not a finite number"),
+    # A summed MAPE that overflows.
+    (120, "max", 3e305, 2000, "mape is inf, not a finite number"),
+])
+def test_run_sweep_refuses_a_measured_value_that_is_not_finite(traces, aggregation, mape, runs, message):
+    spec = SweepSpec.from_dict({
+        "logs": [{"profile": "skewed", "traces": traces}], "aggregations": [aggregation],
+        "deltas": [], "mapes": [mape], "runs": runs, "seed": 1,
+    })
+    [row] = rows_of(run_sweep(spec))
+    assert row["error"] == f"ERROR: {message}"
+    assert not any(list(row.values())[4:-1])
+
+
 def test_run_sweep_records_per_log_failures_and_continues(tmp_path):
     good = LogSource(name="ok", synthetic=SyntheticLogSpec(trace_count=10, n_variants=1), gen_seed=1)
     bad = LogSource(name="broken", path=str(tmp_path / "missing.csv"))

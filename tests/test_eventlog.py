@@ -798,6 +798,18 @@ def test_parse_csv_falls_back_for_the_odd_stamp_only(odd, calls, monkeypatch):
 @example(texts=["1969-12-31T23:59:59.999999", "1969-12-31T23:59:59"], fmt="auto", unit="h")
 # An offset that moves the stamp across the epoch.
 @example(texts=["1970-01-01T00:30:00+01:00"], fmt="iso", unit="h")
+# Digit text, which parse_csv scales by int() itself: zeros, the 19-digit
+# int64 limit and one past it, a 19-digit text that overflows once scaled,
+# 20 digits, 5,000 digits (float() reads them as inf; int() refuses them),
+# non-ASCII digits, and an ISO basic-format date under iso.
+@example(texts=["0", "0000", "0012"], fmt="auto", unit="h")
+@example(texts=["9223372036854775807"], fmt="number", unit="ns")
+@example(texts=["9223372036854775808"], fmt="number", unit="ns")
+@example(texts=["1000000000000000000"], fmt="auto", unit="h")
+@example(texts=["10000000000000000000"], fmt="auto", unit="ns")
+@example(texts=["1" * 5000], fmt="number", unit="ns")
+@example(texts=["１２３", "٤٥"], fmt="auto", unit="h")
+@example(texts=["20200101"], fmt="iso", unit="h")
 def test_parse_csv_timestamps_equal_parse_timestamp_ns(texts, fmt, unit):
     """``texts`` as the timestamps of one case's rows: parse_csv reads each
     as parse_timestamp_ns does, or raises its first error with the row."""

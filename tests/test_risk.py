@@ -3,7 +3,7 @@ import random
 import struct
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dpdfg import AggregationKind, DfgEdge, DisclosureRequest, Mode, RiskParams, UtilityParams
@@ -276,6 +276,74 @@ def test_epsilon_time_is_certified_against_edge_delta(monkeypatch):
 
 def _bits(value: float) -> bytes:
     return struct.pack("<d", value)
+
+
+# Advantage targets across the open interval, and ranges across most of the
+# floats: at delta 1e-16 and r 1e300 the epsilon C/r is subnormal.
+DELTAS = st.floats(1e-16, 1 - 1e-9)
+RANGES = st.floats(1e-300, 1e300)
+
+
+def _certified(search, delta, r, priors):
+    """``search(delta, r, priors)`` with its floats as bits, or its error."""
+    try:
+        epsilon, bound, advantage = search(delta, r, priors)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return _bits(epsilon), tuple(map(_bits, bound)), _bits(advantage)
+
+
+@given(delta=DELTAS, r=RANGES)
+@settings(max_examples=2000)
+@example(delta=1e-16, r=1e300)  # a subnormal epsilon
+@example(delta=1e-16, r=1.0)  # C is far below L*
+@example(delta=0.2, r=1.0)  # a frequency edge: C is one float above L*
+@example(delta=1 - 1e-9, r=1e-300)  # C is far above L*
+@example(delta=0.5, r=5e-300)
+def test_the_closed_form_of_an_edge_without_priors_is_the_search(delta, r):
+    closed = risk._priorless_epsilon(delta, r)
+    assert closed is not None
+    assert _certified(lambda *_: closed, delta, r, None) == _certified(risk._searched_epsilon, delta, r, None)
+    assert _certified(certified_epsilon, delta, r, None) == _certified(risk._searched_epsilon, delta, r, None)
+
+
+@given(epsilon=st.floats(5e-324, 1e300), r=RANGES)
+@settings(max_examples=1000)
+@example(epsilon=5e-324, r=1e300)
+@example(epsilon=1e300, r=1e300)  # the loss is inf
+def test_the_worst_case_advantage_reads_epsilon_and_range_only_through_their_product(epsilon, r):
+    assume(epsilon * r > 0.0)
+    assert _bits(worst_case_delta_time(epsilon, r)) == _bits(worst_case_delta_time(epsilon * r, 1.0))
+    assert _bits(edge_delta(epsilon, r, None)) == _bits(worst_case_delta_time(epsilon * r, 1.0))
+
+
+@given(delta=DELTAS, r=RANGES)
+@settings(max_examples=1000)
+def test_the_worst_case_inversion_is_its_loss_over_the_range(delta, r):
+    bound, loss, most = risk._priorless_losses(delta)
+    assert bound == (worst_case_prior(delta),)
+    assert _bits(epsilon_from_delta(worst_case_prior(delta), delta, r)) == _bits(loss / r)
+    # L* is the last float loss that fits.
+    assert worst_case_delta_time(most, 1.0) <= delta < worst_case_delta_time(math.nextafter(most, math.inf), 1.0)
+
+
+# Outside the closed form the search decides, with the errors and values
+# it gave before the closed form existed.
+@pytest.mark.parametrize("delta, r, error", [
+    (1e-17, 1.0, "delta 1e-17 is too small: its epsilon computes to -0.0, not a positive number"),
+    (0.3, 0.0, "range must be positive, got 0.0"),
+    (0.3, -0.0, "range must be positive, got -0.0"),
+    (0.3, -1.0, "range must be positive, got -1.0"),
+    (0.3, math.inf, "delta 0.3 is too small: its epsilon computes to 0.0, not a positive number"),
+    (0.3, math.nan, None),
+])
+def test_an_edge_without_priors_outside_the_closed_form_is_searched(delta, r, error):
+    if error is None:
+        epsilon, bound, advantage = certified_epsilon(delta, r, None)
+        assert math.isnan(epsilon) and bound == (0.35,) and math.isnan(advantage)
+    else:
+        assert _certified(certified_epsilon, delta, r, None) == f"ValueError: {error}"
+    assert _certified(certified_epsilon, delta, r, None) == _certified(risk._searched_epsilon, delta, r, None)
 
 
 def test_epsilon_freq_examples():

@@ -270,9 +270,8 @@ def parse_csv(source, mapping: ColumnMapping | None = None) -> EventLog:
     not UTF-8, or a field longer than ``csv.field_size_limit()``, raise an
     :class:`IngestError` that names the line. Each row's timestamp is
     converted as the row is read, so errors are raised in row order: ISO
-    text and short digit strings directly, the rest by
-    :func:`parse_timestamp_ns`, which gives the same value.
-    :func:`parse_csv_reference` is the oracle.
+    text directly, the rest by :func:`parse_timestamp_ns`, which gives the
+    same value. :func:`parse_csv_reference` is the oracle.
     """
     mapping = mapping or ColumnMapping()
     text = _as_text(source)
@@ -291,10 +290,8 @@ def parse_csv(source, mapping: ColumnMapping | None = None) -> EventLog:
         fmt, unit = mapping.timestamp_format, mapping.number_unit
         # parse_timestamp_ns reads text with datetime.fromisoformat if fmt is
         # iso, or auto and the text holds ':'; the loop converts such text
-        # itself, without the call. It also scales ASCII digit text of at
-        # most 19 characters by int(), exactly, as the call's Decimal does.
+        # itself, without the call.
         iso_only, iso_if_colon = fmt == "iso", fmt == "auto"
-        factor = NS_PER_UNIT[unit]
 
         by_case: defaultdict[str, list[tuple[str, int]]] = defaultdict(list)
         # One string per distinct activity label, so a log of 10**6 events
@@ -330,10 +327,6 @@ def parse_csv(source, mapping: ColumnMapping | None = None) -> EventLog:
                     ts = (gap.days * 86_400 + gap.seconds) * 1_000_000_000 + gap.microseconds * 1_000
                     if not -(2**63) <= ts < 2**63:
                         ts = None
-            elif len(ts_text) <= 19 and ts_text.isdigit() and ts_text.isascii():
-                ts = int(ts_text) * factor
-                if ts >= 2**63:
-                    ts = None
             if ts is None:
                 try:
                     ts = parse_timestamp_ns(ts_text, fmt, unit)

@@ -210,13 +210,8 @@ def _searched_epsilon(
         if below == 1:
             raise ValueError(f"no epsilon keeps the advantage at or below delta {delta}")
         above, step = below, 2 * step
-    while above - below > 1:
-        middle = (above + below) // 2
-        if (fits := edge_delta(_float(middle), r, priors)) <= delta:
-            below, advantage = middle, fits
-        else:
-            above = middle
-    return _float(below), bound, advantage
+    epsilon, advantage = _last_fitting(below, above, advantage, lambda e: edge_delta(e, r, priors), delta)
+    return epsilon, bound, advantage
 
 
 @functools.lru_cache(maxsize=256)
@@ -230,14 +225,24 @@ def _priorless_losses(delta: float) -> tuple[tuple[float, ...], float, float] | 
     prior = worst_case_prior(delta)
     if delta + prior >= 1.0 or not (loss := _loss(prior, delta)) > 0.0:
         return None
-    below, above = 1, _BITS.unpack(_FLOAT.pack(UNBOUNDED))[0]
+    least, unbounded = 1, _BITS.unpack(_FLOAT.pack(UNBOUNDED))[0]
+    most, _ = _last_fitting(
+        least, unbounded, worst_case_delta_time(_float(least), 1.0), lambda e: worst_case_delta_time(e, 1.0), delta
+    )
+    return (prior,), loss, most
+
+
+def _last_fitting(below: int, above: int, advantage: float, advantage_at, delta: float) -> tuple[float, float]:
+    """The last float whose ``advantage_at`` is at most delta, bisected over
+    the float bit patterns between ``below``, which fits with ``advantage``,
+    and ``above``, which does not; with its advantage."""
     while above - below > 1:
         middle = (above + below) // 2
-        if worst_case_delta_time(_float(middle), 1.0) <= delta:
-            below = middle
+        if (fits := advantage_at(_float(middle))) <= delta:
+            below, advantage = middle, fits
         else:
             above = middle
-    return (prior,), loss, _float(below)
+    return _float(below), advantage
 
 
 def _largest_epsilon_within(loss: float, r: float) -> float:

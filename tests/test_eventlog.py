@@ -798,10 +798,10 @@ def test_parse_csv_falls_back_for_the_odd_stamp_only(odd, calls, monkeypatch):
 @example(texts=["1969-12-31T23:59:59.999999", "1969-12-31T23:59:59"], fmt="auto", unit="h")
 # An offset that moves the stamp across the epoch.
 @example(texts=["1970-01-01T00:30:00+01:00"], fmt="iso", unit="h")
-# Digit text, which parse_csv scales by int() itself: zeros, the 19-digit
-# int64 limit and one past it, a 19-digit text that overflows once scaled,
-# 20 digits, 5,000 digits (float() reads them as inf; int() refuses them),
-# non-ASCII digits, and an ISO basic-format date under iso.
+# Digit text: zeros, the 19-digit int64 limit and one past it, a 19-digit
+# text that overflows once scaled, 20 digits, 5,000 digits (float() reads
+# them as inf; int() refuses them), non-ASCII digits, and an ISO
+# basic-format date under iso.
 @example(texts=["0", "0000", "0012"], fmt="auto", unit="h")
 @example(texts=["9223372036854775807"], fmt="number", unit="ns")
 @example(texts=["9223372036854775808"], fmt="number", unit="ns")

@@ -154,7 +154,7 @@ def convert_unit(dfg: Dfg, unit: str) -> Dfg:
     if src_factor == dst_factor:
         return Dfg(dfg.activities, dict(dfg.edges), time_unit=unit)
     edges = {
-        key: DfgEdge(e.source, e.target, tuple(d * src_factor / dst_factor for d in e.durations))
+        key: DfgEdge(e.source, e.target, tuple([d * src_factor / dst_factor for d in e.durations]))
         for key, e in dfg.edges.items()
     }
     return Dfg(dfg.activities, edges, time_unit=unit)
@@ -168,9 +168,8 @@ def choose_time_unit(dfg: Dfg, kind: AggregationKind) -> str:
     """
     if not dfg.edges:
         return "h"
-    peak_ns = max(
-        aggregate(e, kind) * NS_PER_UNIT[dfg.time_unit] for e in dfg.edges.values()
-    )
+    to_ns = NS_PER_UNIT[dfg.time_unit]
+    peak_ns = max([aggregate(e, kind) * to_ns for e in dfg.edges.values()])
     if peak_ns <= 0:
         return "h"
     reached = (unit for unit, factor in NS_PER_UNIT.items() if peak_ns >= factor)

@@ -20,7 +20,6 @@ from .dfg import (
     AggregationKind,
     AnnotatedDfg,
     Dfg,
-    DfgEdge,
     START_END,
     aggregate,
     choose_time_unit,
@@ -38,6 +37,7 @@ from .risk import (
     certified_epsilon,
     dfg_delta,
     edge_delta,
+    priorless_epsilons,
     time_priors,
 )
 from .utility import UtilityParams, alpha_per_edge, ape_row, epsilon_from_alpha, sape_row
@@ -173,59 +173,48 @@ def prepare(dfg: Dfg, request: DisclosureRequest) -> PreparedDfg:
     :func:`release` calls: the boundary filter, the unit choice and
     conversion, and each edge's weight, sensitivity and time priors.
     """
-    kind = request.aggregation
+    kind, precision = request.aggregation, request.precision
     working = filter_for_disclosure(dfg, kind, request.include_boundary_time)
     if not working.edges:
         raise ValueError("cannot disclose an empty DFG")
     if kind.is_time:
         working = convert_unit(working, request.time_unit or choose_time_unit(working, kind))
-    edges = tuple(_prepare_edge(e, kind, request.precision) for e in working.sorted_edges())
-    return PreparedDfg(kind, request.precision, request.include_boundary_time, request.time_unit, working, edges)
-
-
-def _prepare_edge(edge: DfgEdge, kind: AggregationKind, precision: float) -> PreparedEdge:
-    true_value = aggregate(edge, kind)
-    if kind.is_time and edge.is_boundary:
         # Virtual-edge time annotations are 0 by construction: data-independent,
         # released exactly.
-        return PreparedEdge(edge.source, edge.target, true_value, boundary_constant=True)
-    r, priors = time_priors(edge, kind, precision) if kind.is_time else (1.0, None)
-    return PreparedEdge(edge.source, edge.target, true_value, sensitivity(kind, edge.frequency), r, priors)
-
-
-def _calibrate(edge: PreparedEdge, request: DisclosureRequest) -> tuple[float, float, float]:
-    """Epsilon, noise scale and guessing advantage of one prepared edge.
-    P1 derives epsilon from the advantage target, and its certification
-    search has already evaluated the advantage there; P2 derives epsilon
-    from the error target, then the advantage at it. The scale is shared.
-    """
-    if request.mode is Mode.P2:
-        utility = request.utility
-        eps = epsilon_from_alpha(edge.sensitivity, alpha_per_edge(edge.true_value, utility.mape_target), utility.beta)
-        advantage = edge_delta(eps, edge.r, edge.priors)
+        edges = [
+            PreparedEdge(e.source, e.target, aggregate(e, kind), boundary_constant=True) if e.is_boundary
+            else PreparedEdge(e.source, e.target, aggregate(e, kind), sensitivity(kind, e.frequency),
+                              *time_priors(e, kind, precision))
+            for e in working.sorted_edges()
+        ]
     else:
-        eps, _, advantage = certified_epsilon(request.risk.delta, edge.r, edge.priors)
-    scale = 0.0 if eps == UNBOUNDED else edge.sensitivity / eps
-    return eps, scale, advantage
+        # A frequency edge has sensitivity 1, range 1 and no priors.
+        edges = [PreparedEdge(e.source, e.target, aggregate(e, kind)) for e in working.sorted_edges()]
+    return PreparedDfg(kind, precision, request.include_boundary_time, request.time_unit, working, tuple(edges))
 
 
-def _unit_draws(scale: float, key: tuple[int, str, str], runs: int, draws: dict) -> list[float]:
-    """At least ``runs`` unit-scale draws of the edge ``key`` = ``(seed,
-    source, target)``, indexed by run. Run i's noise, ``scale`` times draw
-    i, is ``sample_laplace(scale, NoiseStream(*key, i))`` bit for bit:
-    ``sample_laplace`` only flips the sign of ``scale`` before its one
-    rounding multiply, so scaling the unit draw afterwards rounds the same
-    product to the same bits. ``draws`` keeps the unit draws of a key as one
-    list; a key with fewer than ``runs`` stored gets a new
-    ``unit_laplace_column`` of ``runs``. Scale 0 draws nothing: its draws
-    are zeros.
+def _unit_draws(seed: int, runs: int, draws: dict, noised: list[tuple[str, str, float]]) -> list[list[float]]:
+    """At least ``runs`` unit-scale draws of each ``(source, target,
+    scale)`` edge of a release, indexed by run. Run i's noise, ``scale``
+    times draw i, is ``sample_laplace(scale, NoiseStream(seed, source,
+    target, i))`` bit for bit: ``sample_laplace`` only flips the sign of
+    ``scale`` before its one rounding multiply, so scaling the unit draw
+    afterwards rounds the same product to the same bits. ``draws`` keeps
+    the unit draws of a key ``(seed, source, target)`` as one list; a key
+    with fewer than ``runs`` stored gets a new ``unit_laplace_column`` of
+    ``runs``. Scale 0 draws nothing: its draws are zeros.
     """
-    if scale == 0.0:
-        return [0.0] * runs
-    units = draws.get(key)
-    if units is None or len(units) < runs:
-        units = draws[key] = unit_laplace_column(*key, runs)
-    return units
+    zeros = [0.0] * runs
+    columns = []
+    for source, target, scale in noised:
+        if scale == 0.0:
+            columns.append(zeros)
+            continue
+        units = draws.get(key := (seed, source, target))
+        if units is None or len(units) < runs:
+            units = draws[key] = unit_laplace_column(seed, source, target, runs)
+        columns.append(units)
+    return columns
 
 
 def release(prepared: PreparedDfg, request: DisclosureRequest, draws: dict | None = None) -> DisclosureReport:
@@ -242,11 +231,18 @@ def release(prepared: PreparedDfg, request: DisclosureRequest, draws: dict | Non
     output byte-identical to calls that do not. Left unset, the call uses a
     fresh dict of its own.
 
-    One pass calibrates every edge; then each run is one row over the
-    noised edges, in sorted order: their noisy and released values, APEs
-    and SAPEs, which that run's MAPE and SMAPE sum left to right, as
-    ``utility.mape`` and ``utility.smape`` do. Only run 0's row is kept,
-    for the edges' own fields.
+    One pass calibrates every edge: P1 derives epsilon from the advantage
+    target, and its certification has already evaluated the advantage
+    there; P2 derives epsilon from the error target, then the advantage at
+    it. In P1 the edges without priors (every frequency edge and every
+    degenerate time edge) are calibrated as one column
+    (``risk.priorless_epsilons``), and an edge the column leaves out is
+    searched in its turn. Then the noised edges' unit draws are read as one
+    column, and each run is one row over the noised edges, in sorted
+    order: their noisy and released values, APEs and SAPEs, which that
+    run's MAPE and SMAPE sum left to right, as ``utility.mape`` and
+    ``utility.smape`` do. Only run 0's row is kept, for the edges' own
+    fields.
     """
     for name in PREPARATION_FIELDS:
         wanted, held = getattr(request, name), getattr(prepared, name)
@@ -255,63 +251,65 @@ def release(prepared: PreparedDfg, request: DisclosureRequest, draws: dict | Non
     if draws is None:
         draws = {}
     kind, runs, seed = request.aggregation, request.runs, request.seed
-    # An edge without priors calibrates from its range and sensitivity
-    # alone, and in P2 its weight: edges that agree on these share one
-    # calibration. Every frequency edge has range 1 and sensitivity 1.
-    priorless: dict[tuple[float, ...], tuple[float, float, float]] = {}
-    by_weight = request.mode is Mode.P2
-    # Per noised edge: the edge and its calibration, and its row inputs.
-    calibrated: list[tuple[PreparedEdge, float, float, float]] = []
-    actuals: list[float] = []
-    noise_inputs: list[tuple[float, float, list[float]]] = []
-    for edge in prepared.edges:
-        if edge.boundary_constant:
-            continue
-        if edge.priors is None:
-            key = (edge.r, edge.sensitivity, edge.true_value) if by_weight else (edge.r, edge.sensitivity)
-            if key not in priorless:
-                priorless[key] = _calibrate(edge, request)
-            calibration = priorless[key]
-        else:
-            calibration = _calibrate(edge, request)
-        scale = calibration[1]
-        calibrated.append((edge, *calibration))
-        actuals.append(edge.true_value)
-        noise_inputs.append((edge.true_value, scale, _unit_draws(scale, (seed, edge.source, edge.target), runs, draws)))
+    is_time = kind.is_time
+    if request.mode is Mode.P1:
+        delta = request.risk.delta
+        closed = priorless_epsilons(delta, [e.r for e in prepared.edges if e.priors is None and not e.boundary_constant])
+    else:
+        delta, (mape_target, beta) = None, request.utility
+    # Per noised edge: its disclosure's fields but the run-0 values. Per
+    # boundary-constant edge, released exactly outside the error rows: its
+    # place in sorted order and its disclosure.
+    calibrated: list[tuple[str, str, float, float, float, float, bool]] = []
+    constants: list[tuple[int, EdgeDisclosure]] = []
+    try:
+        for place, edge in enumerate(prepared.edges):
+            source, target, true_value, edge_sensitivity, r, priors, boundary_constant = edge
+            if boundary_constant:
+                constants.append((place, EdgeDisclosure(source, target, true_value, UNBOUNDED, 0.0, true_value,
+                                                        true_value, None, None, 0.0, boundary_constant=True)))
+                continue
+            if delta is None:
+                eps = epsilon_from_alpha(edge_sensitivity, alpha_per_edge(true_value, mape_target), beta)
+                advantage = edge_delta(eps, r, priors)
+            else:
+                eps, _, advantage = (priors is None and closed.get(r)) or certified_epsilon(delta, r, priors)
+            scale = 0.0 if eps == UNBOUNDED else edge_sensitivity / eps
+            calibrated.append((source, target, true_value, eps, scale, advantage, is_time and priors is None))
+    finally:
+        # Also where an edge fails calibration: edge by edge, each edge's noise
+        # is drawn before the next is calibrated, so an earlier edge whose draw
+        # fails (its label has no UTF-8 form) fails first.
+        units = _unit_draws(seed, runs, draws, [(e[0], e[1], e[4]) for e in calibrated])
+    actuals = [e[2] for e in calibrated]
+    noise_inputs = [(e[2], e[4], column) for e, column in zip(calibrated, units)]
 
     count = len(actuals) or 1  # With no noised edge, every run's errors are 0.
     run_mapes: list[float] = []
     run_smapes: list[float] = []
     for run in range(runs):
-        noisy = [true_value + scale * units[run] for true_value, scale, units in noise_inputs]
+        noisy = [true_value + scale * column[run] for true_value, scale, column in noise_inputs]
         apes = ape_row(actuals, noisy)
         released = post_process_column(noisy, kind)
         sapes = sape_row(actuals, released)
         if run == 0:
-            run0 = zip(calibrated, noisy, released, apes, ape_row(actuals, released))
+            run0 = noisy, released, apes, ape_row(actuals, released)
         run_mapes.append(ordered_sum(apes) / count)
         run_smapes.append(ordered_sum(sapes) / count)
 
-    disclosures: list[EdgeDisclosure] = []
-    for edge in prepared.edges:
-        if edge.boundary_constant:
-            # Released exactly, outside the error rows.
-            true_value = edge.true_value
-            disclosures.append(EdgeDisclosure(
-                edge.source, edge.target, true_value, epsilon=UNBOUNDED, noise_scale=0.0,
-                noisy_value=true_value, released_value=true_value, ape=None, released_ape=None,
-                edge_delta=0.0, boundary_constant=True,
-            ))
-            continue
-        (edge, eps, scale, advantage), noisy_value, released_value, error, released_error = next(run0)
-        disclosures.append(EdgeDisclosure(
-            edge.source, edge.target, edge.true_value, eps, scale, noisy_value, released_value, error,
-            released_error, advantage, kind.is_time and edge.priors is None,
-        ))
+    disclosures = [
+        EdgeDisclosure._make((source, target, true_value, eps, scale, noisy_value, released_value, error,
+                              released_error, advantage, degenerate, False))
+        for (source, target, true_value, eps, scale, advantage, degenerate), noisy_value, released_value, error,
+        released_error in zip(calibrated, *run0)
+    ]
+    # In ascending place order, each lands where sorted order puts it.
+    for place, constant in constants:
+        disclosures.insert(place, constant)
 
     return DisclosureReport(
         request=request,
-        time_unit=prepared.dfg.time_unit if kind.is_time else None,
+        time_unit=prepared.dfg.time_unit if is_time else None,
         edges=disclosures,
         mape=ordered_sum(run_mapes) / len(run_mapes),
         smape=ordered_sum(run_smapes) / len(run_smapes),

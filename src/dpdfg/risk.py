@@ -56,7 +56,7 @@ def empirical_prior(durations: Iterable[float], t: float, precision: float, r: f
     precision p lands on the true value t.
     """
     values = list(durations)
-    if r <= 0.0:
+    if not r > 0.0:
         raise ValueError("degenerate edge: duration range is zero")
     window = precision * r
     hits = sum(1 for v in values if abs(v - t) <= window)
@@ -74,7 +74,7 @@ def epsilon_from_delta(prior: float, delta: float, r: float) -> float:
         raise ValueError(f"prior must be in (0,1), got {prior}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0,1), got {delta}")
-    if r <= 0.0:
+    if not r > 0.0:
         raise ValueError(f"range must be positive, got {r}")
     if delta + prior >= 1.0:
         return UNBOUNDED
@@ -106,7 +106,7 @@ def edge_priors(durations: Sequence[float], precision: float, r: float) -> tuple
     the window is non-negative, so neither test stops at the other side
     of t.
     """
-    if r <= 0.0:
+    if not r > 0.0:
         raise ValueError("degenerate edge: duration range is zero")
     window = precision * r
     ordered = sorted(durations)
@@ -174,26 +174,43 @@ def certified_epsilon(
     search's answer is C/r where that product is at most L*, else the
     largest epsilon whose product with r is; one :func:`edge_delta`
     evaluation certifies it, and where it does not, the search decides.
+    :func:`priorless_epsilons` is that closed form for many ranges at once.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0,1), got {delta}")
-    if priors is None and 0.0 < r < UNBOUNDED and (found := _priorless_epsilon(delta, r)):
+    if priors is None and (found := _priorless_epsilon(delta, r)):
         return found
     return _searched_epsilon(delta, r, priors)
 
 
-def _priorless_epsilon(delta: float, r: float) -> tuple[float, tuple[float, ...], float] | None:
-    """:func:`certified_epsilon` of an edge without priors over the finite
-    positive range ``r``, in closed form, or None where the search decides."""
+def priorless_epsilons(
+    delta: float, ranges: Iterable[float]
+) -> dict[float, tuple[float, tuple[float, ...], float]]:
+    """:func:`certified_epsilon` of an edge without priors over each
+    distinct finite positive range in ``ranges``, in closed form, keyed by
+    range: C and L* are found once, then each range costs a few float
+    operations and the :func:`edge_delta` that certifies it. A range left
+    out (not finite and positive, or not certified) is the search's to
+    decide; nothing here raises for a range.
+    """
     if (losses := _priorless_losses(delta)) is None:
-        return None
+        return {}
     bound, loss, most = losses
-    epsilon = loss / r
-    if epsilon * r > most:
-        epsilon = _largest_epsilon_within(most, r)
-    if epsilon > 0.0 and (advantage := edge_delta(epsilon, r, None)) <= delta:
-        return epsilon, bound, advantage
-    return None
+    found = {}
+    for r in set(ranges):
+        if 0.0 < r < UNBOUNDED:
+            epsilon = loss / r
+            if epsilon * r > most:
+                epsilon = _largest_epsilon_within(most, r)
+            if epsilon > 0.0 and (advantage := edge_delta(epsilon, r, None)) <= delta:
+                found[r] = epsilon, bound, advantage
+    return found
+
+
+def _priorless_epsilon(delta: float, r: float) -> tuple[float, tuple[float, ...], float] | None:
+    """:func:`priorless_epsilons` of the one range ``r``, or None where the
+    search decides."""
+    return priorless_epsilons(delta, (r,)).get(r)
 
 
 def _searched_epsilon(
@@ -271,9 +288,9 @@ def delta_from_epsilon_time(prior: float, epsilon: float, r: float) -> float:
     """Guessing advantage of one occurrence after an epsilon-DP release."""
     if not 0.0 < prior <= 1.0:
         raise ValueError(f"prior must be in (0,1], got {prior}")
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if r <= 0.0:
+    if not r > 0.0:
         raise ValueError(f"range must be positive, got {r}")
     return prior / ((1.0 - prior) * math.exp(-epsilon * r) + prior) - prior
 
@@ -288,9 +305,9 @@ def worst_case_delta_time(epsilon: float, r: float) -> float:
     maximizing prior is sqrt(x)/(1+sqrt(x)) with x = exp(-epsilon*r),
     giving (1-sqrt(x))/(1+sqrt(x)).
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if r <= 0.0:
+    if not r > 0.0:
         raise ValueError(f"range must be positive, got {r}")
     root = math.sqrt(math.exp(-epsilon * r))
     return (1.0 - root) / (1.0 + root)

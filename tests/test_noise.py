@@ -133,7 +133,8 @@ def reference_bits(scale: float, key: tuple, runs: int) -> list[bytes]:
 def noise(scale: float, key: tuple, runs: int, draws: dict) -> list[float]:
     """Runs 0 .. runs-1 of the noise a release gives the edge ``key`` at
     ``scale``: run i's is ``scale * units[i]``, as in its rows."""
-    units = _unit_draws(scale, key, runs, draws)
+    seed, source, target = key
+    units = _unit_draws(seed, runs, draws, [(source, target, scale)])[0]
     return [scale * units[run] for run in range(runs)]
 
 

@@ -62,7 +62,7 @@ from dpdfg.risk import (
     worst_case_delta_time,
     worst_case_prior,
 )
-from dpdfg.dfg import Dfg, aggregate, ordered_sum
+from dpdfg.dfg import Dfg, DfgEdge, aggregate, ordered_sum
 from dpdfg.noise import NoiseStream, post_process, sample_laplace
 from dpdfg.utility import alpha_per_edge, ape, epsilon_from_alpha, mape, sape
 
@@ -939,6 +939,33 @@ RELEASE_LOGS = st.one_of(SMALL_LOGS.map(small_dfg), st.just(_zero_weight_dfg()))
 @example(
     dfg=_dfg_of("A@0 B@1", "A@0 B@3", "A@5 C@6"), mode=Mode.P2, kind=FREQ, delta=0.3, target=0.5,
     precision=0.5, runs=3, include_boundary_time=False, seed=1, warm_runs=None,
+)
+# P1 calibrates the edges without priors as one column: single-occurrence
+# edges of tied (5, 5) and distinct (2) ranges, at a delta where each
+# epsilon is C/r and at one where C/r overshoots L* for every range.
+@example(
+    dfg=_dfg_of("A@0 B@5 C@10 D@12"), mode=Mode.P1, kind=MAX, delta=0.3, target=0.5, precision=0.5,
+    runs=3, include_boundary_time=False, seed=1, warm_runs=None,
+)
+@example(
+    dfg=_dfg_of("A@0 B@5 C@10 D@12"), mode=Mode.P1, kind=MAX, delta=0.05, target=0.5, precision=0.5,
+    runs=3, include_boundary_time=True, seed=1, warm_runs=2,
+)
+# At delta 1e-17 the column holds nothing and every edge fails its search:
+# (A, B), first in sorted order and with priors (1/6, 5/6), names its
+# epsilon, -2.2e-17, before the degenerate edges after it name -0.0.
+@example(
+    dfg=_dfg_of(*["A@0 B@1"] * 5, "A@0 B@10 C@12 D@15 E@19"), mode=Mode.P1, kind=MAX, delta=1e-17,
+    target=0.5, precision=0.5, runs=3, include_boundary_time=False, seed=1, warm_runs=None,
+)
+# A label with no UTF-8 form fails its edge's noise draw, which comes
+# before a later edge, of weight 0, fails its calibration.
+@example(
+    dfg=Dfg(frozenset({"A", "\udc80", "B", "C"}), {
+        ("A", "\udc80"): DfgEdge("A", "\udc80", (5.0, 7.0)), ("B", "C"): DfgEdge("B", "C", (0.0, 0.0)),
+    }),
+    mode=Mode.P2, kind=MAX, delta=0.3, target=0.5, precision=0.5, runs=3, include_boundary_time=False, seed=1,
+    warm_runs=None,
 )
 def test_release_is_bitwise_the_edge_by_edge_reference(
     dfg, mode, kind, delta, target, precision, runs, include_boundary_time, seed, warm_runs

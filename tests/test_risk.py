@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import struct
 
 import pytest
@@ -341,6 +342,56 @@ def test_an_edge_without_priors_outside_the_closed_form_is_searched(delta, r, er
     if error is not None:
         assert _certified(certified_epsilon, delta, r, None) == f"ValueError: {error}"
     assert _certified(certified_epsilon, delta, r, None) == _certified(risk._searched_epsilon, delta, r, None)
+
+
+# A NaN range or epsilon fails every check, as a non-positive one does.
+@pytest.mark.parametrize("call, error", [
+    (lambda: certified_epsilon(0.3, math.nan, None), "range must be positive, got nan"),
+    (lambda: certified_epsilon(0.3, math.nan, (0.5,)), "range must be positive, got nan"),
+    (lambda: epsilon_from_delta(0.35, 0.3, math.nan), "range must be positive, got nan"),
+    (lambda: edge_priors((1.0, 2.0), 0.5, math.nan), "degenerate edge: duration range is zero"),
+    (lambda: empirical_prior((1.0, 2.0), 1.0, 0.5, math.nan), "degenerate edge: duration range is zero"),
+    (lambda: worst_case_delta_time(math.nan, 1.0), "epsilon must be positive, got nan"),
+    (lambda: worst_case_delta_time(1.0, math.nan), "range must be positive, got nan"),
+    (lambda: delta_from_epsilon_time(0.5, math.nan, 1.0), "epsilon must be positive, got nan"),
+    (lambda: delta_from_epsilon_time(0.5, 1.0, math.nan), "range must be positive, got nan"),
+])
+def test_a_nan_range_or_epsilon_is_rejected(call, error):
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        call()
+
+
+# Ranges as a release holds them, repeated, and every range the closed form
+# leaves to the search.
+COLUMN_RANGES = st.lists(
+    st.one_of(
+        RANGES,
+        st.sampled_from([1.0, 1e300, 5e-324, 0.0, -0.0, -1.0, math.inf, -math.inf, math.nan]),
+    ),
+    max_size=12,
+).flatmap(lambda ranges: st.permutations(ranges + ranges[:3]))
+
+
+@given(delta=DELTAS, ranges=COLUMN_RANGES)
+@settings(max_examples=500)
+@example(delta=1e-16, ranges=[1e300, 1.0, 1e300])  # a subnormal epsilon, repeated
+@example(delta=0.05, ranges=[2.0, 3.0, 2.0, 5e-324, 0.0, -0.0, -1.0, math.inf, math.nan])
+@example(delta=1e-17, ranges=[1.0, 7.0])  # C is not positive: every range is searched
+def test_the_column_of_edges_without_priors_is_the_scalar_per_range(delta, ranges):
+    # The column holds every finite positive range (where C is positive) and
+    # no other, each with the search's bits and certified_epsilon's. A range
+    # it leaves out is the search's, whose value or error certified_epsilon
+    # gives.
+    column = risk.priorless_epsilons(delta, ranges)
+    closed_form = risk._priorless_losses(delta) is not None
+    assert set(column) == {r for r in ranges if closed_form and 0.0 < r < math.inf}
+    for r in ranges:
+        found = column.get(r)
+        assert found == risk._priorless_epsilon(delta, r)
+        searched = _certified(risk._searched_epsilon, delta, r, None)
+        assert _certified(certified_epsilon, delta, r, None) == searched, r
+        if found:
+            assert _certified(lambda *_: found, delta, r, None) == searched, r
 
 
 def test_epsilon_freq_examples():

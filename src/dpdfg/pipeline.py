@@ -177,6 +177,11 @@ def prepare(dfg: Dfg, request: DisclosureRequest) -> PreparedDfg:
     working = filter_for_disclosure(dfg, kind, request.include_boundary_time)
     if not working.edges:
         raise ValueError("cannot disclose an empty DFG")
+    for label in sorted({label for key in working.edges for label in key}):
+        try:
+            label.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"label {label!r} has no UTF-8 form, so no noise stream can be keyed by it") from None
     if kind.is_time:
         working = convert_unit(working, request.time_unit or choose_time_unit(working, kind))
         # Virtual-edge time annotations are 0 by construction: data-independent,
@@ -236,13 +241,13 @@ def release(prepared: PreparedDfg, request: DisclosureRequest, draws: dict | Non
     there; P2 derives epsilon from the error target, then the advantage at
     it. In P1 the edges without priors (every frequency edge and every
     degenerate time edge) are calibrated as one column
-    (``risk.priorless_epsilons``), and an edge the column leaves out is
-    searched in its turn. Then the noised edges' unit draws are read as one
-    column, and each run is one row over the noised edges, in sorted
-    order: their noisy and released values, APEs and SAPEs, which that
-    run's MAPE and SMAPE sum left to right, as ``utility.mape`` and
-    ``utility.smape`` do. Only run 0's row is kept, for the edges' own
-    fields.
+    (``risk.priorless_epsilons``), and an edge the column leaves out goes
+    to ``risk.certified_epsilon`` in its turn, which raises its error.
+    Then the noised edges' unit draws are read as one column, and each run
+    is one row over the noised edges, in sorted order: their noisy and
+    released values, APEs and SAPEs, which that run's MAPE and SMAPE sum
+    left to right, as ``utility.mape`` and ``utility.smape`` do. Only run
+    0's row is kept, for the edges' own fields.
     """
     for name in PREPARATION_FIELDS:
         wanted, held = getattr(request, name), getattr(prepared, name)
@@ -262,25 +267,20 @@ def release(prepared: PreparedDfg, request: DisclosureRequest, draws: dict | Non
     # place in sorted order and its disclosure.
     calibrated: list[tuple[str, str, float, float, float, float, bool]] = []
     constants: list[tuple[int, EdgeDisclosure]] = []
-    try:
-        for place, edge in enumerate(prepared.edges):
-            source, target, true_value, edge_sensitivity, r, priors, boundary_constant = edge
-            if boundary_constant:
-                constants.append((place, EdgeDisclosure(source, target, true_value, UNBOUNDED, 0.0, true_value,
-                                                        true_value, None, None, 0.0, boundary_constant=True)))
-                continue
-            if delta is None:
-                eps = epsilon_from_alpha(edge_sensitivity, alpha_per_edge(true_value, mape_target), beta)
-                advantage = edge_delta(eps, r, priors)
-            else:
-                eps, _, advantage = (priors is None and closed.get(r)) or certified_epsilon(delta, r, priors)
-            scale = 0.0 if eps == UNBOUNDED else edge_sensitivity / eps
-            calibrated.append((source, target, true_value, eps, scale, advantage, is_time and priors is None))
-    finally:
-        # Also where an edge fails calibration: edge by edge, each edge's noise
-        # is drawn before the next is calibrated, so an earlier edge whose draw
-        # fails (its label has no UTF-8 form) fails first.
-        units = _unit_draws(seed, runs, draws, [(e[0], e[1], e[4]) for e in calibrated])
+    for place, edge in enumerate(prepared.edges):
+        source, target, true_value, edge_sensitivity, r, priors, boundary_constant = edge
+        if boundary_constant:
+            constants.append((place, EdgeDisclosure(source, target, true_value, UNBOUNDED, 0.0, true_value,
+                                                    true_value, None, None, 0.0, boundary_constant=True)))
+            continue
+        if delta is None:
+            eps = epsilon_from_alpha(edge_sensitivity, alpha_per_edge(true_value, mape_target), beta)
+            advantage = edge_delta(eps, r, priors)
+        else:
+            eps, _, advantage = (priors is None and closed.get(r)) or certified_epsilon(delta, r, priors)
+        scale = 0.0 if eps == UNBOUNDED else edge_sensitivity / eps
+        calibrated.append((source, target, true_value, eps, scale, advantage, is_time and priors is None))
+    units = _unit_draws(seed, runs, draws, [(e[0], e[1], e[4]) for e in calibrated])
     actuals = [e[2] for e in calibrated]
     noise_inputs = [(e[2], e[4], column) for e, column in zip(calibrated, units)]
 

@@ -8,7 +8,6 @@ advantage bound is vacuous and the value may be released without noise.
 """
 from __future__ import annotations
 
-import functools
 import math
 import struct
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -139,7 +138,9 @@ def time_priors(edge: DfgEdge, kind: AggregationKind, precision: float) -> tuple
     return r, edge_priors(edge.durations, precision, r)
 
 
-# Most advantage evaluations in epsilon_time: 1, 63 galloping, 63 bisecting.
+# Most advantage evaluations in epsilon_time: 1 at the inverse, 63
+# galloping, 62 bisecting, and 1 at the epsilon that the last fitting loss
+# gives.
 CERTIFY_EVALUATIONS = 127
 _FLOAT, _BITS = struct.Struct("<d"), struct.Struct("<q")
 
@@ -151,12 +152,8 @@ def epsilon_time(delta: float, r: float, priors: tuple[float, ...] | None) -> tu
     not depend on delta, so they can be computed once for many deltas.
 
     The epsilon is the smallest that any prior allows (maximum noise
-    protects every occurrence), certified: where :func:`edge_delta` at the
-    float inverse exceeds delta (by an ulp or two, by millions for a prior
-    just below 1 - delta, or by 1 - p - delta at an unbounded epsilon), the
-    search steps down 1, 2, 4, ... bit patterns, to pattern 1 (the least
-    positive float) at most, until the advantage fits, then bisects the
-    last step, to an epsilon where it fits and at the next float up does not.
+    protects every occurrence), certified: the largest float epsilon at or
+    below that float inverse whose :func:`edge_delta` is at most delta.
     """
     return certified_epsilon(delta, r, priors)[:2]
 
@@ -167,92 +164,87 @@ def certified_epsilon(
     """:func:`epsilon_time`'s epsilon and priors, and the edge's advantage
     at that epsilon: the :func:`edge_delta` evaluated there.
 
-    An edge without priors over a finite positive range skips the search:
-    its advantage reads epsilon and r only through the float product
-    epsilon·r, and its inverted epsilon is C/r in one rounding (C and L* of
-    :func:`_priorless_losses`). As the advantage grows with the loss, the
-    search's answer is C/r where that product is at most L*, else the
-    largest epsilon whose product with r is; one :func:`edge_delta`
-    evaluation certifies it, and where it does not, the search decides.
-    :func:`priorless_epsilons` is that closed form for many ranges at once.
+    One kernel for every edge. Its advantage reads epsilon and r only
+    through the float loss epsilon·r and grows with it. Where the advantage
+    at the float inverse exceeds delta (by an ulp or two, by millions for a
+    prior just below 1 - delta, or by 1 - p - delta at an unbounded
+    epsilon), :func:`_last_fitting` finds L*, the last float loss that
+    fits, down from the inverse's loss, and the epsilon is the largest
+    whose loss is at most L*; where that loss is L*, L*'s advantage is the
+    edge's. :func:`_searched_epsilon`, the same search in epsilon space,
+    gives the same bits and errors. :func:`priorless_epsilons` is the
+    kernel for many edges without priors at once.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0,1), got {delta}")
-    if priors is None and (found := _priorless_epsilon(delta, r)):
-        return found
-    return _searched_epsilon(delta, r, priors)
+    epsilon, bound, advantage = _inverted(delta, r, priors)
+    if advantage <= delta:
+        return epsilon, bound, advantage
+    most, fits = _last_fitting(epsilon * r, lambda at: edge_delta(at, 1.0, priors), delta)
+    if not (epsilon := _largest_epsilon_within(most, r)) > 0.0:
+        raise ValueError(f"no epsilon keeps the advantage at or below delta {delta}")
+    return epsilon, bound, fits if epsilon * r == most else edge_delta(epsilon, r, priors)
 
 
 def priorless_epsilons(
     delta: float, ranges: Iterable[float]
 ) -> dict[float, tuple[float, tuple[float, ...], float]]:
     """:func:`certified_epsilon` of an edge without priors over each
-    distinct finite positive range in ``ranges``, in closed form, keyed by
-    range: C and L* are found once, then each range costs a few float
-    operations and the :func:`edge_delta` that certifies it. A range left
-    out (not finite and positive, or not certified) is the search's to
-    decide; nothing here raises for a range.
+    distinct finite positive range in ``ranges``, keyed by range, as one
+    column: C, the worst-case prior's loss, is taken once, and L* at the
+    first range whose C/r does not fit; a later range fits where its loss
+    is at most L*. A range left out (not finite and positive, or one whose
+    :func:`certified_epsilon` raises) is that function's to decide;
+    nothing here raises for a range.
     """
-    if (losses := _priorless_losses(delta)) is None:
-        return {}
-    bound, loss, most = losses
-    found = {}
+    prior = worst_case_prior(delta)
+    loss = UNBOUNDED if delta + prior >= 1.0 else _loss(prior, delta)
+    bound, most, found = (prior,), None, {}
     for r in set(ranges):
-        if 0.0 < r < UNBOUNDED:
-            epsilon = loss / r
-            if epsilon * r > most:
-                epsilon = _largest_epsilon_within(most, r)
-            if epsilon > 0.0 and (advantage := edge_delta(epsilon, r, None)) <= delta:
-                found[r] = epsilon, bound, advantage
+        if not (0.0 < r < UNBOUNDED and (epsilon := loss / r) > 0.0):
+            continue
+        if most is None and (advantage := edge_delta(epsilon, r, None)) > delta:
+            most, fits = _last_fitting(epsilon * r, lambda at: edge_delta(at, 1.0, None), delta)
+        if most is not None:
+            if epsilon * r > most and not (epsilon := _largest_epsilon_within(most, r)) > 0.0:
+                continue
+            advantage = fits if epsilon * r == most else edge_delta(epsilon, r, None)
+        found[r] = epsilon, bound, advantage
     return found
 
 
-def _priorless_epsilon(delta: float, r: float) -> tuple[float, tuple[float, ...], float] | None:
-    """:func:`priorless_epsilons` of the one range ``r``, or None where the
-    search decides."""
-    return priorless_epsilons(delta, (r,)).get(r)
+def _inverted(
+    delta: float, r: float, priors: tuple[float, ...] | None
+) -> tuple[float, tuple[float, ...], float]:
+    """The float inverse of an edge: the least epsilon its priors (or the
+    worst-case prior alone) invert to, those priors, and the advantage there."""
+    bound = (worst_case_prior(delta),) if priors is None else priors
+    epsilon = min(UNBOUNDED if delta + prior >= 1.0 else epsilon_from_delta(prior, delta, r) for prior in bound)
+    return epsilon, bound, edge_delta(epsilon, r, priors)
 
 
 def _searched_epsilon(
     delta: float, r: float, priors: tuple[float, ...] | None
 ) -> tuple[float, tuple[float, ...], float]:
-    """:func:`certified_epsilon` by search alone, for any edge: the oracle
-    of its closed form."""
-    bound = (worst_case_prior(delta),) if priors is None else priors
-    epsilon = min(UNBOUNDED if delta + prior >= 1.0 else epsilon_from_delta(prior, delta, r) for prior in bound)
-    if (advantage := edge_delta(epsilon, r, priors)) <= delta:
-        return epsilon, bound, advantage
-    above, step = _BITS.unpack(_FLOAT.pack(epsilon))[0], 1
-    while (advantage := edge_delta(_float(below := max(above - step, 1)), r, priors)) > delta:
-        if below == 1:
-            raise ValueError(f"no epsilon keeps the advantage at or below delta {delta}")
-        above, step = below, 2 * step
-    epsilon, advantage = _last_fitting(below, above, advantage, lambda e: edge_delta(e, r, priors), delta)
+    """:func:`certified_epsilon` by a search in epsilon space, down from
+    the float inverse: the oracle of its kernel."""
+    epsilon, bound, advantage = _inverted(delta, r, priors)
+    if advantage > delta:
+        epsilon, advantage = _last_fitting(epsilon, lambda e: edge_delta(e, r, priors), delta)
     return epsilon, bound, advantage
 
 
-@functools.lru_cache(maxsize=256)
-def _priorless_losses(delta: float) -> tuple[tuple[float, ...], float, float] | None:
-    """For an edge without priors at advantage ``delta``: its priors (the
-    worst-case prior alone), C, the loss that prior inverts to, and L*, the
-    largest float loss L whose ``worst_case_delta_time(L, 1.0)`` is at most
-    delta, bisected over float bit patterns: for delta near 0 or 1 it lies
-    millions of floats from C. None where C is unbounded or not positive.
-    """
-    prior = worst_case_prior(delta)
-    if delta + prior >= 1.0 or not (loss := _loss(prior, delta)) > 0.0:
-        return None
-    least, unbounded = 1, _BITS.unpack(_FLOAT.pack(UNBOUNDED))[0]
-    most, _ = _last_fitting(
-        least, unbounded, worst_case_delta_time(_float(least), 1.0), lambda e: worst_case_delta_time(e, 1.0), delta
-    )
-    return (prior,), loss, most
-
-
-def _last_fitting(below: int, above: int, advantage: float, advantage_at, delta: float) -> tuple[float, float]:
-    """The last float whose ``advantage_at`` is at most delta, bisected over
-    the float bit patterns between ``below``, which fits with ``advantage``,
-    and ``above``, which does not; with its advantage."""
+def _last_fitting(start: float, advantage_at, delta: float) -> tuple[float, float]:
+    """The last float below ``start``, whose ``advantage_at`` exceeds
+    delta, where it is at most delta, and that advantage. Down from
+    ``start``'s bit pattern it steps 1, 2, 4, ... patterns, to pattern 1
+    (the least positive float) at most, until one fits, then bisects the
+    last step to a float that fits where the next float up does not."""
+    above, step = _BITS.unpack(_FLOAT.pack(start))[0], 1
+    while (advantage := advantage_at(_float(below := max(above - step, 1)))) > delta:
+        if below == 1:
+            raise ValueError(f"no epsilon keeps the advantage at or below delta {delta}")
+        above, step = below, 2 * step
     while above - below > 1:
         middle = (above + below) // 2
         if (fits := advantage_at(_float(middle))) <= delta:

@@ -240,9 +240,10 @@ def test_certified_search_ends_where_no_epsilon_fits(monkeypatch, delta):
 
 
 def test_epsilon_time_is_certified_against_edge_delta(monkeypatch):
-    # certified_epsilon's advantage is edge_delta at its epsilon, bit for
-    # bit, whichever evaluation of the search found that epsilon: the first
-    # check, the galloping step down that first fits, or a bisection step.
+    # The search's advantage is edge_delta at its epsilon, bit for bit,
+    # whichever of its evaluations found that epsilon: the first check, the
+    # galloping step down that first fits, or a bisection step; and
+    # certified_epsilon gives the search's bits.
     calls = []
     forward = risk.edge_delta
     monkeypatch.setattr(risk, "edge_delta", lambda *args: calls.append((args[0], value := forward(*args))) or value)
@@ -267,10 +268,11 @@ def test_epsilon_time_is_certified_against_edge_delta(monkeypatch):
     phases = dict.fromkeys(("first", "galloping", "bisection", "unbounded"), 0)
     for delta, r, priors in cases:
         calls.clear()
-        epsilon, bound, advantage = certified_epsilon(delta, r, priors)
+        epsilon, bound, advantage = risk._searched_epsilon(delta, r, priors)
         assert _bits(advantage) == _bits(forward(epsilon, r, priors)), (delta, r, priors)
         assert advantage <= delta, (delta, r, priors)
         phases[found_by(delta, epsilon)] += 1
+        assert _certified(certified_epsilon, delta, r, priors) == _certified(lambda *_: (epsilon, bound, advantage))
         assert epsilon_time(delta, r, priors) == (epsilon, bound)
     assert all(phases.values()), phases
 
@@ -283,9 +285,25 @@ def _bits(value: float) -> bytes:
 # floats: at delta 1e-16 and r 1e300 the epsilon C/r is subnormal.
 DELTAS = st.floats(1e-16, 1 - 1e-9)
 RANGES = st.floats(1e-300, 1e300)
+# No priors (the worst-case prior alone), or a few priors, 1 among them
+# (no advantage), and "vacuous", 1 - delta (an unbounded inverse), "near",
+# the float below it, and "below", 1e-9 under it (millions of ulps over).
+PRIORS = st.one_of(
+    st.none(),
+    st.lists(st.one_of(st.sampled_from(["vacuous", "near", "below"]), st.floats(1e-300, 1.0)), min_size=1, max_size=4),
+)
 
 
-def _certified(search, delta, r, priors):
+def _edge_priors(delta, picks):
+    """``picks`` of :data:`PRIORS` at ``delta`` as an edge's priors."""
+    if picks is None:
+        return None
+    vacuous = 1.0 - delta
+    named = {"vacuous": vacuous, "near": math.nextafter(vacuous, 0.0), "below": vacuous - 1e-9}
+    return tuple(sorted(p for p in {named.get(p, p) for p in picks} if p > 0.0))
+
+
+def _certified(search, delta=None, r=None, priors=None):
     """``search(delta, r, priors)`` with its floats as bits, or its error."""
     try:
         epsilon, bound, advantage = search(delta, r, priors)
@@ -294,18 +312,72 @@ def _certified(search, delta, r, priors):
     return _bits(epsilon), tuple(map(_bits, bound)), _bits(advantage)
 
 
-@given(delta=DELTAS, r=RANGES)
-@settings(max_examples=2000)
-@example(delta=1e-16, r=1e300)  # a subnormal epsilon
-@example(delta=1e-16, r=1.0)  # C is far below L*
-@example(delta=0.2, r=1.0)  # a frequency edge: C is one float above L*
-@example(delta=1 - 1e-9, r=1e-300)  # C is far above L*
-@example(delta=0.5, r=5e-300)
-def test_the_closed_form_of_an_edge_without_priors_is_the_search(delta, r):
-    closed = risk._priorless_epsilon(delta, r)
-    assert closed is not None
-    assert _certified(lambda *_: closed, delta, r, None) == _certified(risk._searched_epsilon, delta, r, None)
-    assert _certified(certified_epsilon, delta, r, None) == _certified(risk._searched_epsilon, delta, r, None)
+@given(delta=DELTAS, r=RANGES, picks=PRIORS)
+@settings(max_examples=1200)
+@example(delta=1e-16, r=1e300, picks=None)  # a subnormal epsilon
+@example(delta=1e-16, r=1e300, picks=[0.5])
+@example(delta=1e-16, r=1.0, picks=None)  # C is far below L*
+@example(delta=0.2, r=1.0, picks=None)  # a frequency edge: C is one float above L*
+@example(delta=1 - 1e-9, r=1e-300, picks=None)  # C is far above L*
+@example(delta=0.5, r=5e-300, picks=None)
+@example(delta=1e-16, r=1e308, picks=[0.5, 1.0])  # no positive epsilon has a loss within L*
+@example(delta=0.3, r=2.0, picks=[1.0])  # no advantage at any epsilon
+@example(delta=0.3, r=2.0, picks=["vacuous", 1.0])  # the inverse is unbounded and does not fit
+@example(delta=0.3, r=1e3, picks=["near", 0.2])
+@example(delta=0.3, r=1e-3, picks=["below", 1.0])
+def test_the_kernel_is_the_search_for_every_edge(delta, r, picks):
+    priors = _edge_priors(delta, picks)
+    assume(priors != ())
+    assert _certified(certified_epsilon, delta, r, priors) == _certified(risk._searched_epsilon, delta, r, priors)
+
+
+def test_the_kernel_raises_the_searchs_error_where_no_positive_epsilon_fits():
+    # L* is about 4e-16, and the least positive epsilon's loss over r 1e308
+    # is 4.9e-16: no float epsilon has a loss within L*.
+    with pytest.raises(ValueError, match="^no epsilon keeps the advantage at or below delta 1e-16$"):
+        certified_epsilon(1e-16, 1e308, (0.5,))
+    assert risk._largest_epsilon_within(risk._last_fitting(math.inf, lambda at: edge_delta(at, 1.0, (0.5,)), 1e-16)[0],
+                                        1e308) == 0.0
+
+
+def test_the_kernels_advantage_is_edge_delta_at_its_epsilon():
+    # Past the inverse, the kernel reports L*'s advantage where epsilon·r is
+    # L* and evaluates edge_delta at epsilon elsewhere: both are edge_delta
+    # at epsilon, bit for bit.
+    rng = random.Random(23)
+    sides = {"inverse": 0, "L*": 0, "below L*": 0}
+    for _ in range(1500):
+        delta = rng.choice([rng.uniform(0.001, 0.999), 10 ** rng.uniform(-16, -1)])
+        r = rng.choice([1.0, 10 ** rng.uniform(-300, 300), float(rng.randrange(1, 100))])
+        priors = _edge_priors(delta, rng.choice([None, [rng.random() for _ in range(3)], ["near", 0.5], ["below"]]))
+        try:
+            epsilon, bound, advantage = certified_epsilon(delta, r, priors)
+        except ValueError:
+            continue
+        assert _bits(advantage) == _bits(edge_delta(epsilon, r, priors)), (delta, r, priors)
+        assert advantage <= delta
+        inverse = risk._inverted(delta, r, priors)
+        if inverse[2] <= delta:
+            assert (epsilon, bound, advantage) == inverse
+            sides["inverse"] += 1
+            continue
+        most, fits = risk._last_fitting(math.inf, lambda at: edge_delta(at, 1.0, priors), delta)
+        assert epsilon * r <= most < math.nextafter(epsilon, math.inf) * r
+        sides["L*" if epsilon * r == most else "below L*"] += 1
+    assert all(sides.values()), sides
+
+
+@pytest.mark.parametrize("r", [1.0, 3.0])
+def test_the_kernel_takes_at_most_certify_evaluations(monkeypatch, r):
+    # An unbounded inverse that does not fit, then L* at bit pattern 4: from
+    # the infinite loss the gallop takes 63 steps and the bisection 62, and
+    # at r 3 the epsilon's loss is below L*, which takes one evaluation more.
+    calls = []
+    most = struct.unpack("<d", struct.pack("<q", 4))[0]
+    monkeypatch.setattr(risk, "edge_delta", lambda e, r, _: calls.append(e) or (0.0 if e * r <= most else 1.0))
+    epsilon, _, advantage = certified_epsilon(0.99, r, (0.5,))
+    assert (epsilon * r <= most, advantage) == (True, 0.0)
+    assert len(calls) == (126 if r == 1.0 else CERTIFY_EVALUATIONS)
 
 
 @given(epsilon=st.floats(5e-324, 1e300), r=RANGES)
@@ -318,18 +390,27 @@ def test_the_worst_case_advantage_reads_epsilon_and_range_only_through_their_pro
     assert _bits(edge_delta(epsilon, r, None)) == _bits(worst_case_delta_time(epsilon * r, 1.0))
 
 
-@given(delta=DELTAS, r=RANGES)
-@settings(max_examples=1000)
-def test_the_worst_case_inversion_is_its_loss_over_the_range(delta, r):
-    bound, loss, most = risk._priorless_losses(delta)
-    assert bound == (worst_case_prior(delta),)
-    assert _bits(epsilon_from_delta(worst_case_prior(delta), delta, r)) == _bits(loss / r)
-    # L* is the last float loss that fits.
-    assert worst_case_delta_time(most, 1.0) <= delta < worst_case_delta_time(math.nextafter(most, math.inf), 1.0)
+@given(delta=DELTAS, r=RANGES, picks=PRIORS)
+@settings(max_examples=600)
+def test_the_worst_case_inversion_is_its_loss_over_the_range(delta, r, picks):
+    prior = worst_case_prior(delta)
+    assert _bits(epsilon_from_delta(prior, delta, r)) == _bits(risk._loss(prior, delta) / r)
+    # L* is the last float loss that fits, the same from any loss that does not.
+    priors = _edge_priors(delta, picks)
+    assume(priors != () and edge_delta(math.inf, 1.0, priors) > delta)
+    fits = lambda loss: edge_delta(loss, 1.0, priors)
+    try:
+        most, advantage = risk._last_fitting(math.inf, fits, delta)
+    except ValueError:
+        assert fits(5e-324) > delta
+        return
+    assert _bits(advantage) == _bits(fits(most))
+    assert fits(most) <= delta < fits(math.nextafter(most, math.inf))
+    assert risk._last_fitting(math.nextafter(most, math.inf), fits, delta) == (most, advantage)
 
 
-# Outside the closed form the search decides, with the errors and values
-# it gave before the closed form existed.
+# Ranges the column leaves out (not finite and positive, or a delta whose C
+# is not positive): the kernel gives the search's errors and values.
 @pytest.mark.parametrize("delta, r, error", [
     (1e-17, 1.0, "delta 1e-17 is too small: its epsilon computes to -0.0, not a positive number"),
     (0.3, 0.0, "range must be positive, got 0.0"),
@@ -361,12 +442,12 @@ def test_a_nan_range_or_epsilon_is_rejected(call, error):
         call()
 
 
-# Ranges as a release holds them, repeated, and every range the closed form
-# leaves to the search.
+# Ranges as a release holds them, repeated, and every range the column
+# leaves to certified_epsilon.
 COLUMN_RANGES = st.lists(
     st.one_of(
         RANGES,
-        st.sampled_from([1.0, 1e300, 5e-324, 0.0, -0.0, -1.0, math.inf, -math.inf, math.nan]),
+        st.sampled_from([1.0, 1e300, 1e308, 5e-324, 0.0, -0.0, -1.0, math.inf, -math.inf, math.nan]),
     ),
     max_size=12,
 ).flatmap(lambda ranges: st.permutations(ranges + ranges[:3]))
@@ -375,23 +456,27 @@ COLUMN_RANGES = st.lists(
 @given(delta=DELTAS, ranges=COLUMN_RANGES)
 @settings(max_examples=500)
 @example(delta=1e-16, ranges=[1e300, 1.0, 1e300])  # a subnormal epsilon, repeated
+@example(delta=1e-16, ranges=[1e308, 1.0, 3.0])  # no positive epsilon fits over 1e308
 @example(delta=0.05, ranges=[2.0, 3.0, 2.0, 5e-324, 0.0, -0.0, -1.0, math.inf, math.nan])
-@example(delta=1e-17, ranges=[1.0, 7.0])  # C is not positive: every range is searched
+@example(delta=1e-17, ranges=[1.0, 7.0])  # C is not positive: every range raises
+@example(delta=1 - 2**-53, ranges=[1.0, 7.0])  # C is unbounded
+# 2.41... does not fit and finds L*; over 23.68... C/r's loss is L*, and
+# so is the next float epsilon up's: C/r fits and is the answer.
+@example(delta=0.57122621036536, ranges=[2.4188812596613234, 23.682300447931325])
 def test_the_column_of_edges_without_priors_is_the_scalar_per_range(delta, ranges):
-    # The column holds every finite positive range (where C is positive) and
-    # no other, each with the search's bits and certified_epsilon's. A range
-    # it leaves out is the search's, whose value or error certified_epsilon
-    # gives.
+    # The column holds every finite positive range whose certified_epsilon
+    # does not raise, and no other, each with the search's bits and
+    # certified_epsilon's. A range it leaves out is certified_epsilon's,
+    # whose value or error is the search's.
     column = risk.priorless_epsilons(delta, ranges)
-    closed_form = risk._priorless_losses(delta) is not None
-    assert set(column) == {r for r in ranges if closed_form and 0.0 < r < math.inf}
     for r in ranges:
-        found = column.get(r)
-        assert found == risk._priorless_epsilon(delta, r)
         searched = _certified(risk._searched_epsilon, delta, r, None)
         assert _certified(certified_epsilon, delta, r, None) == searched, r
-        if found:
-            assert _certified(lambda *_: found, delta, r, None) == searched, r
+        if 0.0 < r < math.inf and not isinstance(searched, str):
+            assert _certified(lambda *_: column[r], delta, r, None) == searched, r
+        else:
+            assert r not in column, r
+    assert set(column) <= set(ranges)
 
 
 def test_epsilon_freq_examples():

@@ -2,10 +2,10 @@
 
 P1: tolerated guessing advantage -> per-edge epsilon -> noisy DFG -> error
 report. P2: tolerated percentage error -> per-edge epsilon -> noisy DFG ->
-risk report. Both go through one calibration; only the source of epsilon
-differs. A disclosure is a :func:`prepare` of the DFG for its aggregation,
-which many requests can share, then a :func:`release` per request. Emitters
-for DOT, JSON and CSV.
+risk report. P1 certifies every noised edge in one column
+(``risk.certified_epsilons``). A disclosure is a :func:`prepare` of the DFG
+for its aggregation, which many requests can share, then a :func:`release`
+per request. Emitters for DOT, JSON and CSV.
 """
 from __future__ import annotations
 
@@ -34,10 +34,9 @@ from .risk import (
     DEFAULT_PRECISION,
     UNBOUNDED,
     RiskParams,
-    certified_epsilon,
+    certified_epsilons,
     dfg_delta,
     edge_delta,
-    priorless_epsilons,
     time_priors,
 )
 from .utility import UtilityParams, alpha_per_edge, ape_row, epsilon_from_alpha, sape_row
@@ -236,13 +235,10 @@ def release(prepared: PreparedDfg, request: DisclosureRequest, draws: dict | Non
     output byte-identical to calls that do not. Left unset, the call uses a
     fresh dict of its own.
 
-    One pass calibrates every edge: P1 derives epsilon from the advantage
-    target, and its certification has already evaluated the advantage
-    there; P2 derives epsilon from the error target, then the advantage at
-    it. In P1 the edges without priors (every frequency edge and every
-    degenerate time edge) are calibrated as one column
-    (``risk.priorless_epsilons``), and an edge the column leaves out goes
-    to ``risk.certified_epsilon`` in its turn, which raises its error.
+    One pass calibrates every edge: P1 certifies the noised edges as one
+    column (``risk.certified_epsilons``), which evaluates each advantage
+    and raises the first failing edge's error; P2 derives each epsilon
+    from the error target, then the advantage at it.
     Then the noised edges' unit draws are read as one column, and each run
     is one row over the noised edges, in sorted order: their noisy and
     released values, APEs and SAPEs, which that run's MAPE and SMAPE sum
@@ -258,10 +254,10 @@ def release(prepared: PreparedDfg, request: DisclosureRequest, draws: dict | Non
     kind, runs, seed = request.aggregation, request.runs, request.seed
     is_time = kind.is_time
     if request.mode is Mode.P1:
-        delta = request.risk.delta
-        closed = priorless_epsilons(delta, [e.r for e in prepared.edges if e.priors is None and not e.boundary_constant])
+        noised = [(e.r, e.priors) for e in prepared.edges if not e.boundary_constant]
+        certified = iter(certified_epsilons(request.risk.delta, noised))
     else:
-        delta, (mape_target, beta) = None, request.utility
+        certified, (mape_target, beta) = None, request.utility
     # Per noised edge: its disclosure's fields but the run-0 values. Per
     # boundary-constant edge, released exactly outside the error rows: its
     # place in sorted order and its disclosure.
@@ -273,11 +269,11 @@ def release(prepared: PreparedDfg, request: DisclosureRequest, draws: dict | Non
             constants.append((place, EdgeDisclosure(source, target, true_value, UNBOUNDED, 0.0, true_value,
                                                     true_value, None, None, 0.0, boundary_constant=True)))
             continue
-        if delta is None:
+        if certified is None:
             eps = epsilon_from_alpha(edge_sensitivity, alpha_per_edge(true_value, mape_target), beta)
             advantage = edge_delta(eps, r, priors)
         else:
-            eps, _, advantage = (priors is None and closed.get(r)) or certified_epsilon(delta, r, priors)
+            eps, _, advantage = next(certified)
         scale = 0.0 if eps == UNBOUNDED else edge_sensitivity / eps
         calibrated.append((source, target, true_value, eps, scale, advantage, is_time and priors is None))
     units = _unit_draws(seed, runs, draws, [(e[0], e[1], e[4]) for e in calibrated])

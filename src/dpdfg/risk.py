@@ -162,55 +162,56 @@ def certified_epsilon(
     delta: float, r: float, priors: tuple[float, ...] | None
 ) -> tuple[float, tuple[float, ...], float]:
     """:func:`epsilon_time`'s epsilon and priors, and the edge's advantage
-    at that epsilon: the :func:`edge_delta` evaluated there.
+    there (its :func:`edge_delta`): the :func:`certified_epsilons` of one edge.
+    """
+    return certified_epsilons(delta, [(r, priors)])[0]
+
+
+def certified_epsilons(
+    delta: float, edges: Iterable[tuple[float, tuple[float, ...] | None]]
+) -> list[tuple[float, tuple[float, ...], float]]:
+    """:func:`certified_epsilon` of each ``(r, priors)`` edge, in order, as
+    one column; it raises the error of the first edge that fails.
 
     One kernel for every edge. Its advantage reads epsilon and r only
-    through the float loss epsilon·r and grows with it. Where the advantage
-    at the float inverse exceeds delta (by an ulp or two, by millions for a
-    prior just below 1 - delta, or by 1 - p - delta at an unbounded
-    epsilon), :func:`_last_fitting` finds L*, the last float loss that
-    fits, down from the inverse's loss, and the epsilon is the largest
-    whose loss is at most L*; where that loss is L*, L*'s advantage is the
-    edge's. :func:`_searched_epsilon`, the same search in epsilon space,
-    gives the same bits and errors. :func:`priorless_epsilons` is the
-    kernel for many edges without priors at once.
+    through the float loss epsilon·r and grows with it. The epsilon is C/r,
+    C the least loss the priors (or the worst-case prior alone) invert to,
+    where its advantage is at most delta; else :func:`_last_fitting` finds
+    L*, the last float loss that fits, and the epsilon is the largest whose
+    loss is at most L*, with L*'s advantage where that loss is L*. C and L*
+    depend on delta and the priors only: each priors tuple (None is one)
+    takes them once, and a later edge fits where fl(C/r·r) is at most L*. An
+    edge whose C/r is not a positive float is inverted on its own. Each
+    distinct edge is certified once. :func:`_searched_epsilon`, the same
+    search in epsilon space, gives the same bits and errors.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0,1), got {delta}")
-    epsilon, bound, advantage = _inverted(delta, r, priors)
-    if advantage <= delta:
-        return epsilon, bound, advantage
-    most, fits = _last_fitting(epsilon * r, lambda at: edge_delta(at, 1.0, priors), delta)
-    if not (epsilon := _largest_epsilon_within(most, r)) > 0.0:
-        raise ValueError(f"no epsilon keeps the advantage at or below delta {delta}")
-    return epsilon, bound, fits if epsilon * r == most else edge_delta(epsilon, r, priors)
-
-
-def priorless_epsilons(
-    delta: float, ranges: Iterable[float]
-) -> dict[float, tuple[float, tuple[float, ...], float]]:
-    """:func:`certified_epsilon` of an edge without priors over each
-    distinct finite positive range in ``ranges``, keyed by range, as one
-    column: C, the worst-case prior's loss, is taken once, and L* at the
-    first range whose C/r does not fit; a later range fits where its loss
-    is at most L*. A range left out (not finite and positive, or one whose
-    :func:`certified_epsilon` raises) is that function's to decide;
-    nothing here raises for a range.
-    """
-    prior = worst_case_prior(delta)
-    loss = UNBOUNDED if delta + prior >= 1.0 else _loss(prior, delta)
-    bound, most, found = (prior,), None, {}
-    for r in set(ranges):
-        if not (0.0 < r < UNBOUNDED and (epsilon := loss / r) > 0.0):
-            continue
-        if most is None and (advantage := edge_delta(epsilon, r, None)) > delta:
-            most, fits = _last_fitting(epsilon * r, lambda at: edge_delta(at, 1.0, None), delta)
-        if most is not None:
-            if epsilon * r > most and not (epsilon := _largest_epsilon_within(most, r)) > 0.0:
-                continue
-            advantage = fits if epsilon * r == most else edge_delta(epsilon, r, None)
-        found[r] = epsilon, bound, advantage
-    return found
+    column, found, shared = [], {}, {}
+    for edge in edges:
+        if (certified := found.get(edge)) is None:
+            r, priors = edge
+            if priors not in shared:
+                bound = (worst_case_prior(delta),) if priors is None else priors
+                try:
+                    loss = min(UNBOUNDED if delta + p >= 1.0 else epsilon_from_delta(p, delta, 1.0) for p in bound)
+                except ValueError:  # each edge's _inverted raises its error
+                    loss = math.nan
+                shared[priors] = [loss, bound, None, None]
+            loss, bound, most, fits = group = shared[priors]
+            if 0.0 < r and (epsilon := loss / r) > 0.0:
+                advantage = edge_delta(epsilon, r, priors) if most is None else None
+            else:
+                epsilon, bound, advantage = _inverted(delta, r, priors)
+            if advantage is None or advantage > delta:
+                if most is None:
+                    most, fits = group[2:] = _last_fitting(epsilon * r, lambda at: edge_delta(at, 1.0, priors), delta)
+                if epsilon * r > most and not (epsilon := _largest_epsilon_within(most, r)) > 0.0:
+                    raise ValueError(f"no epsilon keeps the advantage at or below delta {delta}")
+                advantage = fits if epsilon * r == most else edge_delta(epsilon, r, priors)
+            certified = found[edge] = epsilon, bound, advantage
+        column.append(certified)
+    return column
 
 
 def _inverted(
@@ -219,6 +220,8 @@ def _inverted(
     """The float inverse of an edge: the least epsilon its priors (or the
     worst-case prior alone) invert to, those priors, and the advantage there."""
     bound = (worst_case_prior(delta),) if priors is None else priors
+    if not bound:
+        raise ValueError(f"an edge's priors must not be empty, got {priors!r}")
     epsilon = min(UNBOUNDED if delta + prior >= 1.0 else epsilon_from_delta(prior, delta, r) for prior in bound)
     return epsilon, bound, edge_delta(epsilon, r, priors)
 

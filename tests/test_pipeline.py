@@ -30,6 +30,7 @@ from dpdfg.pipeline import (
     DisclosureReport,
     DisclosureRequest,
     EdgeDisclosure,
+    PreparedEdge,
     disclose,
     emit_csv,
     emit_dot,
@@ -951,7 +952,13 @@ RELEASE_LOGS = st.one_of(SMALL_LOGS.map(small_dfg), st.just(_zero_weight_dfg()))
     dfg=_dfg_of("A@0 B@5 C@10 D@12"), mode=Mode.P1, kind=MAX, delta=0.05, target=0.5, precision=0.5,
     runs=3, include_boundary_time=True, seed=1, warm_runs=2,
 )
-# At delta 1e-17 the column holds nothing and every edge fails its search:
+# (A, B) and (B, C) share priors (1/2,): (A, B) misses its inverse and
+# finds L*, and (B, C)'s loss at its inverse is above that L*.
+@example(
+    dfg=_dfg_of("A@0 B@4 C@48", "A@0 B@1 C@2"), mode=Mode.P1, kind=MAX, delta=0.04, target=0.5, precision=0.5,
+    runs=3, include_boundary_time=False, seed=1, warm_runs=None,
+)
+# At delta 1e-17 every edge fails its search:
 # (A, B), first in sorted order and with priors (1/6, 5/6), names its
 # epsilon, -2.2e-17, before the degenerate edges after it name -0.0.
 @example(
@@ -1035,6 +1042,17 @@ def test_a_zero_weight_time_edge_fails_the_release(kind):
     # Its frequency is 3 and releases in both modes.
     for request in (p1(FREQ, 0.4), p2(FREQ, 0.5)):
         assert by_key(disclose(dfg, request)[1])[("A", "B")].true_value == 3.0
+
+
+def test_a_prepared_edge_with_empty_priors_fails_the_release_by_name():
+    # prepare never gives a time edge empty priors; a hand-built one is
+    # named, after the good edge before it is certified.
+    request = p1(MAX, 0.3)
+    prepared = prepare(_dfg_of("A@0 B@4 C@48", "A@0 B@1 C@2"), request)
+    prepared = prepared._replace(edges=(prepared.edges[0], PreparedEdge(*prepared.edges[1][:5], priors=())))
+    assert prepared.edges[0].priors == (0.5,)
+    with pytest.raises(ValueError, match=r"^an edge's priors must not be empty, got \(\)$"):
+        release(prepared, request)
 
 
 @pytest.mark.parametrize("kind", [FREQ, MAX])

@@ -409,8 +409,9 @@ def test_the_worst_case_inversion_is_its_loss_over_the_range(delta, r, picks):
     assert risk._last_fitting(math.nextafter(most, math.inf), fits, delta) == (most, advantage)
 
 
-# Ranges the column leaves out (not finite and positive, or a delta whose C
-# is not positive): the kernel gives the search's errors and values.
+# Ranges whose C/r is not a positive float (not finite and positive, or a
+# delta whose C is not positive): the kernel gives the search's errors and
+# values.
 @pytest.mark.parametrize("delta, r, error", [
     (1e-17, 1.0, "delta 1e-17 is too small: its epsilon computes to -0.0, not a positive number"),
     (0.3, 0.0, "range must be positive, got 0.0"),
@@ -442,41 +443,89 @@ def test_a_nan_range_or_epsilon_is_rejected(call, error):
         call()
 
 
-# Ranges as a release holds them, repeated, and every range the column
-# leaves to certified_epsilon.
-COLUMN_RANGES = st.lists(
-    st.one_of(
-        RANGES,
-        st.sampled_from([1.0, 1e300, 1e308, 5e-324, 0.0, -0.0, -1.0, math.inf, -math.inf, math.nan]),
+# Columns of edges as a release holds them, their ranges and priors tuples
+# repeated, and ranges no release holds (not finite and positive).
+COLUMN_EDGES = st.tuples(
+    st.lists(
+        st.one_of(RANGES, st.sampled_from([1.0, 1e300, 1e308, 5e-324, 0.0, -0.0, -1.0, math.inf, -math.inf, math.nan])),
+        min_size=1, max_size=5,
     ),
-    max_size=12,
-).flatmap(lambda ranges: st.permutations(ranges + ranges[:3]))
+    st.lists(PRIORS, min_size=1, max_size=3),
+).flatmap(lambda pools: st.lists(st.tuples(*map(st.sampled_from, pools)), min_size=1, max_size=15))
 
 
-@given(delta=DELTAS, ranges=COLUMN_RANGES)
+@given(delta=DELTAS, edges=COLUMN_EDGES)
 @settings(max_examples=500)
-@example(delta=1e-16, ranges=[1e300, 1.0, 1e300])  # a subnormal epsilon, repeated
-@example(delta=1e-16, ranges=[1e308, 1.0, 3.0])  # no positive epsilon fits over 1e308
-@example(delta=0.05, ranges=[2.0, 3.0, 2.0, 5e-324, 0.0, -0.0, -1.0, math.inf, math.nan])
-@example(delta=1e-17, ranges=[1.0, 7.0])  # C is not positive: every range raises
-@example(delta=1 - 2**-53, ranges=[1.0, 7.0])  # C is unbounded
+@example(delta=1e-16, edges=[(1e300, None), (1.0, None), (1e300, None)])  # a subnormal epsilon, repeated
+@example(delta=1e-16, edges=[(1.0, None), (3.0, None), (1e308, None)])  # no positive epsilon fits over 1e308
+@example(delta=0.05, edges=[(r, None) for r in (2.0, 3.0, 2.0, 5e-324, 0.0, -0.0, -1.0, math.inf, math.nan)])
+@example(delta=1e-17, edges=[(1.0, None), (7.0, None)])  # C is not positive: the first edge raises
+@example(delta=1 - 2**-53, edges=[(1.0, None), (7.0, None)])  # C is unbounded
 # 2.41... does not fit and finds L*; over 23.68... C/r's loss is L*, and
 # so is the next float epsilon up's: C/r fits and is the answer.
-@example(delta=0.57122621036536, ranges=[2.4188812596613234, 23.682300447931325])
-def test_the_column_of_edges_without_priors_is_the_scalar_per_range(delta, ranges):
-    # The column holds every finite positive range whose certified_epsilon
-    # does not raise, and no other, each with the search's bits and
-    # certified_epsilon's. A range it leaves out is certified_epsilon's,
-    # whose value or error is the search's.
-    column = risk.priorless_epsilons(delta, ranges)
-    for r in ranges:
-        searched = _certified(risk._searched_epsilon, delta, r, None)
-        assert _certified(certified_epsilon, delta, r, None) == searched, r
-        if 0.0 < r < math.inf and not isinstance(searched, str):
-            assert _certified(lambda *_: column[r], delta, r, None) == searched, r
-        else:
-            assert r not in column, r
-    assert set(column) <= set(ranges)
+@example(delta=0.57122621036536, edges=[(2.4188812596613234, None), (23.682300447931325, None)])
+# One priors tuple near 1 - delta: every range misses its inverse by
+# millions of ulps and takes L*, found once.
+@example(delta=0.2, edges=[(r, ["below", 1.0]) for r in (1e-3, 1.0, 7.0, 1e-3)] + [(2.0, None)])
+# Vacuous priors: an unbounded epsilon over any range, even one not finite.
+@example(delta=0.3, edges=[(2.0, [1.0]), (math.inf, [1.0]), (math.nan, [1.0]), (2.0, ["vacuous"])])
+@example(delta=0.3, edges=[(2.0, [0.5]), (3.0, [])])  # empty priors after a good edge
+def test_the_column_is_the_search_per_edge(delta, edges):
+    # Each edge gets the search's bits, or the column raises the search's
+    # error of the first edge whose search raises.
+    edges = [(r, _edge_priors(delta, picks)) for r, picks in edges]
+    searched = []
+    for r, priors in edges:
+        searched.append(_certified(risk._searched_epsilon, delta, r, priors))
+        if isinstance(searched[-1], str):
+            break
+    try:
+        column = [_certified(lambda *_: certified) for certified in risk.certified_epsilons(delta, edges)]
+    except ValueError as exc:
+        column = [*searched[:-1], f"ValueError: {exc}"]
+    assert column == searched
+
+
+def test_a_column_searches_once_per_priors_tuple_and_certifies_each_edge_once(monkeypatch):
+    searches, evaluations = [], []
+    forward_search, forward_delta = risk._last_fitting, risk.edge_delta
+    monkeypatch.setattr(risk, "_last_fitting", lambda *args: searches.append(args) or forward_search(*args))
+    monkeypatch.setattr(risk, "edge_delta", lambda *args: evaluations.append(args) or forward_delta(*args))
+
+    def counted(call):
+        """``call()``, and the L* searches and advantage evaluations it ran."""
+        searches.clear()
+        evaluations.clear()
+        return call(), len(searches), len(evaluations)
+
+    # Every edge of one priors tuple misses its inverse. The column finds L*
+    # once, and a later distinct edge evaluates the advantage only where
+    # its loss is below L*.
+    priors = (0.8 - 1e-9, 1.0)
+    edges = [(r, priors) for r in (1e-3, 0.5, 1.0, 7.0, 1e3, 1.0)]
+    assert all(risk._inverted(0.2, r, priors)[2] > 0.2 for r, _ in edges)
+    column, column_searches, column_evaluations = counted(lambda: risk.certified_epsilons(0.2, edges))
+    first_evaluations = counted(lambda: certified_epsilon(0.2, *edges[0]))[2]
+    most = forward_search(math.inf, lambda at: forward_delta(at, 1.0, priors), 0.2)[0]
+    later = list(dict(zip(edges, column)).items())[1:]
+    assert column_searches == 1
+    assert column_evaluations == first_evaluations + sum(epsilon * r < most for (r, _), (epsilon, _, _) in later)
+    # Certified one by one, each edge searches for L* itself.
+    assert [counted(lambda: certified_epsilon(0.2, r, priors))[:2] for r, _ in edges] == [(c, 1) for c in column]
+    # A repeated edge that fits at its inverse is evaluated there once.
+    assert counted(lambda: risk.certified_epsilons(0.4, [(2.0, (0.5,))] * 3))[2] == 1
+
+
+# Empty priors name themselves wherever an edge is certified.
+@pytest.mark.parametrize("call", [
+    lambda: certified_epsilon(0.3, 2.0, ()),
+    lambda: epsilon_time(0.3, 2.0, ()),
+    lambda: risk._searched_epsilon(0.3, 2.0, ()),
+    lambda: risk.certified_epsilons(0.3, [(2.0, (0.5,)), (3.0, ())]),
+])
+def test_empty_priors_are_rejected_by_name(call):
+    with pytest.raises(ValueError, match=r"^an edge's priors must not be empty, got \(\)$"):
+        call()
 
 
 def test_epsilon_freq_examples():
